@@ -12,8 +12,7 @@ from .curriculum import (
     TrainReport,
     inspect_attention,
     knowledge_transfer,
-    run_flat,
-    run_hicu,
+    load_model,
     score_dataset,
 )
 from .data import (
@@ -26,6 +25,7 @@ from .data import (
     filter_top_k_labels,
     load_dataset,
     load_embeddings,
+    read_jsonl,
     synth_generate,
     tokenize,
 )
@@ -45,7 +45,7 @@ from .icd import (
     parse_code,
     parse_code_auto,
 )
-from .losses import AslConfig, asl, batch_reduce, bce, sigmoid
+from .losses import AslConfig, asl, bce, sigmoid
 from .metrics import (
     EvalResult,
     auc_binary,

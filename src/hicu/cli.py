@@ -18,7 +18,6 @@ import numpy as np
 from . import curriculum, data, icd, metrics, poincare
 from .checkpoint import read_container, write_container
 from .losses import AslConfig
-from .network import DecoderParams, EncoderParams, forward
 
 
 def _read_config_file(path) -> list[str]:
@@ -46,50 +45,8 @@ def _seed_default() -> int:
     return int(os.environ.get("HICU_SEED", "0"))
 
 
-def _read_jsonl(path) -> list[dict]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
-def _dataset_from_records(records, vocab, leaves, max_len) -> data.Dataset:
-    docs = []
-    skipped = 0
-    for rec in records:
-        for label in rec["labels"]:
-            if label not in leaves:
-                raise ValueError(
-                    f"document {rec['id']!r}: label {label!r} not in the label tree"
-                )
-        tokens = data.tokenize(rec["text"])[:max_len]
-        if not tokens:
-            skipped += 1
-            continue
-        docs.append(
-            data.Document(
-                id=rec["id"],
-                tokens=np.array([vocab.lookup(t) for t in tokens], dtype=np.int64),
-                labels=tuple(sorted(set(rec["labels"]))),
-            )
-        )
-    return data.Dataset(docs=docs, codes=sorted(leaves), skipped_empty=skipped)
-
-
 def _codes_from_records(records) -> list[str]:
     return sorted({label for rec in records for label in rec["labels"]})
-
-
-def _restrict_records(records, keep: set[str]) -> list[dict]:
-    out = []
-    for rec in records:
-        labels = sorted(l for l in rec["labels"] if l in keep)
-        if labels:
-            out.append({**rec, "labels": labels})
-    return out
 
 
 # ---------------------------------------------------------------- build-tree
@@ -97,10 +54,8 @@ def _restrict_records(records, keep: set[str]) -> list[dict]:
 
 def cmd_build_tree(args) -> int:
     ranges = icd.RangeTable.from_file(args.ranges)
-    records = _read_jsonl(args.train)
+    records = data.read_jsonl(args.train)
     codes = _codes_from_records(records)
-    if not codes:
-        raise icd.CodeError("empty label set")
     tree = icd.build_label_tree([icd.parse_code_auto(c) for c in codes], ranges)
     atree = icd.augment_tree(tree)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -161,7 +116,7 @@ def cmd_synth(args) -> int:
 # --------------------------------------------------------------------- train
 
 
-def _curriculum_config(args, k_max: int = icd.K_MAX) -> curriculum.CurriculumConfig:
+def _curriculum_config(args) -> curriculum.CurriculumConfig:
     epochs = tuple(int(x) for x in args.epochs_per_level.split(","))
     return curriculum.CurriculumConfig(
         epochs_per_level=epochs,
@@ -179,23 +134,20 @@ def _curriculum_config(args, k_max: int = icd.K_MAX) -> curriculum.CurriculumCon
         kernel_size=args.kernel_size,
         finetune_embeddings=not args.freeze_embeddings,
         p_at=tuple(int(x) for x in args.p_at.split(",")),
-        workers=args.workers,
     )
 
 
 def cmd_train(args) -> int:
     ranges = icd.RangeTable.from_file(args.ranges)
-    train_records = _read_jsonl(args.train)
-    valid_records = _read_jsonl(args.valid)
+    train_records = data.read_jsonl(args.train)
+    valid_records = data.read_jsonl(args.valid)
 
-    if args.top_k_labels:
-        counts = Counter(l for rec in train_records for l in rec["labels"])
-        ranked = sorted(counts, key=lambda c: (-counts[c], c))
-        keep = set(ranked[: args.top_k_labels])
-        train_records = _restrict_records(train_records, keep)
-        valid_records = _restrict_records(valid_records, keep)
+    if args.top_k_labels is not None:
+        train_records, valid_records = data.filter_top_k_labels(
+            [train_records, valid_records], args.top_k_labels
+        )
 
-    codes = sorted(set(_codes_from_records(train_records)) | set(_codes_from_records(valid_records)))
+    codes = _codes_from_records(train_records + valid_records)
     if not codes:
         raise icd.CodeError("empty label set")
     if args.tree:
@@ -208,9 +160,9 @@ def cmd_train(args) -> int:
     vocab = data.build_vocab(
         (data.tokenize(rec["text"]) for rec in train_records), min_count=args.min_count
     )
-    leaves = set(atree.level_labels(atree.k_max))
-    train_set = _dataset_from_records(train_records, vocab, leaves, args.max_len)
-    valid_set = _dataset_from_records(valid_records, vocab, leaves, args.max_len)
+    leaves = atree.level_labels(atree.k_max)
+    train_set = data.load_dataset(train_records, vocab, leaves, args.max_len)
+    valid_set = data.load_dataset(valid_records, vocab, leaves, args.max_len)
 
     word_embedding = None
     if args.word_emb:
@@ -224,10 +176,7 @@ def cmd_train(args) -> int:
 
     cfg = _curriculum_config(args)
     if args.mode == "flat":
-        zeros = (0,) * (atree.k_max - 1) + (cfg.epochs_per_level[-1],)
-        from dataclasses import replace
-
-        cfg = replace(cfg, epochs_per_level=zeros, fresh_final_decoder=True)
+        cfg = cfg.flat()
     trainer = curriculum.Trainer(
         train_set, valid_set, atree, emb, cfg,
         word_embedding=word_embedding, vocab_size=vocab.size,
@@ -259,27 +208,10 @@ def cmd_train(args) -> int:
 
 
 def _load_model(path):
-    meta, arrays = read_container(path)
-    prefix = "best/" if any(n.startswith("best/") for n in arrays) else "param/"
-    params = {n[len(prefix):]: arrays[n] for n in arrays if n.startswith(prefix)}
-    cfg = meta["config"]
-    finetune = meta["finetune_embeddings"]
-    embedding = params["embedding"] if finetune else arrays["frozen/embedding"]
-    enc = EncoderParams(
-        embedding=embedding, kernel=params["kernel"], bias=params["bias"],
-        finetune_embeddings=finetune,
-    )
-    dec = DecoderParams(
-        Q=params["Q"], W=params["W"], b=params["b"], mode=cfg["correction"],
-        fc_w=params.get("fc_w"), fc_b=params.get("fc_b"),
-    )
+    state, E_h, meta = curriculum.load_model(path)
     vocab = data.Vocab(
         {tok: i + 2 for i, tok in enumerate(meta["vocab_tokens"])},
         min_count=meta["min_count"],
-    )
-    E_h = arrays.get("aux/E_h")
-    state = curriculum.ModelState(
-        encoder=enc, decoder=dec, level=meta["level"], codes=list(meta["codes"])
     )
     return state, vocab, E_h, meta
 
@@ -310,8 +242,8 @@ def _bucket_table(codes, train_counts, model_auc, base_auc, n_buckets=4):
 
 def cmd_eval(args) -> int:
     state, vocab, E_h, meta = _load_model(args.checkpoint)
-    records = _read_jsonl(args.test)
-    test_set = _dataset_from_records(records, vocab, set(state.codes), meta["max_len"])
+    records = data.read_jsonl(args.test)
+    test_set = data.load_dataset(records, vocab, state.codes, meta["max_len"])
     scores = curriculum.score_dataset(state.encoder, state.decoder, E_h, test_set.docs)
     y = test_set.label_matrix(state.codes)
     ks = tuple(int(x) for x in args.p_at.split(","))
@@ -327,7 +259,7 @@ def cmd_eval(args) -> int:
             raise ValueError("baseline score matrix shape mismatch")
         if not args.train:
             raise ValueError("--baseline requires --train for label frequencies")
-        train_records = _read_jsonl(args.train)
+        train_records = data.read_jsonl(args.train)
         counts = Counter(l for rec in train_records for l in rec["labels"])
         train_counts = [counts.get(c, 0) for c in state.codes]
         model_auc = [metrics.auc_binary(scores[:, j], y[:, j]) for j in range(len(state.codes))]
@@ -347,19 +279,16 @@ def cmd_eval(args) -> int:
 
 def cmd_inspect(args) -> int:
     state, vocab, E_h, meta = _load_model(args.checkpoint)
-    records = _read_jsonl(args.data)
+    records = data.read_jsonl(args.data)
     rec = next((r for r in records if r["id"] == args.doc_id), None)
     if rec is None:
         raise ValueError(f"document {args.doc_id!r} not found in {args.data}")
-    if args.label not in state.codes:
-        raise ValueError(f"unknown label {args.label!r}")
     tokens = data.tokenize(rec["text"])[: meta["max_len"]]
-    idxs = np.array([vocab.lookup(t) for t in tokens], dtype=np.int64)
-    _, trace = forward(idxs, state.encoder, state.decoder, E_h)
-    col = trace.A[0][:, state.codes.index(args.label)]
-    order = np.lexsort((np.arange(len(col)), -col))
-    for i in order[: args.top_n]:
-        print(f"{tokens[i]}\t{col[i]:.6f}")
+    doc = data.Document(id=rec["id"], tokens=vocab.indices(tokens), labels=())
+    for token, weight in curriculum.inspect_attention(
+        state, E_h, doc, tokens, args.label, args.top_n
+    ):
+        print(f"{token}\t{weight:.6f}")
     return 0
 
 
@@ -433,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=4096)
     p.add_argument("--top-k-labels", type=int)
     p.add_argument("--p-at", default="5,8,15")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--transfer-output", action="store_true")
     p.add_argument("--min-count", type=int, default=3)
     p.add_argument("--d-e", type=int, default=32)

@@ -18,7 +18,7 @@ from .checkpoint import read_container, write_container
 from .data import Dataset, Document
 from .icd import AugmentedLabelTree
 from .losses import AslConfig, asl, bce
-from .metrics import EvalResult, evaluate, macro_micro_f1
+from .metrics import evaluate, macro_micro_f1
 from .network import (
     AdamState,
     DecoderParams,
@@ -51,19 +51,16 @@ class CurriculumConfig:
     d_f: int = 32
     kernel_size: int = 3
     finetune_embeddings: bool = True
-    carry_adam: bool = False
-    reinit_fc_per_level: bool = False
     fresh_final_decoder: bool = False
     p_at: tuple[int, ...] = (5, 8, 15)
-    workers: int = 1
 
     def validate(self, k_max: int) -> None:
         if len(self.epochs_per_level) != k_max:
             raise ValueError(f"epochs_per_level must have {k_max} entries")
         if any(e < 0 for e in self.epochs_per_level) or self.epochs_per_level[-1] < 1:
             raise ValueError("per-level epochs must be nonnegative, final level >= 1")
-        if self.batch_size < 1 or self.patience < 0 or self.workers < 1:
-            raise ValueError("batch_size/workers must be >= 1 and patience >= 0")
+        if self.batch_size < 1 or self.patience < 0:
+            raise ValueError("batch_size must be >= 1 and patience >= 0")
         if self.lr <= 0:
             raise ValueError("learning rate must be positive")
         if self.correction not in ("none", "add", "concat"):
@@ -76,6 +73,11 @@ class CurriculumConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    def flat(self) -> "CurriculumConfig":
+        """The single-round baseline: a fresh decoder trained at the final level only."""
+        zeros = (0,) * (len(self.epochs_per_level) - 1) + (self.epochs_per_level[-1],)
+        return replace(self, epochs_per_level=zeros, fresh_final_decoder=True)
 
 
 @dataclass
@@ -126,19 +128,16 @@ def init_level_decoder(
         q = xavier_uniform(rng, (d_f, n_labels), fan_in=d_f, fan_out=n_labels)
     else:
         pmap = tree.parent_index_map(k - 1)
-        if len(pmap) != n_labels:
-            raise ValueError(f"parent map size {len(pmap)} != level-{k} label count")
         q = knowledge_transfer(prev.Q, pmap)
     if prev is not None and cfg.transfer_output_layer:
-        pmap = tree.parent_index_map(k - 1)
-        w = prev.W[:, pmap].copy()
+        w = knowledge_transfer(prev.W, pmap)
         b = prev.b[pmap].copy()
     else:
         w = xavier_uniform(rng, (d_f, n_labels), fan_in=d_f, fan_out=n_labels)
         b = np.zeros(n_labels)
     fc_w = fc_b = None
     if cfg.correction != "none":
-        if prev is not None and not cfg.reinit_fc_per_level:
+        if prev is not None:
             fc_w, fc_b = prev.fc_w, prev.fc_b  # shared transform, trained continuously
         else:
             fc_w, fc_b = init_fc(rng, d_f, d_h, cfg.correction)
@@ -164,6 +163,37 @@ def score_dataset(
             yhat, _ = forward(x, enc, dec, E_h)
             scores[chunk] = yhat
     return scores
+
+
+def _with_prefix(arrays: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
+    """The arrays whose names start with ``prefix``, keyed by the rest of the name."""
+    return {n[len(prefix):]: a for n, a in arrays.items() if n.startswith(prefix)}
+
+
+def _model_from_params(
+    params: dict[str, np.ndarray], mode: str, frozen_embedding: np.ndarray | None
+) -> tuple[EncoderParams, DecoderParams]:
+    """Encoder and decoder holding copies of a name -> array parameter dict.
+
+    A dict without ``embedding`` belongs to frozen embeddings, which
+    ``frozen_embedding`` supplies.
+    """
+    finetune = "embedding" in params
+    enc = EncoderParams(
+        embedding=np.array(params["embedding"] if finetune else frozen_embedding),
+        kernel=np.array(params["kernel"]),
+        bias=np.array(params["bias"]),
+        finetune_embeddings=finetune,
+    )
+    dec = DecoderParams(
+        Q=np.array(params["Q"]),
+        W=np.array(params["W"]),
+        b=np.array(params["b"]),
+        mode=mode,
+        fc_w=np.array(params["fc_w"]) if "fc_w" in params else None,
+        fc_b=np.array(params["fc_b"]) if "fc_b" in params else None,
+    )
+    return enc, dec
 
 
 class Trainer:
@@ -219,11 +249,7 @@ class Trainer:
         self.best_metric: float | None = None
         self.best_params: dict[str, np.ndarray] | None = None
         self.bad_epochs = 0
-        self.decoder = init_level_decoder(
-            None, tree, self.levels[0], cfg, self.rng, self.d_h
-        ) if self.levels[0] == 1 or cfg.fresh_final_decoder else None
-        if self.decoder is None:
-            raise ValueError("curriculum must start at level 1")
+        self.decoder = init_level_decoder(None, tree, self.levels[0], cfg, self.rng, self.d_h)
         self._enter_level()
         self._skip_empty_levels()
 
@@ -257,16 +283,7 @@ class Trainer:
         self.y_train = self.tree.ancestor_targets(self.y_leaf_train, k)
         self.y_valid = self.tree.ancestor_targets(self.y_leaf_valid, k)
         self.params = {**encoder_param_dict(self.encoder), **decoder_param_dict(self.decoder)}
-        if getattr(self, "adam", None) is not None and self.cfg.carry_adam:
-            enc_keys = set(encoder_param_dict(self.encoder))
-            self.adam = AdamState(
-                lr=self.cfg.lr,
-                t=self.adam.t,
-                m={n: a for n, a in self.adam.m.items() if n in enc_keys},
-                v={n: a for n, a in self.adam.v.items() if n in enc_keys},
-            )
-        else:
-            self.adam = AdamState(lr=self.cfg.lr)
+        self.adam = AdamState(lr=self.cfg.lr)
 
     def _advance_level(self) -> None:
         self.level_pos += 1
@@ -361,14 +378,11 @@ class Trainer:
         return record
 
     def _evaluate_full(self, scores: np.ndarray, targets: np.ndarray) -> dict:
-        macro_f1, micro_f1 = macro_micro_f1(scores, targets)
-        out = {"macro_f1": macro_f1, "micro_f1": micro_f1}
         try:
-            result = evaluate(scores, targets, ks=self.cfg.p_at)
-            out.update(result.to_dict())
-        except ValueError:
-            out.update({"macro_auc": None, "micro_auc": None})
-        return out
+            return evaluate(scores, targets, ks=self.cfg.p_at).to_dict()
+        except ValueError:  # AUC is undefined when no label has both classes
+            macro, micro = macro_micro_f1(scores, targets)
+            return {"macro_f1": macro, "micro_f1": micro, "macro_auc": None, "micro_auc": None}
 
     def run(self) -> tuple[ModelState, TrainReport]:
         t0 = time.perf_counter()
@@ -393,20 +407,7 @@ class Trainer:
 
     def best_state(self) -> ModelState:
         params = self.best_params if self.best_params is not None else self.params
-        enc = EncoderParams(
-            embedding=np.array(params.get("embedding", self.encoder.embedding)),
-            kernel=np.array(params["kernel"]),
-            bias=np.array(params["bias"]),
-            finetune_embeddings=self.encoder.finetune_embeddings,
-        )
-        dec = DecoderParams(
-            Q=np.array(params["Q"]),
-            W=np.array(params["W"]),
-            b=np.array(params["b"]),
-            mode=self.decoder.mode,
-            fc_w=np.array(params["fc_w"]) if "fc_w" in params else None,
-            fc_b=np.array(params["fc_b"]) if "fc_b" in params else None,
-        )
+        enc, dec = _model_from_params(params, self.decoder.mode, self.encoder.embedding)
         return ModelState(encoder=enc, decoder=dec, level=self.level, codes=list(self.codes))
 
     # -- checkpointing -------------------------------------------------
@@ -429,18 +430,11 @@ class Trainer:
         }
         if extra_meta:
             meta.update(extra_meta)
-        arrays: dict[str, np.ndarray] = {}
+        groups = {"param/": self.params, "adam_m/": self.adam.m, "adam_v/": self.adam.v,
+                  "best/": self.best_params or {}}
+        arrays = {prefix + n: a for prefix, group in groups.items() for n, a in group.items()}
         if not self.encoder.finetune_embeddings:
             arrays["frozen/embedding"] = self.encoder.embedding
-        for name, arr in self.params.items():
-            arrays[f"param/{name}"] = arr
-        for name, arr in self.adam.m.items():
-            arrays[f"adam_m/{name}"] = arr
-        for name, arr in self.adam.v.items():
-            arrays[f"adam_v/{name}"] = arr
-        if self.best_params is not None:
-            for name, arr in self.best_params.items():
-                arrays[f"best/{name}"] = arr
         write_container(path, meta, arrays)
 
     @classmethod
@@ -463,22 +457,8 @@ class Trainer:
         self = cls(train, valid, tree, emb, cfg, _defer_init=True)
         self.rng = np.random.default_rng(cfg.seed)
         self.rng.bit_generator.state = meta["rng_state"]
-        params = {n[len("param/"):]: arrays[n].copy() for n in arrays if n.startswith("param/")}
-        finetune = meta["finetune_embeddings"]
-        embedding = params["embedding"] if finetune else arrays["frozen/embedding"].copy()
-        self.encoder = EncoderParams(
-            embedding=embedding,
-            kernel=params["kernel"],
-            bias=params["bias"],
-            finetune_embeddings=finetune,
-        )
-        self.decoder = DecoderParams(
-            Q=params["Q"],
-            W=params["W"],
-            b=params["b"],
-            mode=cfg.correction,
-            fc_w=params.get("fc_w"),
-            fc_b=params.get("fc_b"),
+        self.encoder, self.decoder = _model_from_params(
+            _with_prefix(arrays, "param/"), cfg.correction, arrays.get("frozen/embedding")
         )
         self.level_pos = meta["level_pos"]
         self.epoch_in_level = meta["epoch_in_level"]
@@ -486,59 +466,34 @@ class Trainer:
         self.best_metric = meta["best_metric"]
         self.bad_epochs = meta["bad_epochs"]
         self.records = list(meta["records"])
-        best = {n[len("best/"):]: arrays[n].copy() for n in arrays if n.startswith("best/")}
-        self.best_params = best or None
-        k = self.level
-        self.E_h = (
-            embedding_for_level(self.emb, self.tree, k)
-            if cfg.correction != "none"
-            else None
-        )
-        self.y_train = self.tree.ancestor_targets(self.y_leaf_train, k)
-        self.y_valid = self.tree.ancestor_targets(self.y_leaf_valid, k)
-        self.params = {**encoder_param_dict(self.encoder), **decoder_param_dict(self.decoder)}
+        self.best_params = _with_prefix(arrays, "best/") or None
+        self._enter_level()
         self.adam = AdamState(
             lr=cfg.lr,
             t=meta["adam_t"],
-            m={n[len("adam_m/"):]: arrays[n].copy() for n in arrays if n.startswith("adam_m/")},
-            v={n[len("adam_v/"):]: arrays[n].copy() for n in arrays if n.startswith("adam_v/")},
+            m=_with_prefix(arrays, "adam_m/"),
+            v=_with_prefix(arrays, "adam_v/"),
         )
         return self
 
 
-def run_hicu(
-    train: Dataset,
-    valid: Dataset,
-    tree: AugmentedLabelTree,
-    emb: PoincareEmbedding | None,
-    cfg: CurriculumConfig,
-    word_embedding: np.ndarray | None = None,
-    vocab_size: int | None = None,
-) -> tuple[ModelState, TrainReport]:
-    trainer = Trainer(train, valid, tree, emb, cfg, word_embedding, vocab_size)
-    return trainer.run()
+def load_model(path) -> tuple[ModelState, np.ndarray | None, dict]:
+    """Best model of a trainer checkpoint, its ``aux/E_h`` rows and its metadata.
 
-
-def run_flat(
-    train: Dataset,
-    valid: Dataset,
-    tree: AugmentedLabelTree,
-    emb: PoincareEmbedding | None,
-    cfg: CurriculumConfig,
-    word_embedding: np.ndarray | None = None,
-    vocab_size: int | None = None,
-) -> tuple[ModelState, TrainReport]:
-    """Single-round baseline: train directly at the final level."""
-    zeros = (0,) * (tree.k_max - 1) + (cfg.epochs_per_level[-1],)
-    flat_cfg = replace(cfg, epochs_per_level=zeros, fresh_final_decoder=True)
-    trainer = Trainer(train, valid, tree, emb, flat_cfg, word_embedding, vocab_size)
-    return trainer.run()
+    Falls back to the current parameters when no best ones were recorded.
+    """
+    meta, arrays = read_container(path)
+    params = _with_prefix(arrays, "best/") or _with_prefix(arrays, "param/")
+    enc, dec = _model_from_params(
+        params, meta["config"]["correction"], arrays.get("frozen/embedding")
+    )
+    state = ModelState(encoder=enc, decoder=dec, level=meta["level"], codes=list(meta["codes"]))
+    return state, arrays.get("aux/E_h"), meta
 
 
 def inspect_attention(
     state: ModelState,
-    tree: AugmentedLabelTree,
-    emb: PoincareEmbedding | None,
+    E_h: np.ndarray | None,
     doc: Document,
     token_strings: list[str],
     label: str,
@@ -546,19 +501,16 @@ def inspect_attention(
 ) -> list[tuple[str, float]]:
     """Top-weighted input tokens for one label's attention column.
 
+    ``E_h`` holds the final-level hyperbolic rows of a corrected model.
     Ties are broken by token position.
     """
-    codes = tree.level_labels(tree.k_max)
-    if label not in codes:
+    if label not in state.codes:
         raise ValueError(f"unknown label {label!r}")
     if len(token_strings) != len(doc.tokens):
         raise ValueError("token strings must align with the token index sequence")
-    E_h = (
-        embedding_for_level(emb, tree, tree.k_max)
-        if state.decoder.mode != "none"
-        else None
-    )
+    if len(doc.tokens) == 0:
+        raise ValueError(f"document {doc.id!r} has no tokens")
     _, trace = forward(doc.tokens, state.encoder, state.decoder, E_h)
-    col = trace.A[0][:, codes.index(label)]
+    col = trace.A[0][:, state.codes.index(label)]
     order = np.lexsort((np.arange(len(col)), -col))
     return [(token_strings[i], float(col[i])) for i in order[:top_n]]

@@ -14,8 +14,6 @@ import numpy as np
 
 from .icd import (
     DIAGNOSIS,
-    AugmentedLabelTree,
-    IcdCode,
     LabelTree,
     RangeRow,
     RangeTable,
@@ -44,6 +42,9 @@ class Vocab:
 
     def lookup(self, token: str) -> int:
         return self.token_to_idx.get(token, UNK)
+
+    def indices(self, tokens: list[str]) -> np.ndarray:
+        return np.array([self.lookup(t) for t in tokens], dtype=np.int64)
 
     def tokens_in_order(self) -> list[str]:
         return sorted(self.token_to_idx, key=self.token_to_idx.get)
@@ -78,8 +79,7 @@ class Dataset:
     codes: list[str]  # sorted target label set
     skipped_empty: int = 0
 
-    def label_matrix(self, codes: list[str] | None = None) -> np.ndarray:
-        codes = self.codes if codes is None else codes
+    def label_matrix(self, codes: list[str]) -> np.ndarray:
         index = {c: i for i, c in enumerate(codes)}
         y = np.zeros((len(self.docs), len(codes)), dtype=np.float64)
         for d, doc in enumerate(self.docs):
@@ -88,51 +88,58 @@ class Dataset:
         return y
 
 
-def load_dataset(path, vocab: Vocab, tree: AugmentedLabelTree, max_len: int) -> Dataset:
-    """Read, tokenize and index a JSONL dataset; labels must be tree leaves."""
-    leaves = set(tree.level_labels(tree.k_max))
+def read_jsonl(path) -> list[dict]:
+    """The records of a JSONL dataset file; blank lines are skipped."""
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def load_dataset(records: list[dict], vocab: Vocab, leaves: list[str], max_len: int) -> Dataset:
+    """Tokenize and index dataset records; every label must be in ``leaves``.
+
+    Documents without tokens are skipped and counted.
+    """
+    leaves = set(leaves)
     docs = []
     skipped = 0
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            for label in rec["labels"]:
-                if label not in leaves:
-                    raise ValueError(
-                        f"document {rec['id']!r}: label {label!r} not in the label tree"
-                    )
-            tokens = tokenize(rec["text"])[:max_len]
-            if not tokens:
-                skipped += 1
-                continue
-            docs.append(
-                Document(
-                    id=rec["id"],
-                    tokens=np.array([vocab.lookup(t) for t in tokens], dtype=np.int64),
-                    labels=tuple(sorted(set(rec["labels"]))),
+    for rec in records:
+        for label in rec["labels"]:
+            if label not in leaves:
+                raise ValueError(
+                    f"document {rec['id']!r}: label {label!r} not in the label tree"
                 )
+        tokens = tokenize(rec["text"])[:max_len]
+        if not tokens:
+            skipped += 1
+            continue
+        docs.append(
+            Document(
+                id=rec["id"],
+                tokens=vocab.indices(tokens),
+                labels=tuple(sorted(set(rec["labels"]))),
             )
+        )
     return Dataset(docs=docs, codes=sorted(leaves), skipped_empty=skipped)
 
 
-def filter_top_k_labels(dataset: Dataset, k: int) -> tuple[Dataset, list[str]]:
-    """Keep the k most frequent codes (ties lexicographic); drop label-less docs."""
+def filter_top_k_labels(splits: list[list[dict]], k: int) -> list[list[dict]]:
+    """Restrict every split to the k codes most frequent in ``splits[0]``.
+
+    Ties are broken lexicographically; records left without labels are dropped.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    counts = Counter()
-    for doc in dataset.docs:
-        counts.update(doc.labels)
-    ranked = sorted(counts, key=lambda c: (-counts[c], c))
-    keep = set(ranked[:k])
-    docs = []
-    for doc in dataset.docs:
-        labels = tuple(l for l in doc.labels if l in keep)
-        if labels:
-            docs.append(Document(id=doc.id, tokens=doc.tokens, labels=labels))
-    return Dataset(docs=docs, codes=sorted(keep), skipped_empty=dataset.skipped_empty), sorted(keep)
+    counts = Counter(label for rec in splits[0] for label in rec["labels"])
+    keep = set(sorted(counts, key=lambda c: (-counts[c], c))[:k])
+    out = []
+    for records in splits:
+        kept = []
+        for rec in records:
+            labels = sorted(l for l in rec["labels"] if l in keep)
+            if labels:
+                kept.append({**rec, "labels": labels})
+        out.append(kept)
+    return out
 
 
 def load_embeddings(path, vocab: Vocab, d_e: int, seed: int = 0) -> np.ndarray:
@@ -220,7 +227,6 @@ class SynthCorpus:
     splits: dict[str, list[dict]]  # split name -> raw JSON records
     tree: LabelTree
     ranges: RangeTable
-    leaf_paths: dict[str, list[str]]  # leaf code -> labels of its 5 path nodes
 
     def write(self, out_dir) -> None:
         import os
@@ -309,5 +315,4 @@ def synth_generate(cfg: SynthConfig) -> SynthCorpus:
         splits={"train": train, "valid": valid, "test": test},
         tree=tree,
         ranges=ranges,
-        leaf_paths=leaf_paths,
     )

@@ -235,10 +235,6 @@ class LabelTree:
     def nodes(self) -> list[Node]:
         return [self.root] + sorted(self.parent)
 
-    @property
-    def n_nodes(self) -> int:
-        return 1 + len(self.parent)
-
     def nodes_at_level(self, k: int) -> list[Node]:
         return sorted(n for n in self.parent if n.level == k)
 

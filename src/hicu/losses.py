@@ -88,7 +88,6 @@ def asl(
     log_1m = np.log(np.clip(1.0 - pm, eps, 1.0))
     neg_loss = -(pm**gn) * log_1m
     active = pc > m  # subgradient at the kink itself is defined as 0
-    neg_dp = np.zeros_like(pc)
     safe_pm = np.where(active, pm, 1.0)
     neg_dp = np.where(active, safe_pm**gn / np.clip(1.0 - pm, eps, 1.0), 0.0)
     if gn > 0:
@@ -98,11 +97,3 @@ def asl(
     dp = targets * pos_dp + (1.0 - targets) * neg_dp
     grad = dp * p * (1.0 - p)
     return loss, grad
-
-
-def batch_reduce(per_document_losses) -> float:
-    """Mean over documents of the per-document label-sum losses."""
-    losses = list(per_document_losses)
-    if not losses:
-        raise ValueError("empty batch")
-    return float(sum(losses) / len(losses))

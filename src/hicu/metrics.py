@@ -117,11 +117,10 @@ def precision_at_k(scores: np.ndarray, labels: np.ndarray, k: int) -> float:
 
 
 def evaluate(
-    scores: np.ndarray, labels: np.ndarray, ks: tuple[int, ...] = (5, 8, 15),
-    threshold: float = 0.5,
+    scores: np.ndarray, labels: np.ndarray, ks: tuple[int, ...] = (5, 8, 15)
 ) -> EvalResult:
     macro_auc, micro_auc, skipped = macro_micro_auc(scores, labels)
-    macro_f1, micro_f1 = macro_micro_f1(scores, labels, threshold)
+    macro_f1, micro_f1 = macro_micro_f1(scores, labels)
     p_at_k = {
         k: precision_at_k(scores, labels, k) for k in ks if k <= scores.shape[1]
     }

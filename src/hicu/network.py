@@ -73,7 +73,6 @@ class ForwardTrace:
     V: np.ndarray  # (B, L, d_f)
     logits: np.ndarray  # (B, L)
     E_h: np.ndarray | None
-    batched: bool
 
 
 def xavier_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
@@ -130,16 +129,21 @@ def _im2col(emb: np.ndarray, s: int) -> np.ndarray:
     return cols
 
 
-def encode(x: np.ndarray, enc: EncoderParams) -> np.ndarray:
-    """H = tanh(conv1d_same(embed(x))); returns (N, d_f) or (B, N, d_f)."""
-    xb, batched = _as_batch(x)
+def _encode(xb: np.ndarray, enc: EncoderParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Embeddings, im2col windows and H of a (B, N) batch."""
     if xb.size and int(xb.max()) >= enc.embedding.shape[0]:
         raise ValueError("token index out of vocabulary range")
     emb = enc.embedding[xb]
     s = enc.kernel.shape[0]
     windows = _im2col(emb, s)
     kflat = enc.kernel.reshape(s * enc.kernel.shape[1], enc.d_f)
-    H = np.tanh(windows @ kflat + enc.bias)
+    return emb, windows, np.tanh(windows @ kflat + enc.bias)
+
+
+def encode(x: np.ndarray, enc: EncoderParams) -> np.ndarray:
+    """H = tanh(conv1d_same(embed(x))); returns (N, d_f) or (B, N, d_f)."""
+    xb, batched = _as_batch(x)
+    H = _encode(xb, enc)[2]
     return H if batched else H[0]
 
 
@@ -201,16 +205,12 @@ def forward(
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Full forward pass; returns sigmoid outputs and a trace for backward."""
     xb, batched = _as_batch(x)
-    emb = enc.embedding[xb]
-    s = enc.kernel.shape[0]
-    windows = _im2col(emb, s)
-    kflat = enc.kernel.reshape(s * enc.kernel.shape[1], enc.d_f)
-    H = np.tanh(windows @ kflat + enc.bias)
+    emb, windows, H = _encode(xb, enc)
     _, yhat, partial = decode(H, dec, E_h)
     trace = ForwardTrace(
         x=xb, emb=emb, windows=windows, H=H,
         qhat=partial["qhat"], A=partial["A"], V=partial["V"],
-        logits=partial["logits"], E_h=E_h, batched=batched,
+        logits=partial["logits"], E_h=E_h,
     )
     return (yhat if batched else yhat[0]), trace
 
@@ -249,17 +249,13 @@ def backward(
     dqhat = np.einsum("bnf,bnl->fl", trace.H, dS)
     dH += np.matmul(dS, trace.qhat.T)
 
-    grads: dict[str, np.ndarray] = {"W": dW, "b": db}
-    if dec.mode == "none":
-        grads["Q"] = dqhat
-    elif dec.mode == "add":
-        grads["Q"] = dqhat
+    grads: dict[str, np.ndarray] = {"W": dW, "b": db, "Q": dqhat}
+    if dec.mode == "add":
         grads["fc_w"] = dqhat @ trace.E_h
-        grads["fc_b"] = dqhat.sum(axis=1)
-    else:  # concat
-        wq = dec.fc_w[:, :d_f]
-        grads["Q"] = wq.T @ dqhat
+    elif dec.mode == "concat":
+        grads["Q"] = dec.fc_w[:, :d_f].T @ dqhat
         grads["fc_w"] = np.concatenate([dqhat @ dec.Q.T, dqhat @ trace.E_h], axis=1)
+    if dec.mode != "none":
         grads["fc_b"] = dqhat.sum(axis=1)
 
     # H = tanh(windows @ kflat + bias)

@@ -24,7 +24,7 @@ def pytest_runtest_logreport(report):
     suffix = f" ({notes[0]})" if notes else ""
     print(f"\nACCEPTANCE {m.group(1)}: {verdict}{suffix}", flush=True)
 
-from hicu.data import SynthConfig, build_vocab, synth_generate, tokenize
+from hicu.data import SynthConfig, build_vocab, load_dataset, synth_generate, tokenize
 from hicu.icd import augment_tree
 
 # ------------------------------------------------------------------ oracles
@@ -120,15 +120,13 @@ def small_corpus():
 @pytest.fixture(scope="session")
 def small_setup(small_corpus):
     """Corpus plus augmented tree, vocab and indexed splits."""
-    from hicu.cli import _dataset_from_records
-
     atree = augment_tree(small_corpus.tree)
     vocab = build_vocab(
         (tokenize(r["text"]) for r in small_corpus.splits["train"]), min_count=3
     )
-    leaves = set(atree.level_labels(atree.k_max))
+    leaves = atree.level_labels(atree.k_max)
     splits = {
-        name: _dataset_from_records(records, vocab, leaves, 128)
+        name: load_dataset(records, vocab, leaves, 128)
         for name, records in small_corpus.splits.items()
     }
     return small_corpus, atree, vocab, splits

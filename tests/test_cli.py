@@ -240,3 +240,201 @@ class TestErrors:
         ])
         assert rc == 1
         assert "code=invalid_input" in capsys.readouterr().err
+
+
+def _train_argv(corpus_dir, out, *extra):
+    return [
+        "train",
+        "--ranges", str(corpus_dir / "ranges.tsv"),
+        "--train", str(corpus_dir / "train.jsonl"),
+        "--valid", str(corpus_dir / "valid.jsonl"),
+        "--out", str(out),
+        "--epochs-per-level", "1,1,1,1,2",
+        "--d-e", "12", "--d-f", "12", "--lr", "0.002", "--seed", "0",
+        *extra,
+    ]
+
+
+def _best_model(meta, arrays):
+    """Encoder and decoder built by hand from a checkpoint's best/ arrays."""
+    from hicu.network import DecoderParams, EncoderParams
+
+    p = {n[len("best/"):]: a for n, a in arrays.items() if n.startswith("best/")}
+    enc = EncoderParams(embedding=p["embedding"], kernel=p["kernel"], bias=p["bias"])
+    dec = DecoderParams(Q=p["Q"], W=p["W"], b=p["b"], mode=meta["config"]["correction"],
+                        fc_w=p.get("fc_w"), fc_b=p.get("fc_b"))
+    return enc, dec
+
+
+def _vocab(meta):
+    from hicu.data import Vocab
+
+    return Vocab({t: i + 2 for i, t in enumerate(meta["vocab_tokens"])},
+                 min_count=meta["min_count"])
+
+
+class TestTopKLabels:
+    @pytest.fixture(scope="class")
+    def top3(self, corpus_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("top3")
+        assert main(_train_argv(corpus_dir, out, "--top-k-labels", "3")) == 0
+        from hicu.checkpoint import read_container
+
+        meta, _ = read_container(out / "checkpoint.bin")
+        return meta
+
+    @staticmethod
+    def _filtered_train(corpus_dir, k):
+        from collections import Counter
+
+        from hicu.data import read_jsonl
+
+        records = read_jsonl(corpus_dir / "train.jsonl")
+        counts = Counter(l for r in records for l in r["labels"])
+        keep = sorted(counts, key=lambda c: (-counts[c], c))[:k]
+        kept = [r for r in records if set(r["labels"]) & set(keep)]
+        return records, kept, keep
+
+    def test_keeps_the_most_frequent_train_codes(self, corpus_dir, top3):
+        _, _, keep = self._filtered_train(corpus_dir, 3)
+        assert top3["codes"] == sorted(keep)
+
+    def test_vocabulary_comes_from_the_filtered_split(self, corpus_dir, top3):
+        from hicu.data import build_vocab, tokenize
+
+        records, kept, _ = self._filtered_train(corpus_dir, 3)
+        filtered = build_vocab((tokenize(r["text"]) for r in kept), min_count=3)
+        full = build_vocab((tokenize(r["text"]) for r in records), min_count=3)
+        assert top3["vocab_tokens"] == filtered.tokens_in_order()
+        assert top3["vocab_tokens"] != full.tokens_in_order()
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_rejected(self, corpus_dir, tmp_path, capsys, k):
+        rc = main(_train_argv(corpus_dir, tmp_path, "--top-k-labels", k))
+        assert rc == 1
+        assert "code=invalid_input" in capsys.readouterr().err
+        assert not (tmp_path / "checkpoint.bin").exists()
+
+
+class TestInspectErrors:
+    def test_document_without_tokens_is_named(self, trained_dir, tmp_path, capsys):
+        from hicu.checkpoint import read_container
+
+        meta, _ = read_container(trained_dir / "checkpoint.bin")
+        blank = tmp_path / "blank.jsonl"
+        blank.write_text(json.dumps({"id": "blank", "text": "1234 !!", "labels": []}) + "\n")
+        rc = main([
+            "inspect", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+            "--data", str(blank), "--doc-id", "blank", "--label", meta["codes"][0],
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "code=invalid_input" in err
+        assert "'blank' has no tokens" in err
+
+
+class TestCorrectedRoundTrip:
+    @pytest.fixture(scope="class")
+    def corrected(self, corpus_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("corrected")
+        assert main([
+            "embed", "--tree", str(corpus_dir / "tree.json"), "--out", str(out / "emb.txt"),
+            "--hyp-dim", "6", "--hyp-epochs", "10", "--hyp-burn-in", "2",
+        ]) == 0
+        assert main(_train_argv(
+            corpus_dir, out / "model", "--correction", "add",
+            "--tree", str(corpus_dir / "tree.json"), "--hyp-emb", str(out / "emb.txt"),
+        )) == 0
+        assert main([
+            "eval", "--checkpoint", str(out / "model" / "checkpoint.bin"),
+            "--test", str(corpus_dir / "test.jsonl"), "--out", str(out / "eval"),
+        ]) == 0
+        return out
+
+    def test_checkpoint_carries_final_level_rows(self, corpus_dir, corrected):
+        from hicu.checkpoint import read_container
+        from hicu.icd import LabelTree, augment_tree
+        from hicu.poincare import PoincareEmbedding, embedding_for_level
+
+        _, arrays = read_container(corrected / "model" / "checkpoint.bin")
+        tree = augment_tree(LabelTree.from_json((corpus_dir / "tree.json").read_text()))
+        emb = PoincareEmbedding.load(corrected / "emb.txt")
+        assert np.array_equal(arrays["aux/E_h"], embedding_for_level(emb, tree, tree.k_max))
+
+    def test_eval_scores_use_the_stored_rows(self, corpus_dir, corrected):
+        from hicu.checkpoint import read_container
+        from hicu.curriculum import score_dataset
+        from hicu.data import load_dataset, read_jsonl
+
+        meta, arrays = read_container(corrected / "model" / "checkpoint.bin")
+        enc, dec = _best_model(meta, arrays)
+        test = load_dataset(read_jsonl(corpus_dir / "test.jsonl"), _vocab(meta),
+                            meta["codes"], meta["max_len"])
+        expected = score_dataset(enc, dec, arrays["aux/E_h"], test.docs)
+        assert np.array_equal(np.load(corrected / "eval" / "scores.npy"), expected)
+
+    def test_inspect_runs_on_a_corrected_model(self, corpus_dir, corrected, capsys):
+        rec = json.loads((corpus_dir / "test.jsonl").read_text().splitlines()[0])
+        rc = main([
+            "inspect", "--checkpoint", str(corrected / "model" / "checkpoint.bin"),
+            "--data", str(corpus_dir / "test.jsonl"),
+            "--doc-id", rec["id"], "--label", rec["labels"][0], "--top-n", "3",
+        ])
+        assert rc == 0
+        assert len(capsys.readouterr().out.strip().split("\n")) == 3
+
+
+class TestCliSharesTheLibraryPath:
+    """The CLI's flat run and inspection are the library's, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def flat(self, corpus_dir, tmp_path_factory):
+        from hicu.curriculum import CurriculumConfig, Trainer
+        from hicu.data import build_vocab, load_dataset, read_jsonl, tokenize
+        from hicu.icd import RangeTable, augment_tree, build_label_tree, parse_code_auto
+
+        out = tmp_path_factory.mktemp("flat")
+        assert main(_train_argv(corpus_dir, out, "--mode", "flat")) == 0
+
+        train = read_jsonl(corpus_dir / "train.jsonl")
+        valid = read_jsonl(corpus_dir / "valid.jsonl")
+        codes = sorted({l for r in train + valid for l in r["labels"]})
+        ranges = RangeTable.from_file(corpus_dir / "ranges.tsv")
+        atree = augment_tree(build_label_tree([parse_code_auto(c) for c in codes], ranges))
+        vocab = build_vocab((tokenize(r["text"]) for r in train), min_count=3)
+        leaves = atree.level_labels(atree.k_max)
+        cfg = CurriculumConfig(epochs_per_level=(1, 1, 1, 1, 2), d_e=12, d_f=12,
+                               lr=0.002, seed=0)
+        trainer = Trainer(load_dataset(train, vocab, leaves, 4096),
+                          load_dataset(valid, vocab, leaves, 4096),
+                          atree, None, cfg.flat(), vocab_size=vocab.size)
+        trainer.run()
+        return out, trainer, vocab
+
+    def test_best_arrays_equal_the_trainer_api(self, flat):
+        from hicu.checkpoint import read_container
+
+        out, trainer, _ = flat
+        _, arrays = read_container(out / "checkpoint.bin")
+        best = {n[len("best/"):]: a for n, a in arrays.items() if n.startswith("best/")}
+        assert sorted(best) == sorted(trainer.best_params)
+        for name, arr in trainer.best_params.items():
+            assert np.array_equal(best[name], arr), name
+
+    def test_inspect_prints_inspect_attention(self, corpus_dir, flat, capsys):
+        from hicu.curriculum import inspect_attention
+        from hicu.data import Document, tokenize
+
+        out, trainer, vocab = flat
+        rec = json.loads((corpus_dir / "test.jsonl").read_text().splitlines()[1])
+        label = rec["labels"][0]
+        rc = main([
+            "inspect", "--checkpoint", str(out / "checkpoint.bin"),
+            "--data", str(corpus_dir / "test.jsonl"),
+            "--doc-id", rec["id"], "--label", label, "--top-n", "5",
+        ])
+        assert rc == 0
+        tokens = tokenize(rec["text"])
+        doc = Document(id=rec["id"], tokens=vocab.indices(tokens), labels=())
+        top = inspect_attention(trainer.best_state(), None, doc, tokens, label, top_n=5)
+        assert capsys.readouterr().out.splitlines() == [f"{t}\t{w:.6f}" for t, w in top]

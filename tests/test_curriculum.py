@@ -8,8 +8,6 @@ from hicu.curriculum import (
     Trainer,
     inspect_attention,
     knowledge_transfer,
-    run_flat,
-    run_hicu,
     score_dataset,
 )
 from hicu.data import SynthConfig, build_vocab, synth_generate, tokenize
@@ -126,11 +124,11 @@ class TestTrainerMechanics:
 
         _, atree, vocab, splits = small_setup
         cfg = replace(tiny_cfg, epochs_per_level=(1, 1, 1, 1, 2))
-        state_f, report_f = run_flat(splits["train"], splits["valid"], atree, None,
-                                     cfg, vocab_size=vocab.size)
+        state_f, report_f = Trainer(splits["train"], splits["valid"], atree, None,
+                                    cfg.flat(), vocab_size=vocab.size).run()
         zero = replace(cfg, epochs_per_level=(0, 0, 0, 0, 2), fresh_final_decoder=True)
-        state_z, report_z = run_hicu(splits["train"], splits["valid"], atree, None,
-                                     zero, vocab_size=vocab.size)
+        state_z, report_z = Trainer(splits["train"], splits["valid"], atree, None,
+                                    zero, vocab_size=vocab.size).run()
         assert report_f.records == report_z.records
         assert np.array_equal(state_f.decoder.Q, state_z.decoder.Q)
 
@@ -161,8 +159,8 @@ class TestCorrectionModes:
         emb = train_poincare(corpus.tree, EmbedConfig(d_h=8, epochs=15, burn_in_epochs=2, seed=0))
         cfg = CurriculumConfig(epochs_per_level=(1, 0, 0, 0, 1), correction=mode,
                                d_e=8, d_f=8, seed=0)
-        state, report = run_hicu(splits["train"], splits["valid"], atree, emb, cfg,
-                                 vocab_size=vocab.size)
+        state, report = Trainer(splits["train"], splits["valid"], atree, emb, cfg,
+                                vocab_size=vocab.size).run()
         assert state.decoder.fc_w is not None
         assert np.all(np.isfinite(state.decoder.fc_w))
         assert len(report.records) == 2
@@ -255,13 +253,13 @@ class TestInspection:
 
         corpus, atree, vocab, splits = small_setup
         cfg = replace(tiny_cfg, epochs_per_level=(0, 0, 0, 0, 8))
-        state, _ = run_flat(splits["train"], splits["valid"], atree, None, cfg,
-                            vocab_size=vocab.size)
+        state, _ = Trainer(splits["train"], splits["valid"], atree, None, cfg.flat(),
+                           vocab_size=vocab.size).run()
         doc = splits["train"].docs[0]
         rec = next(r for r in corpus.splits["train"] if r["id"] == doc.id)
         token_strings = tokenize(rec["text"])[: len(doc.tokens)]
         label = doc.labels[0]
-        top = inspect_attention(state, atree, None, doc, token_strings, label, top_n=5)
+        top = inspect_attention(state, None, doc, token_strings, label, top_n=5)
         assert len(top) == 5
         weights = [w for _, w in top]
         assert weights == sorted(weights, reverse=True)
@@ -272,11 +270,11 @@ class TestInspection:
 
         _, atree, vocab, splits = small_setup
         cfg = replace(tiny_cfg, epochs_per_level=(0, 0, 0, 0, 1))
-        state, _ = run_flat(splits["train"], splits["valid"], atree, None, cfg,
-                            vocab_size=vocab.size)
+        state, _ = Trainer(splits["train"], splits["valid"], atree, None, cfg.flat(),
+                           vocab_size=vocab.size).run()
         doc = splits["train"].docs[0]
         with pytest.raises(ValueError):
-            inspect_attention(state, atree, None, doc, ["x"] * len(doc.tokens), "nope")
+            inspect_attention(state, None, doc, ["x"] * len(doc.tokens), "nope")
 
 
 class TestScoreDataset:
@@ -287,8 +285,8 @@ class TestScoreDataset:
 
         _, atree, vocab, splits = small_setup
         cfg = replace(tiny_cfg, epochs_per_level=(0, 0, 0, 0, 1))
-        state, _ = run_flat(splits["train"], splits["valid"], atree, None, cfg,
-                            vocab_size=vocab.size)
+        state, _ = Trainer(splits["train"], splits["valid"], atree, None, cfg.flat(),
+                           vocab_size=vocab.size).run()
         docs = splits["valid"].docs[:10]
         scores = score_dataset(state.encoder, state.decoder, None, docs)
         for i, doc in enumerate(docs):

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from hicu.data import (
     PAD,
     UNK,
-    Dataset,
-    Document,
     SynthConfig,
     build_vocab,
     filter_top_k_labels,
     load_dataset,
     load_embeddings,
+    read_jsonl,
     synth_generate,
     tokenize,
 )
@@ -61,7 +60,7 @@ class TestLoadDataset:
             for rec in small_corpus.splits["train"][:10]:
                 fh.write(json.dumps(rec) + "\n")
         vocab = build_vocab(tokenize(r["text"]) for r in small_corpus.splits["train"])
-        ds = load_dataset(path, vocab, atree, max_len=7)
+        ds = load_dataset(read_jsonl(path), vocab, atree.level_labels(atree.k_max), max_len=7)
         assert len(ds.docs) == 10
         assert all(len(d.tokens) == 7 for d in ds.docs)
         assert ds.codes == sorted(set(atree.level_labels(atree.k_max)))
@@ -72,7 +71,7 @@ class TestLoadDataset:
         path.write_text(json.dumps({"id": "d1", "text": "x", "labels": ["999.99"]}) + "\n")
         vocab = build_vocab([["x"]], min_count=1)
         with pytest.raises(ValueError, match="d1.*999.99"):
-            load_dataset(path, vocab, atree, max_len=10)
+            load_dataset(read_jsonl(path), vocab, atree.level_labels(atree.k_max), max_len=10)
 
     def test_empty_docs_skipped_and_counted(self, small_corpus, tmp_path):
         atree = self._tree(small_corpus)
@@ -82,33 +81,41 @@ class TestLoadDataset:
             fh.write(json.dumps({"id": "a", "text": "1234 !!", "labels": [label]}) + "\n")
             fh.write(json.dumps({"id": "b", "text": "word", "labels": [label]}) + "\n")
         vocab = build_vocab([["word"]], min_count=1)
-        ds = load_dataset(path, vocab, atree, max_len=10)
+        ds = load_dataset(read_jsonl(path), vocab, atree.level_labels(atree.k_max), max_len=10)
         assert [d.id for d in ds.docs] == ["b"]
         assert ds.skipped_empty == 1
 
 
 class TestTopK:
     def test_keeps_most_frequent_with_lexicographic_ties(self):
-        docs = [
-            Document("1", np.array([2]), ("b", "c")),
-            Document("2", np.array([2]), ("a", "c")),
-            Document("3", np.array([2]), ("a",)),
+        records = [
+            {"id": "1", "text": "x", "labels": ["b", "c"]},
+            {"id": "2", "text": "x", "labels": ["a", "c"]},
+            {"id": "3", "text": "x", "labels": ["a"]},
         ]
-        ds = Dataset(docs=docs, codes=["a", "b", "c"])
-        out, kept = filter_top_k_labels(ds, 2)
-        assert kept == ["a", "c"]  # a and c appear twice, b only once
-        assert all(set(d.labels) <= {"a", "c"} for d in out.docs)
+        (out,) = filter_top_k_labels([records], 2)
+        # a and c appear twice, b only once
+        assert [r["labels"] for r in out] == [["c"], ["a", "c"], ["a"]]
 
     def test_docs_without_surviving_labels_dropped(self):
-        docs = [
-            Document("1", np.array([2]), ("a",)),
-            Document("2", np.array([2]), ("b",)),
-            Document("3", np.array([2]), ("a",)),
+        train = [
+            {"id": "1", "text": "x", "labels": ["a"]},
+            {"id": "2", "text": "x", "labels": ["b"]},
+            {"id": "3", "text": "x", "labels": ["a"]},
         ]
-        ds = Dataset(docs=docs, codes=["a", "b"])
-        out, kept = filter_top_k_labels(ds, 1)
-        assert kept == ["a"]
-        assert [d.id for d in out.docs] == ["1", "3"]
+        valid = [
+            {"id": "4", "text": "x", "labels": ["b"]},
+            {"id": "5", "text": "x", "labels": ["b", "a"]},
+        ]
+        out_train, out_valid = filter_top_k_labels([train, valid], 1)
+        assert [r["id"] for r in out_train] == ["1", "3"]
+        # the other splits keep the first split's codes
+        assert out_valid == [{"id": "5", "text": "x", "labels": ["a"]}]
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError):
+            filter_top_k_labels([[{"id": "1", "text": "x", "labels": ["a"]}]], k)
 
 
 class TestLoadEmbeddings:

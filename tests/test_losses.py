@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hicu.losses import AslConfig, asl, batch_reduce, bce, sigmoid
+from hicu.losses import AslConfig, asl, bce, sigmoid
 
 from conftest import fd_gradient, rel_err
 
@@ -96,8 +96,3 @@ class TestAsl:
         hi, _ = asl(x, y, AslConfig(gamma_pos=0.0, gamma_neg=gamma + 1.0, margin=0.0))
         assert hi <= lo + 1e-12
 
-
-def test_batch_reduce_is_mean():
-    assert batch_reduce([1.0, 2.0, 6.0]) == 3.0
-    with pytest.raises(ValueError):
-        batch_reduce([])
