@@ -16,11 +16,45 @@ from pathlib import Path
 from hicu.cli import main as hicu
 
 
-def run(argv) -> int:
-    rc = hicu(argv)
-    if rc != 0:
-        print(f"command failed: {' '.join(argv)}", file=sys.stderr)
-    return rc
+def run_pipeline(root: Path, seed: int, branching: str = "3,3,3,3,3",
+                 docs: str = "2000,300,300",
+                 epochs_per_level: str = "1,1,1,2,40") -> tuple[dict, list[dict]]:
+    """Synthesize a corpus under ``root``, train flat and hicu, evaluate both.
+
+    Returns the flat model's test metrics record and the curriculum model's
+    eval records (metrics, then AUC buckets against the flat baseline).
+    Raises RuntimeError naming the first command that fails.
+    """
+    corpus = root / "corpus"
+    common = [
+        "--ranges", str(corpus / "ranges.tsv"),
+        "--train", str(corpus / "train.jsonl"),
+        "--valid", str(corpus / "valid.jsonl"),
+        "--epochs-per-level", epochs_per_level,
+        "--patience", "8",
+        "--d-e", "16", "--d-f", "16", "--lr", "0.002",
+        "--seed", str(seed),
+    ]
+    steps = [
+        ["synth", "--out", str(corpus), "--branching", branching,
+         "--docs", docs, "--seed", str(seed)],
+        ["train", "--mode", "flat", "--out", str(root / "flat")] + common,
+        ["train", "--mode", "hicu", "--out", str(root / "hicu")] + common,
+        ["eval", "--checkpoint", str(root / "flat" / "checkpoint.bin"),
+         "--test", str(corpus / "test.jsonl"),
+         "--out", str(root / "flat-eval")],
+        ["eval", "--checkpoint", str(root / "hicu" / "checkpoint.bin"),
+         "--test", str(corpus / "test.jsonl"),
+         "--train", str(corpus / "train.jsonl"),
+         "--baseline", str(root / "flat-eval" / "scores.npy"),
+         "--out", str(root / "hicu-eval")],
+    ]
+    for argv in steps:
+        if hicu(argv) != 0:
+            raise RuntimeError(f"command failed: {' '.join(argv)}")
+    flat = json.loads((root / "flat-eval" / "eval.jsonl").read_text().splitlines()[0])
+    records = [json.loads(l) for l in (root / "hicu-eval" / "eval.jsonl").read_text().splitlines()]
+    return flat, records
 
 
 def main() -> int:
@@ -32,40 +66,13 @@ def main() -> int:
     parser.add_argument("--epochs-per-level", default="1,1,1,2,40")
     args = parser.parse_args()
 
-    root = Path(args.out)
-    corpus = root / "corpus"
     t0 = time.perf_counter()
-
-    if run(["synth", "--out", str(corpus), "--branching", args.branching,
-            "--docs", args.docs, "--seed", str(args.seed)]):
+    try:
+        flat, records = run_pipeline(Path(args.out), args.seed, args.branching,
+                                     args.docs, args.epochs_per_level)
+    except RuntimeError as exc:
+        print(exc, file=sys.stderr)
         return 1
-
-    common = [
-        "--ranges", str(corpus / "ranges.tsv"),
-        "--train", str(corpus / "train.jsonl"),
-        "--valid", str(corpus / "valid.jsonl"),
-        "--epochs-per-level", args.epochs_per_level,
-        "--patience", "8",
-        "--d-e", "16", "--d-f", "16", "--lr", "0.002",
-        "--seed", str(args.seed),
-    ]
-    for mode in ("flat", "hicu"):
-        if run(["train", "--mode", mode, "--out", str(root / mode)] + common):
-            return 1
-
-    if run(["eval", "--checkpoint", str(root / "flat" / "checkpoint.bin"),
-            "--test", str(corpus / "test.jsonl"),
-            "--out", str(root / "flat-eval")]):
-        return 1
-    if run(["eval", "--checkpoint", str(root / "hicu" / "checkpoint.bin"),
-            "--test", str(corpus / "test.jsonl"),
-            "--train", str(corpus / "train.jsonl"),
-            "--baseline", str(root / "flat-eval" / "scores.npy"),
-            "--out", str(root / "hicu-eval")]):
-        return 1
-
-    flat = json.loads((root / "flat-eval" / "eval.jsonl").read_text().splitlines()[0])
-    records = [json.loads(l) for l in (root / "hicu-eval" / "eval.jsonl").read_text().splitlines()]
     print()
     print(f"total wall clock: {time.perf_counter() - t0:.0f}s")
     print(f"flat test micro-F1: {flat['micro_f1']:.4f}")

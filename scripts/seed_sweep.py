@@ -8,43 +8,17 @@ rare-quartile AUC delta (curriculum minus flat).
 Usage: python3 scripts/seed_sweep.py [--seeds 0,1,2,3,4] [--out DIR]
 """
 import argparse
-import json
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from hicu.cli import main as hicu
+from run_reference_experiment import run_pipeline
 
 
 def one_seed(root: Path, seed: int) -> dict:
-    corpus = root / "corpus"
-    steps = [
-        ["synth", "--out", str(corpus), "--branching", "3,3,3,3,3",
-         "--docs", "2000,300,300", "--seed", str(seed)],
-    ]
-    common = [
-        "--ranges", str(corpus / "ranges.tsv"),
-        "--train", str(corpus / "train.jsonl"),
-        "--valid", str(corpus / "valid.jsonl"),
-        "--epochs-per-level", "1,1,1,2,40", "--patience", "8",
-        "--d-e", "16", "--d-f", "16", "--lr", "0.002", "--seed", str(seed),
-    ]
-    steps.append(["train", "--mode", "flat", "--out", str(root / "flat")] + common)
-    steps.append(["train", "--mode", "hicu", "--out", str(root / "hicu")] + common)
-    steps.append(["eval", "--checkpoint", str(root / "flat" / "checkpoint.bin"),
-                  "--test", str(corpus / "test.jsonl"), "--out", str(root / "fe")])
-    steps.append(["eval", "--checkpoint", str(root / "hicu" / "checkpoint.bin"),
-                  "--test", str(corpus / "test.jsonl"),
-                  "--train", str(corpus / "train.jsonl"),
-                  "--baseline", str(root / "fe" / "scores.npy"),
-                  "--out", str(root / "he")])
-    for argv in steps:
-        if hicu(argv) != 0:
-            raise RuntimeError(f"command failed: {' '.join(argv)}")
-    flat = json.loads((root / "fe" / "eval.jsonl").read_text().splitlines()[0])
-    records = [json.loads(l) for l in (root / "he" / "eval.jsonl").read_text().splitlines()]
+    flat, records = run_pipeline(root, seed)
     buckets = [r for r in records if r["event"] == "auc_bucket" and r["n_scored"]]
     return {
         "seed": seed,

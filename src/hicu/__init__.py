@@ -26,6 +26,7 @@ from .data import (
     load_dataset,
     load_embeddings,
     read_jsonl,
+    restrict_labels,
     synth_generate,
     tokenize,
 )

@@ -190,6 +190,8 @@ def cmd_train(args) -> int:
         "min_count": vocab.min_count,
         "max_len": args.max_len,
     }
+    if args.top_k_labels is not None:
+        extra_meta["top_k_labels"] = args.top_k_labels
     ckpt_path = os.path.join(args.out, "checkpoint.bin")
     trainer.save(ckpt_path, extra_meta=extra_meta)
     if trainer.E_h is not None:
@@ -243,6 +245,9 @@ def _bucket_table(codes, train_counts, model_auc, base_auc, n_buckets=4):
 def cmd_eval(args) -> int:
     state, vocab, E_h, meta = _load_model(args.checkpoint)
     records = data.read_jsonl(args.test)
+    if "top_k_labels" in meta:
+        # the model was trained on the top-k codes only; score the test split the same way
+        records = data.restrict_labels(records, set(state.codes))
     test_set = data.load_dataset(records, vocab, state.codes, meta["max_len"])
     scores = curriculum.score_dataset(state.encoder, state.decoder, E_h, test_set.docs)
     y = test_set.label_matrix(state.codes)

@@ -34,6 +34,8 @@ from .network import (
 )
 from .poincare import PoincareEmbedding, embedding_for_level
 
+SCORE_BATCH_SIZE = 64  # documents per forward call when scoring
+
 
 @dataclass
 class CurriculumConfig:
@@ -69,6 +71,10 @@ class CurriculumConfig:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.kernel_size % 2 == 0:
             raise ValueError("kernel_size must be odd")
+        metrics = ["macro_f1", "micro_f1", "macro_auc", "micro_auc"]
+        metrics += [f"p_at_{k}" for k in self.p_at]
+        if self.early_stop_metric not in metrics:
+            raise ValueError(f"unknown early-stop metric {self.early_stop_metric!r}")
         self.asl.validate()
 
     def to_dict(self) -> dict:
@@ -149,7 +155,6 @@ def score_dataset(
     dec: DecoderParams,
     E_h: np.ndarray | None,
     docs: list[Document],
-    batch_size: int = 64,
 ) -> np.ndarray:
     """Sigmoid scores for every document, batched over equal lengths."""
     scores = np.empty((len(docs), dec.n_labels))
@@ -157,8 +162,8 @@ def score_dataset(
     for i, doc in enumerate(docs):
         groups.setdefault(len(doc.tokens), []).append(i)
     for _, idxs in sorted(groups.items()):
-        for lo in range(0, len(idxs), batch_size):
-            chunk = idxs[lo : lo + batch_size]
+        for lo in range(0, len(idxs), SCORE_BATCH_SIZE):
+            chunk = idxs[lo : lo + SCORE_BATCH_SIZE]
             x = np.stack([docs[i].tokens for i in chunk])
             yhat, _ = forward(x, enc, dec, E_h)
             scores[chunk] = yhat
@@ -305,29 +310,25 @@ class Trainer:
         return bce(logits, targets)
 
     def _batch_step(self, idxs: np.ndarray) -> float:
+        """One Adam step on the batch's mean loss: one (B, N) sub-batch when all
+        lengths agree, else one (1, N) sub-batch per document, with gradients
+        summed in batch order."""
         docs = [self.train.docs[i] for i in idxs]
         targets = self.y_train[idxs]
-        lengths = {len(d.tokens) for d in docs}
         n = len(docs)
-        if len(lengths) == 1:
-            x = np.stack([d.tokens for d in docs])
-            _, trace = forward(x, self.encoder, self.decoder, self.E_h)
-            loss, dlogits = self._loss(trace.logits, targets)
-            grads = backward(trace, self.encoder, self.decoder, dlogits / n)
+        if len({len(d.tokens) for d in docs}) == 1:
+            spans = [slice(0, n)]
         else:
-            # variable lengths: accumulate per document in fixed order
-            loss = 0.0
-            grads = None
-            for doc, y in zip(docs, targets):
-                _, trace = forward(doc.tokens, self.encoder, self.decoder, self.E_h)
-                doc_loss, dlogits = self._loss(trace.logits[0], y)
-                loss += doc_loss
-                g = backward(trace, self.encoder, self.decoder, dlogits[None, :] / n)
-                if grads is None:
-                    grads = g
-                else:
-                    for name in grads:
-                        grads[name] += g[name]
+            spans = [slice(i, i + 1) for i in range(n)]
+        loss = 0.0
+        grads = None
+        for span in spans:
+            x = np.stack([d.tokens for d in docs[span]])
+            _, trace = forward(x, self.encoder, self.decoder, self.E_h)
+            span_loss, dlogits = self._loss(trace.logits, targets[span])
+            loss += span_loss
+            g = backward(trace, self.encoder, self.decoder, dlogits / n)
+            grads = g if grads is None else {k: grads[k] + g[k] for k in grads}
         adam_step(self.params, grads, self.adam)
         return loss / n
 
@@ -510,7 +511,7 @@ def inspect_attention(
         raise ValueError("token strings must align with the token index sequence")
     if len(doc.tokens) == 0:
         raise ValueError(f"document {doc.id!r} has no tokens")
-    _, trace = forward(doc.tokens, state.encoder, state.decoder, E_h)
+    _, trace = forward(doc.tokens[None], state.encoder, state.decoder, E_h)
     col = trace.A[0][:, state.codes.index(label)]
     order = np.lexsort((np.arange(len(col)), -col))
     return [(token_strings[i], float(col[i])) for i in order[:top_n]]

@@ -76,7 +76,6 @@ class Document:
 @dataclass
 class Dataset:
     docs: list[Document]
-    codes: list[str]  # sorted target label set
     skipped_empty: int = 0
 
     def label_matrix(self, codes: list[str]) -> np.ndarray:
@@ -119,7 +118,7 @@ def load_dataset(records: list[dict], vocab: Vocab, leaves: list[str], max_len: 
                 labels=tuple(sorted(set(rec["labels"]))),
             )
         )
-    return Dataset(docs=docs, codes=sorted(leaves), skipped_empty=skipped)
+    return Dataset(docs=docs, skipped_empty=skipped)
 
 
 def filter_top_k_labels(splits: list[list[dict]], k: int) -> list[list[dict]]:
@@ -131,14 +130,16 @@ def filter_top_k_labels(splits: list[list[dict]], k: int) -> list[list[dict]]:
         raise ValueError("k must be >= 1")
     counts = Counter(label for rec in splits[0] for label in rec["labels"])
     keep = set(sorted(counts, key=lambda c: (-counts[c], c))[:k])
+    return [restrict_labels(records, keep) for records in splits]
+
+
+def restrict_labels(records: list[dict], keep) -> list[dict]:
+    """Records with their labels cut to ``keep``; records left without labels are dropped."""
     out = []
-    for records in splits:
-        kept = []
-        for rec in records:
-            labels = sorted(l for l in rec["labels"] if l in keep)
-            if labels:
-                kept.append({**rec, "labels": labels})
-        out.append(kept)
+    for rec in records:
+        labels = sorted(l for l in rec["labels"] if l in keep)
+        if labels:
+            out.append({**rec, "labels": labels})
     return out
 
 
@@ -177,6 +178,10 @@ def load_embeddings(path, vocab: Vocab, d_e: int, seed: int = 0) -> np.ndarray:
     return out
 
 
+MAX_POSITIVE_LABELS = 5  # a synthetic document has 1..MAX_POSITIVE_LABELS leaves
+NOISE_VOCAB_SIZE = 50  # distinct noise words in the synthetic corpus
+
+
 @dataclass
 class SynthConfig:
     """Synthetic hierarchical corpus: planted node signatures plus noise."""
@@ -187,8 +192,6 @@ class SynthConfig:
     doc_length: int = 64
     noise_rate: float = 0.05
     docs_per_split: tuple[int, int, int] = (2000, 300, 300)
-    max_positive_labels: int = 5
-    noise_vocab_size: int = 50
     seed: int = 0
 
     def validate(self) -> None:
@@ -199,13 +202,13 @@ class SynthConfig:
             raise ValueError("branching exceeds the code-format capacity (8,10,10,10,10)")
         if self.zipf_exponent <= 0:
             raise ValueError("zipf exponent must be positive")
-        if min(self.tokens_per_signature, self.doc_length, self.noise_vocab_size) < 1:
-            raise ValueError("signature size, doc length and noise vocab must be positive")
+        if min(self.tokens_per_signature, self.doc_length) < 1:
+            raise ValueError("signature size and doc length must be positive")
         if not 0 <= self.noise_rate < 1:
             raise ValueError("noise rate must lie in [0, 1)")
-        if any(d < 1 for d in self.docs_per_split) or self.max_positive_labels < 1:
-            raise ValueError("split sizes and max positive labels must be positive")
-        pool_max = 5 * self.max_positive_labels * self.tokens_per_signature
+        if any(d < 1 for d in self.docs_per_split):
+            raise ValueError("split sizes must be positive")
+        pool_max = 5 * MAX_POSITIVE_LABELS * self.tokens_per_signature
         if self.doc_length < pool_max:
             raise ValueError(
                 f"doc_length {self.doc_length} too short for signature coverage "
@@ -280,7 +283,7 @@ def synth_generate(cfg: SynthConfig) -> SynthCorpus:
     for label in node_labels:
         signature[label] = [_word("sig", counter + j) for j in range(cfg.tokens_per_signature)]
         counter += cfg.tokens_per_signature
-    noise_words = [_word("noise", i) for i in range(cfg.noise_vocab_size)]
+    noise_words = [_word("noise", i) for i in range(NOISE_VOCAB_SIZE)]
 
     # Zipf frequencies over a seed-shuffled leaf order
     leaf_order = list(codes)
@@ -289,7 +292,7 @@ def synth_generate(cfg: SynthConfig) -> SynthCorpus:
     probs = weights / weights.sum()
 
     def make_doc(split: str, i: int, leaves: list[str], leaf_probs: np.ndarray) -> dict:
-        n_pos = int(rng.integers(1, cfg.max_positive_labels + 1))
+        n_pos = int(rng.integers(1, MAX_POSITIVE_LABELS + 1))
         n_pos = min(n_pos, len(leaves))
         chosen = list(rng.choice(leaves, size=n_pos, replace=False, p=leaf_probs))
         pool = sorted({tok for leaf in chosen for label in leaf_paths[leaf] for tok in signature[label]})

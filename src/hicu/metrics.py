@@ -76,15 +76,13 @@ def macro_micro_auc(scores: np.ndarray, labels: np.ndarray) -> tuple[float, floa
     return float(np.mean(defined)), micro, skipped
 
 
-def macro_micro_f1(
-    scores: np.ndarray, labels: np.ndarray, threshold: float = 0.5
-) -> tuple[float, float]:
-    """Per-label mean F1 (0/0 := 0) and pooled-count F1 at a fixed threshold."""
+def macro_micro_f1(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+    """Per-label mean F1 (0/0 := 0) and pooled-count F1 at threshold 0.5."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels).astype(bool)
     if scores.shape != labels.shape:
         raise ValueError("score and label matrices must have identical shapes")
-    preds = scores >= threshold
+    preds = scores >= 0.5
     tp = (preds & labels).sum(axis=0).astype(np.float64)
     fp = (preds & ~labels).sum(axis=0).astype(np.float64)
     fn = (~preds & labels).sum(axis=0).astype(np.float64)

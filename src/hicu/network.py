@@ -6,8 +6,8 @@ softmax-over-tokens attention column per label from a query matrix that
 may be corrected with hyperbolic label embeddings, then applies a linear
 layer with sum pooling and a sigmoid.
 
-All arrays are float64.  Forward/backward accept a single document (N,)
-or a batch of equal-length documents (B, N).
+All arrays are float64.  Token input is always a (B, N) batch of
+equal-length documents; a lone document is ``x[None]``.
 """
 from __future__ import annotations
 
@@ -108,15 +108,6 @@ def init_fc(rng: np.random.Generator, d_f: int, d_h: int, mode: str) -> tuple[np
     return xavier_uniform(rng, (d_f, d_in), fan_in=d_in, fan_out=d_f), np.zeros(d_f)
 
 
-def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x)
-    if x.ndim == 1:
-        return x[None, :], False
-    if x.ndim == 2:
-        return x, True
-    raise ValueError("token input must be 1-D or 2-D")
-
-
 def _im2col(emb: np.ndarray, s: int) -> np.ndarray:
     """Zero-padded sliding windows: (B, N, d_e) -> (B, N, s*d_e)."""
     B, N, d_e = emb.shape
@@ -129,11 +120,13 @@ def _im2col(emb: np.ndarray, s: int) -> np.ndarray:
     return cols
 
 
-def _encode(xb: np.ndarray, enc: EncoderParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _encode(x: np.ndarray, enc: EncoderParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Embeddings, im2col windows and H of a (B, N) batch."""
-    if xb.size and int(xb.max()) >= enc.embedding.shape[0]:
+    if np.ndim(x) != 2:
+        raise ValueError("token input must be a (B, N) batch")
+    if x.size and int(x.max()) >= enc.embedding.shape[0]:
         raise ValueError("token index out of vocabulary range")
-    emb = enc.embedding[xb]
+    emb = enc.embedding[x]
     s = enc.kernel.shape[0]
     windows = _im2col(emb, s)
     kflat = enc.kernel.reshape(s * enc.kernel.shape[1], enc.d_f)
@@ -141,10 +134,8 @@ def _encode(xb: np.ndarray, enc: EncoderParams) -> tuple[np.ndarray, np.ndarray,
 
 
 def encode(x: np.ndarray, enc: EncoderParams) -> np.ndarray:
-    """H = tanh(conv1d_same(embed(x))); returns (N, d_f) or (B, N, d_f)."""
-    xb, batched = _as_batch(x)
-    H = _encode(xb, enc)[2]
-    return H if batched else H[0]
+    """H = tanh(conv1d_same(embed(x))) of a (B, N) batch; returns (B, N, d_f)."""
+    return _encode(x, enc)[2]
 
 
 def corrected_queries(
@@ -177,42 +168,39 @@ def corrected_queries(
 
 def decode(
     H: np.ndarray, dec: DecoderParams, E_h: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Per-label attention, linear layer and sum pooling.
+) -> tuple[np.ndarray, dict]:
+    """Per-label attention, linear layer and sum pooling of a (B, N, d_f) H.
 
-    Returns (A, yhat, partial trace).  The softmax runs along the token
-    axis so each label's attention column sums to 1.
+    Returns (yhat, partial trace); the trace holds qhat, A, V and the
+    logits.  The softmax runs along the token axis so each label's
+    attention column sums to 1.
     """
-    Hb = H[None] if H.ndim == 2 else H
     qhat = corrected_queries(dec.Q, E_h, dec.mode, dec.fc_w, dec.fc_b)
-    scores = Hb @ qhat  # (B, N, L)
+    scores = H @ qhat  # (B, N, L)
     scores = scores - scores.max(axis=1, keepdims=True)
     exps = np.exp(scores)
     A = exps / exps.sum(axis=1, keepdims=True)
-    V = np.matmul(A.transpose(0, 2, 1), Hb)  # (B, L, d_f)
+    V = np.matmul(A.transpose(0, 2, 1), H)  # (B, L, d_f)
     w_sum = dec.W.sum(axis=1)  # sum pooling of Z = V W collapses W to row sums
     logits = V @ w_sum + dec.b
     yhat = sigmoid(logits)
-    partial = {"qhat": qhat, "A": A, "V": V, "logits": logits}
-    if H.ndim == 2:
-        return A[0], yhat[0], partial
-    return A, yhat, partial
+    return yhat, {"qhat": qhat, "A": A, "V": V, "logits": logits}
 
 
 def forward(
     x: np.ndarray, enc: EncoderParams, dec: DecoderParams,
     E_h: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
-    """Full forward pass; returns sigmoid outputs and a trace for backward."""
-    xb, batched = _as_batch(x)
-    emb, windows, H = _encode(xb, enc)
-    _, yhat, partial = decode(H, dec, E_h)
+    """Full forward pass of a (B, N) batch; returns (B, L) sigmoid outputs
+    and a trace for backward."""
+    emb, windows, H = _encode(x, enc)
+    yhat, partial = decode(H, dec, E_h)
     trace = ForwardTrace(
-        x=xb, emb=emb, windows=windows, H=H,
+        x=x, emb=emb, windows=windows, H=H,
         qhat=partial["qhat"], A=partial["A"], V=partial["V"],
         logits=partial["logits"], E_h=E_h,
     )
-    return (yhat if batched else yhat[0]), trace
+    return yhat, trace
 
 
 def backward(
@@ -224,8 +212,6 @@ def backward(
     (iff finetune_embeddings) embedding.
     """
     dY = np.asarray(dlogits, dtype=np.float64)
-    if dY.ndim == 1:
-        dY = dY[None, :]
     B, N, d_f = trace.H.shape
     L = dec.n_labels
     if dY.shape != (B, L):

@@ -13,6 +13,9 @@ import numpy as np
 
 from .icd import AugmentedLabelTree, CodeError, LabelTree, Node
 
+BALL_EPS = 1e-5  # trained points keep norm <= 1 - BALL_EPS
+BURN_IN_LR_SCALE = 0.1  # learning-rate factor for the burn-in epochs
+
 
 @dataclass
 class EmbedConfig:
@@ -20,24 +23,20 @@ class EmbedConfig:
     learning_rate: float = 0.3
     epochs: int = 300
     burn_in_epochs: int = 20
-    burn_in_lr_scale: float = 0.1
     negatives_per_positive: int = 10
     seed: int = 0
-    ball_eps: float = 1e-5
 
     def validate(self) -> None:
         if self.d_h < 2:
             raise ValueError("d_h must be >= 2")
-        if min(self.learning_rate, self.burn_in_lr_scale, self.ball_eps) <= 0:
-            raise ValueError("learning rate, burn-in scale and ball_eps must be positive")
+        if self.learning_rate <= 0:
+            raise ValueError("learning rate must be positive")
         if self.epochs <= 0 or self.burn_in_epochs < 0:
             raise ValueError("epochs must be positive, burn_in_epochs nonnegative")
         if self.burn_in_epochs > self.epochs:
             raise ValueError("burn_in_epochs must not exceed epochs")
         if self.negatives_per_positive <= 0:
             raise ValueError("negatives_per_positive must be positive")
-        if not 0 < self.ball_eps < 1:
-            raise ValueError("ball_eps must lie in (0, 1)")
 
 
 def poincare_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -121,7 +120,6 @@ class PoincareEmbedding:
 
     nodes: list[Node]
     vectors: np.ndarray  # (n_nodes, d_h)
-    ball_eps: float = 1e-5
     _index: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -145,7 +143,7 @@ class PoincareEmbedding:
                 fh.write(f"{node.level}:{node.label} {coords}\n")
 
     @classmethod
-    def load(cls, path, ball_eps: float = 1e-5) -> "PoincareEmbedding":
+    def load(cls, path) -> "PoincareEmbedding":
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().split()
             if len(header) != 2:
@@ -161,7 +159,7 @@ class PoincareEmbedding:
                 rows.append([float(x) for x in parts[1:]])
         if len(nodes) != n:
             raise ValueError(f"{path}: expected {n} rows, found {len(nodes)}")
-        return cls(nodes=nodes, vectors=np.array(rows, dtype=np.float64), ball_eps=ball_eps)
+        return cls(nodes=nodes, vectors=np.array(rows, dtype=np.float64))
 
 
 def train_poincare(tree: LabelTree, cfg: EmbedConfig) -> PoincareEmbedding:
@@ -184,7 +182,7 @@ def train_poincare(tree: LabelTree, cfg: EmbedConfig) -> PoincareEmbedding:
     for epoch in range(cfg.epochs):
         lr = cfg.learning_rate
         if epoch < cfg.burn_in_epochs:
-            lr *= cfg.burn_in_lr_scale
+            lr *= BURN_IN_LR_SCALE
         for edge_idx in rng.permutation(len(edges)):
             u, v = edges[edge_idx]
             pool = non_adjacent[u]
@@ -196,8 +194,8 @@ def train_poincare(tree: LabelTree, cfg: EmbedConfig) -> PoincareEmbedding:
             _, grads = edge_loss_and_grads(vectors, u, v, negs)
             for idx, grad in grads.items():
                 step = riemannian_scale(grad, vectors[idx])
-                vectors[idx] = project_to_ball(vectors[idx] - lr * step, cfg.ball_eps)
-    return PoincareEmbedding(nodes=nodes, vectors=vectors, ball_eps=cfg.ball_eps)
+                vectors[idx] = project_to_ball(vectors[idx] - lr * step, BALL_EPS)
+    return PoincareEmbedding(nodes=nodes, vectors=vectors)
 
 
 def mean_edge_distance(emb: PoincareEmbedding, tree: LabelTree) -> float:

@@ -275,12 +275,16 @@ def _vocab(meta):
 
 class TestTopKLabels:
     @pytest.fixture(scope="class")
-    def top3(self, corpus_dir, tmp_path_factory):
+    def top3_dir(self, corpus_dir, tmp_path_factory):
         out = tmp_path_factory.mktemp("top3")
         assert main(_train_argv(corpus_dir, out, "--top-k-labels", "3")) == 0
+        return out
+
+    @pytest.fixture(scope="class")
+    def top3(self, top3_dir):
         from hicu.checkpoint import read_container
 
-        meta, _ = read_container(out / "checkpoint.bin")
+        meta, _ = read_container(top3_dir / "checkpoint.bin")
         return meta
 
     @staticmethod
@@ -307,6 +311,43 @@ class TestTopKLabels:
         full = build_vocab((tokenize(r["text"]) for r in records), min_count=3)
         assert top3["vocab_tokens"] == filtered.tokens_in_order()
         assert top3["vocab_tokens"] != full.tokens_in_order()
+
+    def test_only_top_k_checkpoints_record_k(self, trained_dir, top3):
+        from hicu.checkpoint import read_container
+
+        assert top3["top_k_labels"] == 3
+        assert "top_k_labels" not in read_container(trained_dir / "checkpoint.bin")[0]
+
+    def test_eval_drops_unkept_labels_only_for_top_k_checkpoints(
+        self, corpus_dir, trained_dir, top3_dir, top3, tmp_path, capsys
+    ):
+        from hicu.data import read_jsonl
+
+        records = read_jsonl(corpus_dir / "test.jsonl")
+        records.append({"id": "stray", "text": records[0]["text"], "labels": ["999.99"]})
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text("".join(json.dumps(r) + "\n" for r in records))
+        keep = set(top3["codes"])
+        by_hand = tmp_path / "by-hand.jsonl"
+        with open(by_hand, "w") as fh:
+            for r in records:
+                labels = sorted(l for l in r["labels"] if l in keep)
+                if labels:
+                    fh.write(json.dumps({**r, "labels": labels}) + "\n")
+
+        def eval_argv(ckpt_dir, test, out):
+            return ["eval", "--checkpoint", str(ckpt_dir / "checkpoint.bin"),
+                    "--test", str(test), "--out", str(tmp_path / out)]
+
+        assert main(eval_argv(top3_dir, raw, "raw")) == 0
+        assert main(eval_argv(top3_dir, by_hand, "by-hand")) == 0
+        got = np.load(tmp_path / "raw" / "scores.npy")
+        assert got.shape[1] == 3
+        assert np.array_equal(got, np.load(tmp_path / "by-hand" / "scores.npy"))
+        capsys.readouterr()
+        # a plain checkpoint still rejects a test label outside its codes
+        assert main(eval_argv(trained_dir, raw, "plain")) == 1
+        assert "code=invalid_input" in capsys.readouterr().err
 
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_k_below_one_rejected(self, corpus_dir, tmp_path, capsys, k):

@@ -10,10 +10,10 @@ from hicu.curriculum import (
     knowledge_transfer,
     score_dataset,
 )
-from hicu.data import SynthConfig, build_vocab, synth_generate, tokenize
+from hicu.data import Dataset, Document, SynthConfig, build_vocab, synth_generate, tokenize
 from hicu.icd import augment_tree
 from hicu.losses import bce, sigmoid
-from hicu.network import AdamState, adam_step
+from hicu.network import AdamState, adam_step, backward, forward
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +132,14 @@ class TestTrainerMechanics:
         assert report_f.records == report_z.records
         assert np.array_equal(state_f.decoder.Q, state_z.decoder.Q)
 
+    @pytest.mark.parametrize("metric", ["bogus", "skipped_labels", "p_at_3"])
+    def test_unknown_early_stop_metric_rejected(self, small_setup, metric):
+        _, atree, vocab, splits = small_setup
+        cfg = CurriculumConfig(early_stop_metric=metric, d_e=8, d_f=8)
+        with pytest.raises(ValueError, match="early-stop metric"):
+            Trainer(splits["train"], splits["valid"], atree, None, cfg,
+                    vocab_size=vocab.size)
+
     def test_correction_requires_embeddings(self, small_setup):
         _, atree, vocab, splits = small_setup
         cfg = CurriculumConfig(correction="add", d_e=8, d_f=8)
@@ -148,6 +156,57 @@ class TestTrainerMechanics:
         _, report = trainer.run()
         # with lr this small the metric plateaus immediately and patience=0 stops it
         assert len(report.records) < 40
+
+
+class TestBatchStep:
+    """One training step against a per-sub-batch oracle, bit for bit."""
+
+    @staticmethod
+    def _trainer(splits, atree, vocab, lengths):
+        docs = [Document(d.id, d.tokens[:n], d.labels)
+                for d, n in zip(splits["train"].docs, lengths)]
+        cfg = CurriculumConfig(epochs_per_level=(1, 1, 1, 1, 1), d_e=8, d_f=8, seed=0)
+        return Trainer(Dataset(docs=docs), splits["valid"], atree, None, cfg,
+                       vocab_size=vocab.size)
+
+    @staticmethod
+    def _oracle_step(trainer, sub_batches):
+        """forward, loss and backward(dlogits / n) per sub-batch; gradients
+        summed in order; one Adam step."""
+        n = sum(len(sub) for sub in sub_batches)
+        loss, grads = 0.0, None
+        for sub in sub_batches:
+            x = np.stack([trainer.train.docs[i].tokens for i in sub])
+            _, trace = forward(x, trainer.encoder, trainer.decoder, None)
+            sub_loss, dlogits = bce(trace.logits, trainer.y_train[sub])
+            g = backward(trace, trainer.encoder, trainer.decoder, dlogits / n)
+            loss += sub_loss
+            grads = g if grads is None else {k: grads[k] + g[k] for k in grads}
+        adam_step(trainer.params, grads, trainer.adam)
+        return loss / n
+
+    def _check(self, small_setup, lengths, sub_batches):
+        _, atree, vocab, splits = small_setup
+        step = self._trainer(splits, atree, vocab, lengths)
+        oracle = self._trainer(splits, atree, vocab, lengths)
+        idxs = np.concatenate(sub_batches)
+        loss = step._batch_step(idxs)
+        assert loss == self._oracle_step(oracle, sub_batches)
+        for name, want in oracle.params.items():
+            assert np.array_equal(step.params[name], want), name
+        assert not np.array_equal(step.params["Q"], self._trainer(
+            splits, atree, vocab, lengths).params["Q"])
+
+    def test_mixed_lengths_step_one_document_at_a_time(self, small_setup):
+        n_docs = len(small_setup[3]["train"].docs)
+        lengths = np.random.default_rng(0).integers(8, 65, size=n_docs)
+        idxs = [3, 0, 7, 5, 9, 1]
+        assert len({lengths[i] for i in idxs}) > 1
+        self._check(small_setup, lengths, [[i] for i in idxs])
+
+    def test_equal_lengths_step_as_one_batch(self, small_setup):
+        n_docs = len(small_setup[3]["train"].docs)
+        self._check(small_setup, [40] * n_docs, [[3, 0, 7, 5, 9, 1]])
 
 
 class TestCorrectionModes:
@@ -290,5 +349,5 @@ class TestScoreDataset:
         docs = splits["valid"].docs[:10]
         scores = score_dataset(state.encoder, state.decoder, None, docs)
         for i, doc in enumerate(docs):
-            yhat, _ = forward(doc.tokens, state.encoder, state.decoder, None)
-            assert np.allclose(scores[i], yhat, atol=1e-12)
+            yhat, _ = forward(doc.tokens[None], state.encoder, state.decoder, None)
+            assert np.allclose(scores[i], yhat[0], atol=1e-12)

@@ -63,7 +63,6 @@ class TestLoadDataset:
         ds = load_dataset(read_jsonl(path), vocab, atree.level_labels(atree.k_max), max_len=7)
         assert len(ds.docs) == 10
         assert all(len(d.tokens) == 7 for d in ds.docs)
-        assert ds.codes == sorted(set(atree.level_labels(atree.k_max)))
 
     def test_unknown_label_names_doc(self, small_corpus, tmp_path):
         atree = self._tree(small_corpus)

@@ -46,11 +46,16 @@ class TestForward:
         sums = trace.A.sum(axis=1)
         assert np.allclose(sums, 1.0, atol=1e-12)
 
-    def test_single_doc_matches_batch_row(self):
-        enc, dec, E_h, x, _ = _setup()
-        y_batch, _ = forward(x, enc, dec, E_h)
-        y_one, _ = forward(x[0], enc, dec, E_h)
-        assert np.allclose(y_one, y_batch[0], atol=1e-15)
+    def test_single_document_input_rejected(self):
+        enc, dec, E_h, x, y = _setup()
+        with pytest.raises(ValueError, match=r"\(B, N\) batch"):
+            forward(x[0], enc, dec, E_h)
+        with pytest.raises(ValueError, match=r"\(B, N\) batch"):
+            encode(x[0], enc)
+        _, trace = forward(x[:1], enc, dec, E_h)
+        _, dlogits = bce(trace.logits, y[:1])
+        with pytest.raises(ValueError, match="dlogits shape"):
+            backward(trace, enc, dec, dlogits[0])
 
     def test_encode_shape_and_range(self):
         enc, dec, E_h, x, _ = _setup()
@@ -74,7 +79,7 @@ class TestForward:
 
     def test_conv_same_padding_matches_naive(self):
         enc, dec, E_h, x, _ = _setup()
-        H = encode(x[0], enc)
+        H = encode(x[:1], enc)[0]
         emb = enc.embedding[x[0]]
         N = emb.shape[0]
         half = S // 2

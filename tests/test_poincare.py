@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hicu.icd import DIAGNOSIS, Node, RangeRow, RangeTable, augment_tree, build_label_tree, parse_code_auto
 from hicu.poincare import (
+    BALL_EPS,
     EmbedConfig,
     PoincareEmbedding,
     edge_loss_and_grads,
@@ -147,7 +148,7 @@ class TestTraining:
     def test_vectors_inside_ball(self, trained):
         _, emb = trained
         norms = np.linalg.norm(emb.vectors, axis=1)
-        assert np.all(norms <= 1 - emb.ball_eps + 1e-12)
+        assert np.all(norms <= 1 - BALL_EPS + 1e-12)
 
     def test_two_node_tree_edge_contracts(self):
         parent = {Node(1, "a"): Node(0, "<root>")}
