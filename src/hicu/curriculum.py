@@ -18,7 +18,7 @@ from .checkpoint import read_container, write_container
 from .data import Dataset, Document
 from .icd import AugmentedLabelTree
 from .losses import AslConfig, asl, bce
-from .metrics import evaluate, macro_micro_f1
+from .metrics import evaluate, macro_micro_f1, precision_at_k
 from .network import (
     AdamState,
     DecoderParams,
@@ -56,7 +56,9 @@ class CurriculumConfig:
     fresh_final_decoder: bool = False
     p_at: tuple[int, ...] = (5, 8, 15)
 
-    def validate(self, k_max: int) -> None:
+    def validate(self, k_max: int, n_labels: int) -> None:
+        """Check the settings against a tree of depth k_max whose final level
+        has n_labels labels."""
         if len(self.epochs_per_level) != k_max:
             raise ValueError(f"epochs_per_level must have {k_max} entries")
         if any(e < 0 for e in self.epochs_per_level) or self.epochs_per_level[-1] < 1:
@@ -75,6 +77,8 @@ class CurriculumConfig:
         metrics += [f"p_at_{k}" for k in self.p_at]
         if self.early_stop_metric not in metrics:
             raise ValueError(f"unknown early-stop metric {self.early_stop_metric!r}")
+        if self.early_stop_metric in {f"p_at_{k}" for k in self.p_at if k > n_labels}:
+            raise ValueError(f"early-stop metric {self.early_stop_metric!r} needs > {n_labels} labels")
         self.asl.validate()
 
     def to_dict(self) -> dict:
@@ -215,7 +219,8 @@ class Trainer:
         vocab_size: int | None = None,
         _defer_init: bool = False,
     ):
-        cfg.validate(tree.k_max)
+        self.codes = tree.level_labels(tree.k_max)
+        cfg.validate(tree.k_max, len(self.codes))
         if cfg.correction != "none" and emb is None:
             raise ValueError("hyperbolic correction requires trained embeddings")
         self.cfg = cfg
@@ -223,7 +228,6 @@ class Trainer:
         self.emb = emb
         self.train = train
         self.valid = valid
-        self.codes = tree.level_labels(tree.k_max)
         self._check_labels(train)
         self._check_labels(valid)
         self.y_leaf_train = train.label_matrix(self.codes)
@@ -383,7 +387,9 @@ class Trainer:
             return evaluate(scores, targets, ks=self.cfg.p_at).to_dict()
         except ValueError:  # AUC is undefined when no label has both classes
             macro, micro = macro_micro_f1(scores, targets)
-            return {"macro_f1": macro, "micro_f1": micro, "macro_auc": None, "micro_auc": None}
+            ks = [k for k in self.cfg.p_at if k <= scores.shape[1]]
+            return {"macro_f1": macro, "micro_f1": micro, "macro_auc": None, "micro_auc": None,
+                    **{f"p_at_{k}": precision_at_k(scores, targets, k) for k in ks}}
 
     def run(self) -> tuple[ModelState, TrainReport]:
         t0 = time.perf_counter()

@@ -31,15 +31,11 @@ class EvalResult:
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned the group average."""
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
     sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    group_start = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    size = np.diff(group_start, append=len(scores))
+    ranks = np.empty(len(scores))
+    ranks[order] = np.repeat(0.5 * (2 * group_start + size - 1) + 1.0, size)
     return ranks
 
 

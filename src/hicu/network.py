@@ -8,6 +8,12 @@ layer with sum pooling and a sigmoid.
 
 All arrays are float64.  Token input is always a (B, N) batch of
 equal-length documents; a lone document is ``x[None]``.
+
+The decoder's attention A reuses the (B, N, L) score buffer: the softmax
+runs in place there, and backward likewise turns its dA buffer into dS in
+place.  Those in-place steps give the same bits as out-of-place ones; only
+the matmul contractions (BLAS may sum in another order) can move low-order
+bits.
 """
 from __future__ import annotations
 
@@ -176,10 +182,10 @@ def decode(
     attention column sums to 1.
     """
     qhat = corrected_queries(dec.Q, E_h, dec.mode, dec.fc_w, dec.fc_b)
-    scores = H @ qhat  # (B, N, L)
-    scores = scores - scores.max(axis=1, keepdims=True)
-    exps = np.exp(scores)
-    A = exps / exps.sum(axis=1, keepdims=True)
+    A = H @ qhat  # (B, N, L) scores, turned into attention in place
+    A -= A.max(axis=1, keepdims=True)
+    np.exp(A, out=A)
+    A /= A.sum(axis=1, keepdims=True)
     V = np.matmul(A.transpose(0, 2, 1), H)  # (B, L, d_f)
     w_sum = dec.W.sum(axis=1)  # sum pooling of Z = V W collapses W to row sums
     logits = V @ w_sum + dec.b
@@ -220,19 +226,20 @@ def backward(
     w_sum = dec.W.sum(axis=1)
     # logits = V @ w_sum + b
     dV = dY[:, :, None] * w_sum[None, None, :]  # (B, L, d_f)
-    dw_sum = np.einsum("blf,bl->f", trace.V, dY)
+    dw_sum = dY.reshape(-1) @ trace.V.reshape(-1, d_f)
     dW = np.repeat(dw_sum[:, None], L, axis=1)  # every column of W gets the same grad
     db = dY.sum(axis=0)
 
     # V = A^T H
-    dA = np.matmul(trace.H, dV.transpose(0, 2, 1))  # (B, N, L)
+    dS = np.matmul(trace.H, dV.transpose(0, 2, 1))  # dA (B, N, L); becomes dS below
     dH = np.matmul(trace.A, dV)  # (B, N, d_f)
 
-    # column softmax over tokens
-    dS = trace.A * (dA - np.sum(trace.A * dA, axis=1, keepdims=True))
+    # column softmax over tokens, in place: dS = A * (dA - sum_n A * dA)
+    dS -= np.sum(trace.A * dS, axis=1, keepdims=True)
+    dS *= trace.A
 
     # scores = H @ qhat
-    dqhat = np.einsum("bnf,bnl->fl", trace.H, dS)
+    dqhat = trace.H.reshape(-1, d_f).T @ dS.reshape(-1, L)
     dH += np.matmul(dS, trace.qhat.T)
 
     grads: dict[str, np.ndarray] = {"W": dW, "b": db, "Q": dqhat}
@@ -248,7 +255,7 @@ def backward(
     dpre = dH * (1.0 - trace.H**2)
     s, d_e = enc.kernel.shape[0], enc.kernel.shape[1]
     kflat = enc.kernel.reshape(s * d_e, d_f)
-    dkflat = np.einsum("bnc,bnf->cf", trace.windows, dpre)
+    dkflat = trace.windows.reshape(B * N, -1).T @ dpre.reshape(-1, d_f)
     grads["kernel"] = dkflat.reshape(s, d_e, d_f)
     grads["bias"] = dpre.sum(axis=(0, 1))
 

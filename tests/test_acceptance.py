@@ -6,6 +6,7 @@ tolerance with independent oracles computed in this file or in conftest.
 """
 import json
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -108,7 +109,7 @@ def test_criterion_1_gradients_match_finite_differences():
     for mode in ("none", "add", "concat"):
         for loss_name in ("bce", "asl"):
             for seed in range(2):
-                rng = np.random.default_rng(1000 * seed + hash(mode + loss_name) % 997)
+                rng = np.random.default_rng(1000 * seed + zlib.crc32((mode + loss_name).encode()) % 997)
                 enc = init_encoder(rng, VOCAB, D_E, D_F, S)
                 fc_w = fc_b = None
                 if mode != "none":

@@ -357,6 +357,24 @@ class TestTopKLabels:
         assert not (tmp_path / "checkpoint.bin").exists()
 
 
+def test_unreachable_p_at_k_rejected_before_training(corpus_dir, tmp_path, capsys, monkeypatch):
+    from hicu.curriculum import Trainer
+
+    epochs = []
+
+    def step_epoch(self):
+        epochs.append(self.level)
+        raise RuntimeError("an epoch started")
+
+    monkeypatch.setattr(Trainer, "step_epoch", step_epoch)
+    argv = _train_argv(corpus_dir, tmp_path, "--top-k-labels", "3", "--es-metric", "p_at_5")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "code=invalid_input" in err and "p_at_5" in err
+    assert epochs == []
+    assert not (tmp_path / "checkpoint.bin").exists()
+
+
 class TestInspectErrors:
     def test_document_without_tokens_is_named(self, trained_dir, tmp_path, capsys):
         from hicu.checkpoint import read_container

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from hicu.curriculum import (
 from hicu.data import Dataset, Document, SynthConfig, build_vocab, synth_generate, tokenize
 from hicu.icd import augment_tree
 from hicu.losses import bce, sigmoid
+from hicu.metrics import macro_micro_f1, precision_at_k
 from hicu.network import AdamState, adam_step, backward, forward
 
 
@@ -139,6 +142,30 @@ class TestTrainerMechanics:
         with pytest.raises(ValueError, match="early-stop metric"):
             Trainer(splits["train"], splits["valid"], atree, None, cfg,
                     vocab_size=vocab.size)
+
+    def test_p_at_k_beyond_final_label_count_rejected(self, small_setup):
+        _, atree, vocab, splits = small_setup
+        n = len(atree.level_labels(atree.k_max))
+        reachable = CurriculumConfig(early_stop_metric=f"p_at_{n}", p_at=(5, n), d_e=8, d_f=8)
+        Trainer(splits["train"], splits["valid"], atree, None, reachable, vocab_size=vocab.size)
+        too_big = replace(reachable, early_stop_metric=f"p_at_{n + 1}", p_at=(5, n + 1))
+        with pytest.raises(ValueError, match=f"p_at_{n + 1}"):
+            Trainer(splits["train"], splits["valid"], atree, None, too_big, vocab_size=vocab.size)
+
+    def test_undefined_auc_still_reports_p_at_k(self, small_setup):
+        _, atree, vocab, splits = small_setup
+        cfg = CurriculumConfig(p_at=(1, 3, 10**6), d_e=8, d_f=8)
+        trainer = Trainer(splits["train"], splits["valid"], atree, None, cfg,
+                          vocab_size=vocab.size)
+        rng = np.random.default_rng(0)
+        scores = rng.random((20, 6))
+        targets = np.tile([1.0, 0.0, 1.0, 0.0, 0.0, 1.0], (20, 1))  # no label has both classes
+        got = trainer._evaluate_full(scores, targets)
+        assert got["macro_auc"] is None and got["micro_auc"] is None
+        assert {k for k in got if k.startswith("p_at_")} == {"p_at_1", "p_at_3"}
+        for k in (1, 3):
+            assert got[f"p_at_{k}"] == precision_at_k(scores, targets, k)
+        assert (got["macro_f1"], got["micro_f1"]) == macro_micro_f1(scores, targets)
 
     def test_correction_requires_embeddings(self, small_setup):
         _, atree, vocab, splits = small_setup

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hicu.metrics import (
+    _average_ranks,
     auc_binary,
     evaluate,
     macro_micro_auc,
@@ -22,6 +23,28 @@ def _random_matrix(rng):
         scores = np.round(scores, 1)  # provoke ties
     labels = (rng.random((n, m)) < 0.4).astype(float)
     return scores, labels
+
+
+def _loop_average_ranks(scores):
+    """Tie-group average ranks found by walking the sorted scores."""
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(len(scores))
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+@given(st.lists(st.integers(-4, 4), max_size=500))
+@settings(max_examples=200, deadline=None)
+def test_average_ranks_match_loop_oracle_on_ties(values):
+    scores = np.array(values, dtype=np.float64)
+    assert np.array_equal(_average_ranks(scores), _loop_average_ranks(scores))
 
 
 class TestAucBinary:

@@ -227,3 +227,100 @@ def test_even_kernel_rejected():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         init_encoder(rng, VOCAB, D_E, D_F, kernel_size=4)
+
+
+def _oracle_grads(x, enc, dec, E_h, dY):
+    """Forward and backward recomputed one document and one label at a time,
+    with einsum contractions and the explicit softmax Jacobian."""
+    s, d_e, d_f = enc.kernel.shape
+    half = s // 2
+    B, N = x.shape
+    n_labels = dec.Q.shape[1]
+    Q = dec.Q
+    if dec.mode == "add":
+        qhat = Q + np.einsum("fh,lh->fl", dec.fc_w, E_h) + dec.fc_b[:, None]
+    elif dec.mode == "concat":
+        wq, we = dec.fc_w[:, :d_f], dec.fc_w[:, d_f:]
+        qhat = np.einsum("fg,gl->fl", wq, Q) + np.einsum("fh,lh->fl", we, E_h) + dec.fc_b[:, None]
+    else:
+        qhat = Q
+    w_sum = dec.W.sum(axis=1)
+    g = {name: np.zeros_like(a) for name, a in
+         {**encoder_param_dict(enc), **decoder_param_dict(dec)}.items()}
+    dqhat = np.zeros_like(qhat)
+    for b in range(B):
+        emb_pad = np.zeros((N + 2 * half, d_e))
+        emb_pad[half : half + N] = enc.embedding[x[b]]
+        pre = enc.bias + sum(
+            np.einsum("ne,ef->nf", emb_pad[j : j + N], enc.kernel[j]) for j in range(s)
+        )
+        H = np.tanh(pre)
+        dH = np.zeros_like(H)
+        for lab in range(n_labels):
+            z = np.einsum("nf,f->n", H, qhat[:, lab])
+            a = np.exp(z - z.max())
+            a /= a.sum()
+            v = np.einsum("n,nf->f", a, H)
+            g["b"][lab] += dY[b, lab]
+            g["W"] += (dY[b, lab] * v)[:, None]
+            dv = dY[b, lab] * w_sum
+            dH += np.outer(a, dv)
+            da = np.einsum("nf,f->n", H, dv)
+            dz = (np.diag(a) - np.outer(a, a)) @ da
+            dqhat[:, lab] += np.einsum("nf,n->f", H, dz)
+            dH += np.outer(dz, qhat[:, lab])
+        dpre = dH * (1.0 - H**2)
+        g["bias"] += dpre.sum(axis=0)
+        demb_pad = np.zeros_like(emb_pad)
+        for j in range(s):
+            g["kernel"][j] += np.einsum("ne,nf->ef", emb_pad[j : j + N], dpre)
+            demb_pad[j : j + N] += np.einsum("nf,ef->ne", dpre, enc.kernel[j])
+        if "embedding" in g:
+            for n in range(N):
+                g["embedding"][x[b, n]] += demb_pad[half + n]
+    g["Q"] = dqhat
+    if dec.mode == "add":
+        g["fc_w"] = np.einsum("fl,lh->fh", dqhat, E_h)
+    elif dec.mode == "concat":
+        g["Q"] = np.einsum("gf,gl->fl", dec.fc_w[:, :d_f], dqhat)
+        g["fc_w"] = np.concatenate(
+            [np.einsum("fl,gl->fg", dqhat, Q), np.einsum("fl,lh->fh", dqhat, E_h)], axis=1
+        )
+    if dec.mode != "none":
+        g["fc_b"] = dqhat.sum(axis=1)
+    return g
+
+
+def _snapshot(*arrays):
+    return [(a.shape, a.dtype, a.tobytes()) for a in arrays if a is not None]
+
+
+class TestKernels:
+    @pytest.mark.parametrize("mode", ["none", "add", "concat"])
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_backward_matches_loop_oracle(self, mode, batch, seed):
+        enc, dec, E_h, x, y = _setup(mode, seed=seed)
+        x, y = x[:batch], y[:batch]
+        _, trace = forward(x, enc, dec, E_h)
+        _, dlogits = bce(trace.logits, y)
+        grads = backward(trace, enc, dec, dlogits)
+        want = _oracle_grads(x, enc, dec, E_h, dlogits)
+        assert sorted(grads) == sorted(want)
+        for name, g in want.items():
+            np.testing.assert_allclose(grads[name], g, rtol=1e-12, atol=0, err_msg=name)
+
+    @pytest.mark.parametrize("mode", ["none", "add", "concat"])
+    def test_forward_and_backward_leave_inputs_untouched(self, mode):
+        enc, dec, E_h, x, y = _setup(mode, seed=2)
+        params = [*encoder_param_dict(enc).values(), *decoder_param_dict(dec).values()]
+        before = _snapshot(x, E_h, *params)
+        _, trace = forward(x, enc, dec, E_h)
+        assert _snapshot(x, E_h, *params) == before
+        _, dlogits = bce(trace.logits, y)
+        kept = _snapshot(trace.H, trace.A, trace.windows, trace.emb, trace.qhat,
+                         trace.V, trace.logits, dlogits)
+        backward(trace, enc, dec, dlogits)
+        assert _snapshot(trace.H, trace.A, trace.windows, trace.emb, trace.qhat,
+                         trace.V, trace.logits, dlogits) == kept
+        assert _snapshot(x, E_h, *params) == before
