@@ -169,8 +169,9 @@ def score_dataset(
         for lo in range(0, len(idxs), SCORE_BATCH_SIZE):
             chunk = idxs[lo : lo + SCORE_BATCH_SIZE]
             x = np.stack([docs[i].tokens for i in chunk])
-            yhat, _ = forward(x, enc, dec, E_h)
-            scores[chunk] = yhat
+            # no name holds the trace, so its (B, N, L) attention is freed
+            # before the next chunk's forward allocates another
+            scores[chunk] = forward(x, enc, dec, E_h)[0]
     return scores
 
 
@@ -332,7 +333,11 @@ class Trainer:
             span_loss, dlogits = self._loss(trace.logits, targets[span])
             loss += span_loss
             g = backward(trace, self.encoder, self.decoder, dlogits / n)
-            grads = g if grads is None else {k: grads[k] + g[k] for k in grads}
+            if grads is None:
+                grads = g  # backward returns fresh arrays, so summing in place aliases nothing
+            else:
+                for k in grads:
+                    grads[k] += g[k]
         adam_step(self.params, grads, self.adam)
         return loss / n
 

@@ -9,11 +9,15 @@ layer with sum pooling and a sigmoid.
 All arrays are float64.  Token input is always a (B, N) batch of
 equal-length documents; a lone document is ``x[None]``.
 
-The decoder's attention A reuses the (B, N, L) score buffer: the softmax
-runs in place there, and backward likewise turns its dA buffer into dS in
-place.  Those in-place steps give the same bits as out-of-place ones; only
-the matmul contractions (BLAS may sum in another order) can move low-order
-bits.
+The decoder's attention works on one document at a time.  A document's
+(N, L) slab is contiguous and small enough to stay in cache through the
+score matmul, the token-axis softmax (in place in the score buffer, which
+becomes that document's rows of A) and the pooling matmul.  Backward
+likewise reuses one (N, L) buffer, turning each document's dA into dS in
+place.  The per-document steps give the same bits as batched passes over
+the whole (B, N, L) array.  The one exception is dqhat, which adds up the
+documents' H^T dS products one after another: the gradients of Q, fc_w and
+fc_b can differ in the low-order bits from a single (B*N)-row matmul.
 """
 from __future__ import annotations
 
@@ -182,11 +186,15 @@ def decode(
     attention column sums to 1.
     """
     qhat = corrected_queries(dec.Q, E_h, dec.mode, dec.fc_w, dec.fc_b)
-    A = H @ qhat  # (B, N, L) scores, turned into attention in place
-    A -= A.max(axis=1, keepdims=True)
-    np.exp(A, out=A)
-    A /= A.sum(axis=1, keepdims=True)
-    V = np.matmul(A.transpose(0, 2, 1), H)  # (B, L, d_f)
+    B, N, d_f = H.shape
+    A = np.empty((B, N, qhat.shape[1]))
+    V = np.empty((B, qhat.shape[1], d_f))
+    for Hb, Ab, Vb in zip(H, A, V):  # one document's (N, L) slab stays in cache
+        np.matmul(Hb, qhat, out=Ab)  # scores, turned into attention in place
+        Ab -= Ab.max(axis=0)
+        np.exp(Ab, out=Ab)
+        Ab /= Ab.sum(axis=0)
+        np.matmul(Ab.T, Hb, out=Vb)
     w_sum = dec.W.sum(axis=1)  # sum pooling of Z = V W collapses W to row sums
     logits = V @ w_sum + dec.b
     yhat = sigmoid(logits)
@@ -230,17 +238,17 @@ def backward(
     dW = np.repeat(dw_sum[:, None], L, axis=1)  # every column of W gets the same grad
     db = dY.sum(axis=0)
 
-    # V = A^T H
-    dS = np.matmul(trace.H, dV.transpose(0, 2, 1))  # dA (B, N, L); becomes dS below
-    dH = np.matmul(trace.A, dV)  # (B, N, d_f)
-
-    # column softmax over tokens, in place: dS = A * (dA - sum_n A * dA)
-    dS -= np.sum(trace.A * dS, axis=1, keepdims=True)
-    dS *= trace.A
-
-    # scores = H @ qhat
-    dqhat = trace.H.reshape(-1, d_f).T @ dS.reshape(-1, L)
-    dH += np.matmul(dS, trace.qhat.T)
+    # V = A^T H, column softmax over tokens, scores = H @ qhat; per document
+    dH = np.empty_like(trace.H)
+    dqhat = np.zeros((d_f, L))
+    dS = np.empty((N, L))  # dA, turned into dS in place: A * (dA - sum_n A * dA)
+    for Hb, Ab, dVb, dHb in zip(trace.H, trace.A, dV, dH):
+        np.matmul(Hb, dVb.T, out=dS)
+        np.matmul(Ab, dVb, out=dHb)
+        dS -= np.einsum("nl,nl->l", Ab, dS)
+        dS *= Ab
+        dqhat += Hb.T @ dS
+        dHb += dS @ trace.qhat.T
 
     grads: dict[str, np.ndarray] = {"W": dW, "b": db, "Q": dqhat}
     if dec.mode == "add":

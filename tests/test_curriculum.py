@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hicu.curriculum import (
+    SCORE_BATCH_SIZE,
     CurriculumConfig,
     Trainer,
     inspect_attention,
@@ -16,7 +18,14 @@ from hicu.data import Dataset, Document, SynthConfig, build_vocab, synth_generat
 from hicu.icd import augment_tree
 from hicu.losses import bce, sigmoid
 from hicu.metrics import macro_micro_f1, precision_at_k
-from hicu.network import AdamState, adam_step, backward, forward
+from hicu.network import (
+    AdamState,
+    DecoderParams,
+    adam_step,
+    backward,
+    forward,
+    init_encoder,
+)
 
 
 @pytest.fixture(scope="module")
@@ -378,3 +387,40 @@ class TestScoreDataset:
         for i, doc in enumerate(docs):
             yhat, _ = forward(doc.tokens[None], state.encoder, state.decoder, None)
             assert np.allclose(scores[i], yhat[0], atol=1e-12)
+
+    @staticmethod
+    def _random_model(rng, n_labels, vocab=20, d=4):
+        enc = init_encoder(rng, vocab, d, d, 3)
+        dec = DecoderParams(Q=rng.normal(size=(d, n_labels)), W=rng.normal(size=(d, n_labels)),
+                            b=rng.normal(size=n_labels))
+        return enc, dec
+
+    def test_mixed_lengths_equal_each_documents_own_forward(self):
+        rng = np.random.default_rng(3)
+        enc, dec = self._random_model(rng, n_labels=9)
+        # length 11 fills more than one scoring batch; the others share smaller ones
+        lengths = [11] * (SCORE_BATCH_SIZE + 5) + [4, 7, 4, 1, 7, 7, 4]
+        lengths = [lengths[i] for i in rng.permutation(len(lengths))]
+        docs = [Document(str(i), rng.integers(1, 20, size=n), ()) for i, n in enumerate(lengths)]
+        scores = score_dataset(enc, dec, None, docs)
+        for i, doc in enumerate(docs):
+            yhat, _ = forward(doc.tokens[None], enc, dec, None)
+            assert np.array_equal(scores[i], yhat[0]), i
+
+    def test_scoring_frees_each_trace_before_the_next_forward(self):
+        B, N, n_labels = SCORE_BATCH_SIZE, 64, 256
+        rng = np.random.default_rng(0)
+        enc, dec = self._random_model(rng, n_labels)
+        docs = [Document(str(i), rng.integers(1, 20, size=N), ()) for i in range(2 * B)]
+        one_batch_attention = 8 * B * N * n_labels  # bytes of one (B, N, L) float64 array
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            score_dataset(enc, dec, None, docs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak < 1.5 * one_batch_attention, peak / one_batch_attention

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hicu.losses import AslConfig, asl, bce
+from hicu.losses import AslConfig, asl, bce, sigmoid
 from hicu.network import (
     AdamState,
     DecoderParams,
@@ -291,11 +291,36 @@ def _oracle_grads(x, enc, dec, E_h, dY):
     return g
 
 
+def _batched_softmax_forward(x, enc, dec, E_h):
+    """yhat, A, V and logits from one (B, N, L) score array: batched matmuls
+    and the softmax's max, exp and sum taken along the token axis of the batch."""
+    H = encode(x, enc)
+    qhat = corrected_queries(dec.Q, E_h, dec.mode, dec.fc_w, dec.fc_b)
+    A = H @ qhat
+    A -= A.max(axis=1, keepdims=True)
+    np.exp(A, out=A)
+    A /= A.sum(axis=1, keepdims=True)
+    V = np.matmul(A.transpose(0, 2, 1), H)
+    logits = V @ dec.W.sum(axis=1) + dec.b
+    return sigmoid(logits), A, V, logits
+
+
 def _snapshot(*arrays):
     return [(a.shape, a.dtype, a.tobytes()) for a in arrays if a is not None]
 
 
 class TestKernels:
+    @pytest.mark.parametrize("mode", ["none", "add", "concat"])
+    @pytest.mark.parametrize("batch", [1, 2, 16])
+    def test_forward_bits_match_batched_softmax(self, mode, batch):
+        enc, dec, E_h, _, _ = _setup(mode, seed=batch)
+        x = np.random.default_rng(batch).integers(1, VOCAB, size=(batch, 7))
+        yhat, trace = forward(x, enc, dec, E_h)
+        want = _batched_softmax_forward(x, enc, dec, E_h)
+        for name, got, w in zip(("yhat", "A", "V", "logits"),
+                                (yhat, trace.A, trace.V, trace.logits), want):
+            assert np.array_equal(got, w), name
+
     @pytest.mark.parametrize("mode", ["none", "add", "concat"])
     @pytest.mark.parametrize("batch", [1, 2])
     @pytest.mark.parametrize("seed", [0, 1])
