@@ -3,17 +3,25 @@
 
 Generates a corpus, trains the flat baseline and the curriculum model with
 identical hyperparameters, evaluates both on the test split, and prints the
-per-frequency-bucket AUC deltas (curriculum minus flat).
+per-frequency-bucket AUC deltas (curriculum minus flat), then one
+``sha256 <file> <16-hex prefix>`` line per output file, so two runs can be
+checked for byte-identity by comparing those lines.
 
 Usage: python3 scripts/run_reference_experiment.py [--out DIR] [--seed N]
 """
 import argparse
+import hashlib
 import json
 import sys
 import time
 from pathlib import Path
 
 from hicu.cli import main as hicu
+
+OUTPUTS = (
+    "flat/checkpoint.bin", "flat/report.jsonl", "flat-eval/scores.npy", "flat-eval/eval.jsonl",
+    "hicu/checkpoint.bin", "hicu/report.jsonl", "hicu-eval/scores.npy", "hicu-eval/eval.jsonl",
+)
 
 
 def run_pipeline(root: Path, seed: int, branching: str = "3,3,3,3,3",
@@ -83,6 +91,9 @@ def main() -> int:
             print(f"  bucket {rec['bucket']} (freq {rec['min_train_freq']}-"
                   f"{rec['max_train_freq']}): {rec['mean_auc_delta']:+.4f} "
                   f"over {rec['n_scored']} labels")
+    for rel in OUTPUTS:
+        digest = hashlib.sha256((Path(args.out) / rel).read_bytes()).hexdigest()
+        print(f"sha256 {rel} {digest[:16]}")
     return 0
 
 

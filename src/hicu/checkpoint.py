@@ -4,6 +4,7 @@ Layout: a magic line, one JSON metadata line (sorted keys, includes an
 array manifest of name/dtype/shape), then the raw little-endian C-order
 bytes of each array in manifest order.  Writing the same state twice
 produces byte-identical files; writes are atomic (temp file + rename).
+Reading rejects a cut file as truncated, and any array dtype but float64.
 """
 from __future__ import annotations
 
@@ -47,11 +48,19 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         magic = fh.readline()
         if magic != MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        meta = json.loads(fh.readline().decode())
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise ValueError(f"{path}: truncated checkpoint (metadata line is cut)")
+        meta = json.loads(line.decode())
         arrays = {}
         for name, dtype, shape in meta["arrays"]:
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * np.dtype(dtype).itemsize)
+            if dtype != "float64":
+                raise ValueError(f"{path}: array {name!r} has dtype {dtype!r}, not float64")
+            nbytes = 8 * (int(np.prod(shape)) if shape else 1)
+            buf = fh.read(nbytes)
+            if len(buf) != nbytes:
+                raise ValueError(f"{path}: truncated checkpoint "
+                                 f"(array {name!r} has {len(buf)} of {nbytes} bytes)")
             arrays[name] = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
         trailing = fh.read(1)
         if trailing:

@@ -127,12 +127,10 @@ def _curriculum_config(args) -> curriculum.CurriculumConfig:
         asl=AslConfig(gamma_pos=args.gamma_pos, gamma_neg=args.gamma_neg, margin=args.margin),
         early_stop_metric=args.es_metric,
         patience=args.patience,
-        transfer_output_layer=args.transfer_output,
         seed=args.seed,
         d_e=args.d_e,
         d_f=args.d_f,
         kernel_size=args.kernel_size,
-        finetune_embeddings=not args.freeze_embeddings,
         p_at=tuple(int(x) for x in args.p_at.split(",")),
     )
 
@@ -367,14 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=4096)
     p.add_argument("--top-k-labels", type=int)
     p.add_argument("--p-at", default="5,8,15")
-    p.add_argument("--transfer-output", action="store_true")
     p.add_argument("--min-count", type=int, default=3)
     p.add_argument("--d-e", type=int, default=32)
     p.add_argument("--d-f", type=int, default=32)
     p.add_argument("--kernel-size", type=int, default=3)
     p.add_argument("--patience", type=int, default=10)
     p.add_argument("--es-metric", default="micro_f1")
-    p.add_argument("--freeze-embeddings", action="store_true")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a test split")

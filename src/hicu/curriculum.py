@@ -47,12 +47,10 @@ class CurriculumConfig:
     asl: AslConfig = field(default_factory=AslConfig)
     early_stop_metric: str = "micro_f1"
     patience: int = 10
-    transfer_output_layer: bool = False
     seed: int = 0
     d_e: int = 32
     d_f: int = 32
     kernel_size: int = 3
-    finetune_embeddings: bool = True
     fresh_final_decoder: bool = False
     p_at: tuple[int, ...] = (5, 8, 15)
 
@@ -73,6 +71,8 @@ class CurriculumConfig:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.kernel_size % 2 == 0:
             raise ValueError("kernel_size must be odd")
+        if any(k < 1 for k in self.p_at):
+            raise ValueError(f"p_at entries must be >= 1, got {list(self.p_at)}")
         metrics = ["macro_f1", "micro_f1", "macro_auc", "micro_auc"]
         metrics += [f"p_at_{k}" for k in self.p_at]
         if self.early_stop_metric not in metrics:
@@ -131,20 +131,16 @@ def init_level_decoder(
     rng: np.random.Generator,
     d_h: int = 0,
 ) -> DecoderParams:
-    """Decoder for level k: random at the first level, transferred afterwards."""
+    """Decoder for level k: queries random at the first level and transferred
+    from the parents afterwards; the output layer starts fresh at every level."""
     n_labels = len(tree.level_labels(k))
     d_f = cfg.d_f
     if prev is None:
         q = xavier_uniform(rng, (d_f, n_labels), fan_in=d_f, fan_out=n_labels)
     else:
-        pmap = tree.parent_index_map(k - 1)
-        q = knowledge_transfer(prev.Q, pmap)
-    if prev is not None and cfg.transfer_output_layer:
-        w = knowledge_transfer(prev.W, pmap)
-        b = prev.b[pmap].copy()
-    else:
-        w = xavier_uniform(rng, (d_f, n_labels), fan_in=d_f, fan_out=n_labels)
-        b = np.zeros(n_labels)
+        q = knowledge_transfer(prev.Q, tree.parent_index_map(k - 1))
+    w = xavier_uniform(rng, (d_f, n_labels), fan_in=d_f, fan_out=n_labels)
+    b = np.zeros(n_labels)
     fc_w = fc_b = None
     if cfg.correction != "none":
         if prev is not None:
@@ -181,19 +177,13 @@ def _with_prefix(arrays: dict[str, np.ndarray], prefix: str) -> dict[str, np.nda
 
 
 def _model_from_params(
-    params: dict[str, np.ndarray], mode: str, frozen_embedding: np.ndarray | None
+    params: dict[str, np.ndarray], mode: str
 ) -> tuple[EncoderParams, DecoderParams]:
-    """Encoder and decoder holding copies of a name -> array parameter dict.
-
-    A dict without ``embedding`` belongs to frozen embeddings, which
-    ``frozen_embedding`` supplies.
-    """
-    finetune = "embedding" in params
+    """Encoder and decoder holding copies of a name -> array parameter dict."""
     enc = EncoderParams(
-        embedding=np.array(params["embedding"] if finetune else frozen_embedding),
+        embedding=np.array(params["embedding"]),
         kernel=np.array(params["kernel"]),
         bias=np.array(params["bias"]),
-        finetune_embeddings=finetune,
     )
     dec = DecoderParams(
         Q=np.array(params["Q"]),
@@ -251,7 +241,6 @@ class Trainer:
             d_f=cfg.d_f,
             kernel_size=cfg.kernel_size,
             embedding=word_embedding,
-            finetune_embeddings=cfg.finetune_embeddings,
         )
         self.level_pos = 0
         self.epoch_in_level = 0
@@ -419,7 +408,7 @@ class Trainer:
 
     def best_state(self) -> ModelState:
         params = self.best_params if self.best_params is not None else self.params
-        enc, dec = _model_from_params(params, self.decoder.mode, self.encoder.embedding)
+        enc, dec = _model_from_params(params, self.decoder.mode)
         return ModelState(encoder=enc, decoder=dec, level=self.level, codes=list(self.codes))
 
     # -- checkpointing -------------------------------------------------
@@ -438,15 +427,12 @@ class Trainer:
             "rng_state": self.rng.bit_generator.state,
             "records": self.records,
             "codes": self.codes,
-            "finetune_embeddings": self.encoder.finetune_embeddings,
         }
         if extra_meta:
             meta.update(extra_meta)
         groups = {"param/": self.params, "adam_m/": self.adam.m, "adam_v/": self.adam.v,
                   "best/": self.best_params or {}}
         arrays = {prefix + n: a for prefix, group in groups.items() for n, a in group.items()}
-        if not self.encoder.finetune_embeddings:
-            arrays["frozen/embedding"] = self.encoder.embedding
         write_container(path, meta, arrays)
 
     @classmethod
@@ -469,9 +455,8 @@ class Trainer:
         self = cls(train, valid, tree, emb, cfg, _defer_init=True)
         self.rng = np.random.default_rng(cfg.seed)
         self.rng.bit_generator.state = meta["rng_state"]
-        self.encoder, self.decoder = _model_from_params(
-            _with_prefix(arrays, "param/"), cfg.correction, arrays.get("frozen/embedding")
-        )
+        params = _with_prefix(arrays, "param/")
+        self.encoder, self.decoder = _model_from_params(params, cfg.correction)
         self.level_pos = meta["level_pos"]
         self.epoch_in_level = meta["epoch_in_level"]
         self.finished = meta["finished"]
@@ -496,9 +481,7 @@ def load_model(path) -> tuple[ModelState, np.ndarray | None, dict]:
     """
     meta, arrays = read_container(path)
     params = _with_prefix(arrays, "best/") or _with_prefix(arrays, "param/")
-    enc, dec = _model_from_params(
-        params, meta["config"]["correction"], arrays.get("frozen/embedding")
-    )
+    enc, dec = _model_from_params(params, meta["config"]["correction"])
     state = ModelState(encoder=enc, decoder=dec, level=meta["level"], codes=list(meta["codes"]))
     return state, arrays.get("aux/E_h"), meta
 

@@ -98,6 +98,8 @@ def load_dataset(records: list[dict], vocab: Vocab, leaves: list[str], max_len: 
 
     Documents without tokens are skipped and counted.
     """
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
     leaves = set(leaves)
     docs = []
     skipped = 0

@@ -9,21 +9,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+CLAMP_EPS = 1e-12  # probabilities are clipped to [CLAMP_EPS, 1 - CLAMP_EPS] before logs
+
 
 @dataclass
 class AslConfig:
     gamma_pos: float = 0.0
     gamma_neg: float = 1.0
     margin: float = 0.05
-    clamp_eps: float = 1e-12
 
     def validate(self) -> None:
         if self.gamma_pos < 0 or self.gamma_neg < 0:
             raise ValueError("focusing exponents must be nonnegative")
         if not 0 <= self.margin < 1:
             raise ValueError("margin must lie in [0, 1)")
-        if not 0 < self.clamp_eps <= 1e-3:
-            raise ValueError("clamp_eps must lie in (0, 1e-3]")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -69,7 +68,7 @@ def asl(
         raise ValueError("logits and targets must have identical shapes")
     if not np.all(np.isfinite(logits)):
         raise ValueError("non-finite logits")
-    eps = cfg.clamp_eps
+    eps = CLAMP_EPS
     gp, gn, m = cfg.gamma_pos, cfg.gamma_neg, cfg.margin
 
     p = sigmoid(logits)

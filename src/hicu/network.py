@@ -35,7 +35,6 @@ class EncoderParams:
     embedding: np.ndarray  # (|vocab|, d_e)
     kernel: np.ndarray  # (s, d_e, d_f)
     bias: np.ndarray  # (d_f,)
-    finetune_embeddings: bool = True
 
     def __post_init__(self):
         s = self.kernel.shape[0]
@@ -97,19 +96,19 @@ def init_encoder(
     d_f: int,
     kernel_size: int,
     embedding: np.ndarray | None = None,
-    finetune_embeddings: bool = True,
 ) -> EncoderParams:
     if embedding is None:
         embedding = rng.uniform(-0.1, 0.1, size=(vocab_size, d_e))
         embedding[0] = 0.0  # PAD row
+    else:
+        embedding = np.array(embedding, dtype=np.float64)  # a copy: training updates it in place
     kernel = xavier_uniform(
         rng, (kernel_size, d_e, d_f), fan_in=kernel_size * d_e, fan_out=d_f
     )
     return EncoderParams(
-        embedding=np.asarray(embedding, dtype=np.float64),
+        embedding=embedding,
         kernel=kernel,
         bias=np.zeros(d_f),
-        finetune_embeddings=finetune_embeddings,
     )
 
 
@@ -222,8 +221,8 @@ def backward(
 ) -> dict[str, np.ndarray]:
     """Exact gradients of a scalar loss given its gradient w.r.t. the logits.
 
-    Returns a dict with keys Q, W, b, kernel, bias, optionally fc_w/fc_b and
-    (iff finetune_embeddings) embedding.
+    Returns a dict with keys Q, W, b, kernel, bias, embedding and, under a
+    hyperbolic correction, fc_w and fc_b.
     """
     dY = np.asarray(dlogits, dtype=np.float64)
     B, N, d_f = trace.H.shape
@@ -267,16 +266,15 @@ def backward(
     grads["kernel"] = dkflat.reshape(s, d_e, d_f)
     grads["bias"] = dpre.sum(axis=(0, 1))
 
-    if enc.finetune_embeddings:
-        dwindows = np.matmul(dpre, kflat.T)  # (B, N, s*d_e)
-        half = s // 2
-        demb_pad = np.zeros((B, N + 2 * half, d_e))
-        for j in range(s):
-            demb_pad[:, j : j + N] += dwindows[:, :, j * d_e : (j + 1) * d_e]
-        demb = demb_pad[:, half : half + N]
-        dembedding = np.zeros_like(enc.embedding)
-        np.add.at(dembedding, trace.x.ravel(), demb.reshape(-1, d_e))
-        grads["embedding"] = dembedding
+    dwindows = np.matmul(dpre, kflat.T)  # (B, N, s*d_e)
+    half = s // 2
+    demb_pad = np.zeros((B, N + 2 * half, d_e))
+    for j in range(s):
+        demb_pad[:, j : j + N] += dwindows[:, :, j * d_e : (j + 1) * d_e]
+    demb = demb_pad[:, half : half + N]
+    dembedding = np.zeros_like(enc.embedding)
+    np.add.at(dembedding, trace.x.ravel(), demb.reshape(-1, d_e))
+    grads["embedding"] = dembedding
     return grads
 
 
@@ -317,10 +315,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], adam:
 
 
 def encoder_param_dict(enc: EncoderParams) -> dict[str, np.ndarray]:
-    out = {"kernel": enc.kernel, "bias": enc.bias}
-    if enc.finetune_embeddings:
-        out["embedding"] = enc.embedding
-    return out
+    return {"kernel": enc.kernel, "bias": enc.bias, "embedding": enc.embedding}
 
 
 def decoder_param_dict(dec: DecoderParams) -> dict[str, np.ndarray]:

@@ -162,6 +162,22 @@ class PoincareEmbedding:
         return cls(nodes=nodes, vectors=np.array(rows, dtype=np.float64))
 
 
+def _exclusion_offsets(n: int, edges) -> list[np.ndarray]:
+    """Per node, its sorted excluded ids (itself and its neighbours) minus
+    their rank; ``_non_neighbours`` maps pool indices through them."""
+    excluded = [{i} for i in range(n)]
+    for a, b in edges:
+        excluded[a].add(b)
+        excluded[b].add(a)
+    return [np.array(sorted(ex), dtype=np.int64) - np.arange(len(ex)) for ex in excluded]
+
+
+def _non_neighbours(offsets: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Ids of the idx-th non-neighbours of a node in ascending id order: each
+    excluded id at or below the answer shifts it up by one."""
+    return idx + np.searchsorted(offsets, idx, side="right")
+
+
 def train_poincare(tree: LabelTree, cfg: EmbedConfig) -> PoincareEmbedding:
     """Train embeddings for all contracted nodes of a label tree."""
     cfg.validate()
@@ -169,14 +185,7 @@ def train_poincare(tree: LabelTree, cfg: EmbedConfig) -> PoincareEmbedding:
     n = len(nodes)
     if n < 2:
         raise ValueError("tree must have at least 2 nodes")
-    adjacent = [set() for _ in range(n)]
-    for a, b in edges:
-        adjacent[a].add(b)
-        adjacent[b].add(a)
-    non_adjacent = [
-        np.array([j for j in range(n) if j != i and j not in adjacent[i]], dtype=np.int64)
-        for i in range(n)
-    ]
+    offsets = _exclusion_offsets(n, edges)
     rng = np.random.default_rng(cfg.seed)
     vectors = rng.uniform(-0.001, 0.001, size=(n, cfg.d_h))
     for epoch in range(cfg.epochs):
@@ -185,10 +194,11 @@ def train_poincare(tree: LabelTree, cfg: EmbedConfig) -> PoincareEmbedding:
             lr *= BURN_IN_LR_SCALE
         for edge_idx in rng.permutation(len(edges)):
             u, v = edges[edge_idx]
-            pool = non_adjacent[u]
-            if len(pool):
-                k = min(cfg.negatives_per_positive, len(pool))
-                negs = list(pool[rng.choice(len(pool), size=k, replace=False)])
+            pool_size = n - len(offsets[u])
+            if pool_size:
+                k = min(cfg.negatives_per_positive, pool_size)
+                draws = rng.choice(pool_size, size=k, replace=False)
+                negs = list(_non_neighbours(offsets[u], draws))
             else:
                 negs = []
             _, grads = edge_loss_and_grads(vectors, u, v, negs)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -61,3 +63,39 @@ def test_atomic_write_replaces_existing(tmp_path):
     assert np.array_equal(arrays["x"], np.ones(2))
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".ckpt-")]
     assert leftovers == []
+
+
+@pytest.fixture(scope="module")
+def trainer_checkpoint(small_setup, tmp_path_factory):
+    """A small trainer checkpoint holding param/, adam_m/ and adam_v/ arrays."""
+    from hicu.curriculum import CurriculumConfig, Trainer
+
+    _, atree, vocab, splits = small_setup
+    cfg = CurriculumConfig(epochs_per_level=(1, 1, 1, 1, 1), d_e=2, d_f=2, seed=0)
+    trainer = Trainer(splits["train"], splits["valid"], atree, None, cfg, vocab_size=vocab.size)
+    trainer.step_epoch()
+    path = tmp_path_factory.mktemp("ckpt") / "trainer.bin"
+    trainer.save(path)
+    return path
+
+
+def test_cut_checkpoint_is_named_truncated_at_every_offset(trainer_checkpoint, tmp_path):
+    data = trainer_checkpoint.read_bytes()
+    read_container(trainer_checkpoint)  # the whole file reads
+    cut = tmp_path / "cut.bin"
+    for offset in range(len(MAGIC), len(data)):
+        cut.write_bytes(data[:offset])
+        with pytest.raises(ValueError, match="truncated checkpoint"):
+            read_container(cut)
+
+
+def test_non_float64_manifest_dtype_rejected(tmp_path):
+    path = tmp_path / "c.bin"
+    write_container(path, {}, {"x": np.ones(2)})
+    magic, line, payload = path.read_bytes().split(b"\n", 2)
+    meta = json.loads(line)
+    assert meta["arrays"] == [["x", "float64", [2]]]
+    meta["arrays"][0][1] = "float32"
+    path.write_bytes(magic + b"\n" + json.dumps(meta).encode() + b"\n" + payload)
+    with pytest.raises(ValueError, match="'x' has dtype 'float32', not float64"):
+        read_container(path)

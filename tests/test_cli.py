@@ -357,7 +357,9 @@ class TestTopKLabels:
         assert not (tmp_path / "checkpoint.bin").exists()
 
 
-def test_unreachable_p_at_k_rejected_before_training(corpus_dir, tmp_path, capsys, monkeypatch):
+@pytest.fixture
+def epochs_started(monkeypatch):
+    """Levels at which a training epoch started; any epoch fails the run."""
     from hicu.curriculum import Trainer
 
     epochs = []
@@ -367,12 +369,102 @@ def test_unreachable_p_at_k_rejected_before_training(corpus_dir, tmp_path, capsy
         raise RuntimeError("an epoch started")
 
     monkeypatch.setattr(Trainer, "step_epoch", step_epoch)
+    return epochs
+
+
+def test_unreachable_p_at_k_rejected_before_training(corpus_dir, tmp_path, capsys, epochs_started):
     argv = _train_argv(corpus_dir, tmp_path, "--top-k-labels", "3", "--es-metric", "p_at_5")
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "code=invalid_input" in err and "p_at_5" in err
-    assert epochs == []
+    assert epochs_started == []
     assert not (tmp_path / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("flags, detail", [
+    (("--p-at", "0"), "p_at entries must be >= 1"),
+    (("--p-at", "5,-1"), "p_at entries must be >= 1"),
+    (("--max-len", "0"), "max_len must be >= 1"),
+    (("--max-len", "-60"), "max_len must be >= 1"),
+])
+def test_bad_setting_rejected_before_training(
+    corpus_dir, tmp_path, capsys, epochs_started, flags, detail
+):
+    assert main(_train_argv(corpus_dir, tmp_path, *flags)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("HICU_ERROR code=invalid_input") and detail in err
+    assert epochs_started == []
+    assert not (tmp_path / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("flag", ["--freeze-embeddings", "--transfer-output"])
+def test_removed_train_flags_are_usage_errors(corpus_dir, tmp_path, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(_train_argv(corpus_dir, tmp_path, flag))
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("where", ["metadata", "arrays"])
+def test_eval_on_truncated_checkpoint_is_invalid_input(
+    corpus_dir, trained_dir, tmp_path, capsys, where
+):
+    from hicu.checkpoint import MAGIC
+
+    data = (trained_dir / "checkpoint.bin").read_bytes()
+    end = data.index(b"\n", len(MAGIC)) - 10 if where == "metadata" else len(data) - 100
+    cut = tmp_path / "cut.bin"
+    cut.write_bytes(data[:end])
+    rc = main(["eval", "--checkpoint", str(cut), "--test", str(corpus_dir / "test.jsonl"),
+               "--out", str(tmp_path / "eval")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("HICU_ERROR code=invalid_input") and "truncated checkpoint" in err
+    assert not (tmp_path / "eval").exists()
+
+
+class TestWordEmbeddings:
+    D_E = 12
+
+    @staticmethod
+    def _write_vectors(path, tokens, d):
+        rows = [f"{t} " + " ".join(f"{0.01 * (i + 1) * (-1) ** j:.2f}" for j in range(d))
+                for i, t in enumerate(tokens)]
+        path.write_text(f"{len(tokens)} {d}\n" + "\n".join(rows) + "\n")
+
+    @pytest.fixture(scope="class")
+    def word_emb(self, corpus_dir, tmp_path_factory):
+        from hicu.data import read_jsonl, tokenize
+
+        out = tmp_path_factory.mktemp("word-emb")
+        records = read_jsonl(corpus_dir / "train.jsonl")
+        tokens = sorted({t for r in records for t in tokenize(r["text"])})[:20]
+        self._write_vectors(out / "vectors.txt", tokens, self.D_E)
+        argv = _train_argv(corpus_dir, out / "model", "--word-emb", str(out / "vectors.txt"))
+        assert main(argv) == 0
+        return out
+
+    def test_checkpoint_embedding_has_one_row_per_vocab_entry(self, word_emb):
+        from hicu.checkpoint import read_container
+
+        meta, arrays = read_container(word_emb / "model" / "checkpoint.bin")
+        assert arrays["param/embedding"].shape == (_vocab(meta).size, self.D_E)
+
+    def test_embeddings_train_from_the_file_rows(self, word_emb):
+        from hicu.checkpoint import read_container
+        from hicu.data import load_embeddings
+
+        meta, arrays = read_container(word_emb / "model" / "checkpoint.bin")
+        start = load_embeddings(word_emb / "vectors.txt", _vocab(meta), self.D_E, seed=0)
+        assert not np.array_equal(arrays["param/embedding"], start)
+
+    def test_dimension_mismatch_is_invalid_input(self, corpus_dir, tmp_path, capsys):
+        vectors = tmp_path / "vectors.txt"
+        self._write_vectors(vectors, ["sigx"], 7)
+        assert main(_train_argv(corpus_dir, tmp_path / "model", "--word-emb", str(vectors))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("HICU_ERROR code=invalid_input")
+        assert f"file dimension 7 != requested {self.D_E}" in err
+        assert not (tmp_path / "model").exists()
 
 
 class TestInspectErrors:

@@ -14,7 +14,15 @@ from hicu.curriculum import (
     knowledge_transfer,
     score_dataset,
 )
-from hicu.data import Dataset, Document, SynthConfig, build_vocab, synth_generate, tokenize
+from hicu.data import (
+    Dataset,
+    Document,
+    SynthConfig,
+    build_vocab,
+    load_embeddings,
+    synth_generate,
+    tokenize,
+)
 from hicu.icd import augment_tree
 from hicu.losses import bce, sigmoid
 from hicu.metrics import macro_micro_f1, precision_at_k
@@ -160,6 +168,28 @@ class TestTrainerMechanics:
         too_big = replace(reachable, early_stop_metric=f"p_at_{n + 1}", p_at=(5, n + 1))
         with pytest.raises(ValueError, match=f"p_at_{n + 1}"):
             Trainer(splits["train"], splits["valid"], atree, None, too_big, vocab_size=vocab.size)
+
+    @pytest.mark.parametrize("p_at", [(0,), (5, -1)])
+    def test_p_at_below_one_rejected(self, small_setup, p_at):
+        _, atree, vocab, splits = small_setup
+        cfg = CurriculumConfig(p_at=p_at, d_e=8, d_f=8)
+        with pytest.raises(ValueError, match="p_at entries must be >= 1"):
+            Trainer(splits["train"], splits["valid"], atree, None, cfg, vocab_size=vocab.size)
+
+    def test_word_embedding_initialises_the_embedding(self, small_setup, tiny_cfg, tmp_path):
+        _, atree, vocab, splits = small_setup
+        path = tmp_path / "vectors.txt"
+        token = vocab.tokens_in_order()[0]
+        path.write_text(f"1 {tiny_cfg.d_e}\n{token} " + " ".join(["0.5"] * tiny_cfg.d_e) + "\n")
+        word_embedding = load_embeddings(path, vocab, tiny_cfg.d_e, seed=0)
+        trainer = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg,
+                          word_embedding=word_embedding)
+        assert np.array_equal(trainer.encoder.embedding, word_embedding)
+        assert trainer.params["embedding"] is trainer.encoder.embedding
+        trainer.step_epoch()
+        assert not np.array_equal(trainer.encoder.embedding, word_embedding)
+        # the caller's matrix is copied, not trained in place
+        assert np.array_equal(word_embedding, load_embeddings(path, vocab, tiny_cfg.d_e, seed=0))
 
     def test_undefined_auc_still_reports_p_at_k(self, small_setup):
         _, atree, vocab, splits = small_setup

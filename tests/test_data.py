@@ -72,6 +72,14 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="d1.*999.99"):
             load_dataset(read_jsonl(path), vocab, atree.level_labels(atree.k_max), max_len=10)
 
+    @pytest.mark.parametrize("max_len", [0, -60])
+    def test_max_len_below_one_rejected(self, small_corpus, max_len):
+        atree = self._tree(small_corpus)
+        records = small_corpus.splits["train"][:3]
+        vocab = build_vocab(tokenize(r["text"]) for r in records)
+        with pytest.raises(ValueError, match="max_len must be >= 1"):
+            load_dataset(records, vocab, atree.level_labels(atree.k_max), max_len=max_len)
+
     def test_empty_docs_skipped_and_counted(self, small_corpus, tmp_path):
         atree = self._tree(small_corpus)
         label = atree.level_labels(atree.k_max)[0]

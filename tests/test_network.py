@@ -23,9 +23,9 @@ from conftest import fd_gradient, rel_err
 VOCAB, D_E, D_F, S, L, D_H = 12, 4, 5, 3, 6, 3
 
 
-def _setup(mode="none", seed=0, finetune=True):
+def _setup(mode="none", seed=0):
     rng = np.random.default_rng(seed)
-    enc = init_encoder(rng, VOCAB, D_E, D_F, S, finetune_embeddings=finetune)
+    enc = init_encoder(rng, VOCAB, D_E, D_F, S)
     Q = rng.normal(size=(D_F, L)) * 0.4
     W = rng.normal(size=(D_F, L)) * 0.4
     b = rng.normal(size=L) * 0.1
@@ -169,13 +169,6 @@ class TestBackward:
         _, dlogits = bce(trace.logits, y)
         grads = backward(trace, enc, dec, dlogits)
         assert np.allclose(grads["W"], grads["W"][:, :1], atol=1e-15)
-
-    def test_frozen_embedding_has_no_grad(self):
-        enc, dec, E_h, x, y = _setup(finetune=False)
-        _, trace = forward(x, enc, dec, E_h)
-        _, dlogits = bce(trace.logits, y)
-        grads = backward(trace, enc, dec, dlogits)
-        assert "embedding" not in grads
 
     def test_dlogits_shape_mismatch_rejected(self):
         enc, dec, E_h, x, y = _setup()

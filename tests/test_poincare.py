@@ -16,6 +16,8 @@ from hicu.poincare import (
     project_to_ball,
     riemannian_scale,
     train_poincare,
+    _exclusion_offsets,
+    _non_neighbours,
 )
 
 from conftest import fd_gradient, rel_err
@@ -217,6 +219,22 @@ class TestTraining:
         a = train_poincare(tree, cfg)
         b = train_poincare(tree, cfg)
         assert np.array_equal(a.vectors, b.vectors)
+
+
+@pytest.mark.parametrize("which", ["toy", "synthetic"])
+def test_negative_pool_mapping_matches_brute_force(which, small_corpus):
+    tree = _toy_tree() if which == "toy" else small_corpus.tree
+    nodes, edges = tree.core_graph()
+    n = len(nodes)
+    adjacent = [set() for _ in range(n)]
+    for a, b in edges:
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    offsets = _exclusion_offsets(n, edges)
+    for u in range(n):
+        pool = [j for j in range(n) if j != u and j not in adjacent[u]]
+        assert n - len(offsets[u]) == len(pool)
+        assert _non_neighbours(offsets[u], np.arange(len(pool))).tolist() == pool
 
 
 class TestEmbeddingIo:
