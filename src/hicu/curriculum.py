@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -448,6 +448,8 @@ class Trainer:
         if meta.get("kind") != "trainer":
             raise ValueError(f"{path}: not a trainer checkpoint")
         cfg_dict = dict(meta["config"])
+        _check_keys(path, "config", cfg_dict, CurriculumConfig)
+        _check_keys(path, "config.asl", cfg_dict["asl"], AslConfig)
         cfg_dict["epochs_per_level"] = tuple(cfg_dict["epochs_per_level"])
         cfg_dict["p_at"] = tuple(cfg_dict["p_at"])
         cfg_dict["asl"] = AslConfig(**cfg_dict["asl"])
@@ -472,6 +474,16 @@ class Trainer:
             v=_with_prefix(arrays, "adam_v/"),
         )
         return self
+
+
+def _check_keys(path, what: str, stored: dict, cls) -> None:
+    """Reject a stored config whose keys differ from the fields of cls."""
+    expected = {f.name for f in fields(cls)}
+    unknown = sorted(set(stored) - expected)
+    missing = sorted(expected - set(stored))
+    if unknown or missing:
+        raise ValueError(f"{path}: checkpoint {what} does not match this version "
+                         f"(unknown keys {unknown}, missing keys {missing})")
 
 
 def load_model(path) -> tuple[ModelState, np.ndarray | None, dict]:

@@ -272,9 +272,11 @@ def backward(
     for j in range(s):
         demb_pad[:, j : j + N] += dwindows[:, :, j * d_e : (j + 1) * d_e]
     demb = demb_pad[:, half : half + N]
-    dembedding = np.zeros_like(enc.embedding)
-    np.add.at(dembedding, trace.x.ravel(), demb.reshape(-1, d_e))
-    grads["embedding"] = dembedding
+    # scatter-add by token, as one bincount over (token, column) slots; it sums
+    # each slot in order of occurrence from 0.0, so it gives np.add.at's bits
+    slots = (trace.x.reshape(-1, 1) * d_e + np.arange(d_e)).ravel()
+    vocab = enc.embedding.shape[0]
+    grads["embedding"] = np.bincount(slots, weights=demb.ravel(), minlength=vocab * d_e).reshape(vocab, d_e)
     return grads
 
 

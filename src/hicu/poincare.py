@@ -1,9 +1,17 @@
 """Poincare-ball embeddings of label tree nodes.
 
-Embeddings live in the open unit ball and are trained with Riemannian SGD
-on a negative-sampling softmax objective over tree edges.  Padding copies
-in the augmented tree share the vector of their source node, so training
-runs on the contracted (un-padded) tree.
+Embeddings live in the open unit ball and are trained with mini-batched
+Riemannian SGD on a negative-sampling softmax objective over tree edges
+(Nickel & Kiela, 2017).  Each update takes EDGE_BATCH = 50 edges at once:
+every edge draws its negatives with replacement from its first node's
+non-neighbours, and every node the batch touches moves once, by its summed
+gradient at the batch-start point.  Training is deterministic per seed.
+Padding copies in the augmented tree share the vector of their source node,
+so training runs on the contracted (un-padded) tree.
+
+Before mini-batching, the trainer updated one edge at a time and drew
+negatives without replacement.  Embedding files it wrote still load, but
+training again with the same seed gives different vectors.
 """
 from __future__ import annotations
 
@@ -15,6 +23,7 @@ from .icd import AugmentedLabelTree, CodeError, LabelTree, Node
 
 BALL_EPS = 1e-5  # trained points keep norm <= 1 - BALL_EPS
 BURN_IN_LR_SCALE = 0.1  # learning-rate factor for the burn-in epochs
+EDGE_BATCH = 50  # edges per Riemannian SGD update
 
 
 @dataclass
@@ -39,49 +48,92 @@ class EmbedConfig:
             raise ValueError("negatives_per_positive must be positive")
 
 
+def _ball_terms(u: np.ndarray, v: np.ndarray):
+    """1-|u|^2, 1-|v|^2, u-v, |u-v|^2 and the arcosh argument of d(u, v),
+    over the last axis of broadcast inputs."""
+    alpha = 1.0 - np.einsum("...i,...i->...", u, u)
+    beta = 1.0 - np.einsum("...i,...i->...", v, v)
+    diff = u - v
+    sq = np.einsum("...i,...i->...", diff, diff)
+    gamma = 1.0 + 2.0 * sq / (alpha * beta)
+    return alpha, beta, diff, sq, gamma
+
+
 def poincare_distance(u: np.ndarray, v: np.ndarray) -> float:
     """Hyperbolic distance arcosh(1 + 2|u-v|^2 / ((1-|u|^2)(1-|v|^2)))."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    nu = u @ u
-    nv = v @ v
-    if nu >= 1.0 or nv >= 1.0:
+    if u @ u >= 1.0 or v @ v >= 1.0:
         raise ValueError("poincare_distance arguments must lie inside the unit ball")
-    diff = u - v
-    gamma = 1.0 + 2.0 * (diff @ diff) / ((1.0 - nu) * (1.0 - nv))
-    return float(np.arccosh(gamma))
+    return float(np.arccosh(_ball_terms(u, v)[4]))
+
+
+def _distance_and_grads(u: np.ndarray, v: np.ndarray):
+    """Distances and their Euclidean gradients w.r.t. both endpoints, over
+    the last axis of broadcast inputs."""
+    alpha, beta, diff, sq, gamma = _ball_terms(u, v)
+    denom = np.sqrt(np.maximum(gamma * gamma - 1.0, 1e-30))
+    alpha, beta = alpha[..., None], beta[..., None]
+    sq, denom = sq[..., None], denom[..., None]
+    du = (4.0 / (beta * denom)) * (diff / alpha + sq * u / alpha**2)
+    dv = (4.0 / (alpha * denom)) * (-diff / beta + sq * v / beta**2)
+    return np.arccosh(gamma), du, dv
 
 
 def poincare_distance_grad(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Euclidean gradients of the distance with respect to both endpoints."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    alpha = 1.0 - u @ u
-    beta = 1.0 - v @ v
-    diff = u - v
-    sq = diff @ diff
-    gamma = 1.0 + 2.0 * sq / (alpha * beta)
-    denom = np.sqrt(max(gamma * gamma - 1.0, 1e-30))
-    du = (4.0 / (beta * denom)) * (diff / alpha + sq * u / alpha**2)
-    dv = (4.0 / (alpha * denom)) * (-diff / beta + sq * v / beta**2)
+    """Euclidean gradients of the distance with respect to both endpoints
+    (broadcast over leading axes)."""
+    _, du, dv = _distance_and_grads(np.asarray(u, dtype=np.float64),
+                                    np.asarray(v, dtype=np.float64))
     return du, dv
 
 
 def riemannian_scale(euclid_grad: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Rescale a Euclidean gradient by the inverse Poincare metric at theta."""
-    factor = (1.0 - theta @ theta) ** 2 / 4.0
-    return euclid_grad * factor
+    """Rescale a Euclidean gradient by the inverse Poincare metric at theta
+    (each row of a batch at its own point)."""
+    factor = (1.0 - np.einsum("...i,...i->...", theta, theta)) ** 2 / 4.0
+    return euclid_grad * factor[..., None]
 
 
 def project_to_ball(theta: np.ndarray, ball_eps: float) -> np.ndarray:
-    """Retract a point to norm at most 1 - ball_eps."""
+    """Retract a point, or each row of a batch, to norm at most 1 - ball_eps."""
     if not 0 < ball_eps < 1:
         raise ValueError("ball_eps must lie in (0, 1)")
-    norm = np.linalg.norm(theta)
+    norm = np.linalg.norm(theta, axis=-1, keepdims=True)
     limit = 1.0 - ball_eps
-    if norm >= limit:
-        return theta * (limit / norm)
-    return theta
+    return np.where(norm >= limit, theta * (limit / np.maximum(norm, limit)), theta)
+
+
+def _batch_loss_and_grads(
+    vectors: np.ndarray, u: np.ndarray, cands: np.ndarray, has_negs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Losses of a batch of edges and the Euclidean gradient of their sum.
+
+    Row i is the edge ``(u[i], cands[i, 0])`` with negatives ``cands[i, 1:]``.
+    A row without negatives (``has_negs[i]`` false) takes the plain distance
+    as its loss; its other candidates get coefficient 0.  Returns the per-edge
+    losses, the sorted ids of the touched nodes and one summed gradient row
+    per touched node.
+    """
+    dists, du, dc = _distance_and_grads(vectors[u][:, None, :], vectors[cands])
+    neg = -dists
+    top = neg.max(axis=1, keepdims=True)
+    weights = np.exp(neg - top)
+    total = weights.sum(axis=1, keepdims=True)
+    coeffs = -weights / total
+    coeffs[:, 0] += 1.0
+    losses = dists[:, 0] + np.log(total[:, 0]) + top[:, 0]
+    plain = ~has_negs
+    coeffs[plain] = 0.0
+    coeffs[plain, 0] = 1.0
+    losses[plain] = dists[plain, 0]
+    coeffs = coeffs[..., None]
+    ids = np.concatenate([u, cands.ravel()])
+    rows = np.concatenate([(coeffs * du).sum(axis=1), (coeffs * dc).reshape(-1, du.shape[-1])])
+    touched, where = np.unique(ids, return_inverse=True)
+    grads = np.zeros((len(touched), rows.shape[1]))
+    np.add.at(grads, where, rows)
+    return losses, touched, grads
 
 
 def edge_loss_and_grads(
@@ -91,27 +143,22 @@ def edge_loss_and_grads(
 
     loss = -log( exp(-d(u,v)) / sum_{c in {v} + negatives} exp(-d(u,c)) ).
     With no negatives available the loss degrades to the plain distance so
-    the edge is still attractive.
+    the edge is still attractive.  This is the one-edge case of the batch
+    kernel that ``train_poincare`` runs.
     """
-    cands = [v] + list(negatives)
-    dists = np.array([poincare_distance(vectors[u], vectors[c]) for c in cands])
-    grads: dict[int, np.ndarray] = {u: np.zeros_like(vectors[u])}
-    if not negatives:
-        du, dv = poincare_distance_grad(vectors[u], vectors[v])
-        grads[u] += du
-        grads[v] = grads.get(v, np.zeros_like(vectors[v])) + dv
-        return float(dists[0]), grads
-    shifted = -dists - np.max(-dists)
-    lse = np.log(np.sum(np.exp(shifted))) + np.max(-dists)
-    loss = dists[0] + lse
-    probs = np.exp(-dists - lse)
-    coeffs = -probs
-    coeffs[0] += 1.0
-    for c, coef in zip(cands, coeffs):
-        du, dc = poincare_distance_grad(vectors[u], vectors[c])
-        grads[u] += coef * du
-        grads[c] = grads.get(c, np.zeros_like(vectors[u])) + coef * dc
-    return float(loss), grads
+    cands = np.array([[v, *negatives]], dtype=np.int64)
+    losses, touched, grads = _batch_loss_and_grads(
+        vectors, np.array([u]), cands, np.array([len(negatives) > 0]))
+    return float(losses[0]), {int(i): g for i, g in zip(touched, grads)}
+
+
+def _rsgd_step(vectors: np.ndarray, u: np.ndarray, cands: np.ndarray,
+               has_negs: np.ndarray, lr: float) -> None:
+    """One Riemannian SGD update of a batch of edges, in place: every touched
+    row moves once, by its summed gradient taken at the batch-start point."""
+    _, touched, grads = _batch_loss_and_grads(vectors, u, cands, has_negs)
+    theta = vectors[touched]
+    vectors[touched] = project_to_ball(theta - lr * riemannian_scale(grads, theta), BALL_EPS)
 
 
 @dataclass
@@ -178,33 +225,61 @@ def _non_neighbours(offsets: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return idx + np.searchsorted(offsets, idx, side="right")
 
 
+class _NegativeSampler:
+    """Draws negatives with replacement among each node's non-neighbours.
+
+    The per-node offsets are concatenated, node u's shifted by ``u * n`` so
+    the whole array stays sorted; one ``_non_neighbours`` call then maps
+    draws for any mix of nodes.
+    """
+
+    def __init__(self, n: int, edges) -> None:
+        offsets = _exclusion_offsets(n, edges)
+        sizes = np.array([len(o) for o in offsets], dtype=np.int64)
+        self.n = n
+        self.pool_size = n - sizes
+        self.start = np.cumsum(sizes) - sizes
+        self.flat = np.concatenate([o + u * n for u, o in enumerate(offsets)])
+
+    def candidates(self, rng: np.random.Generator, u: np.ndarray, v: np.ndarray,
+                   k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Candidate block ``[v, k negatives of u]`` of each edge ``(u, v)``
+        and whether the edge has negatives.  An edge whose pool is empty gets
+        ``v`` in their place, to be weighted 0."""
+        has_negs = self.pool_size[u] > 0
+        idx = rng.integers(0, np.maximum(self.pool_size[u], 1)[:, None], size=(len(u), k))
+        shift = (u * self.n)[:, None]
+        negs = _non_neighbours(self.flat, shift + idx) - shift - self.start[u][:, None]
+        negs = np.where(has_negs[:, None], negs, v[:, None])
+        return np.column_stack([v, negs]), has_negs
+
+
 def train_poincare(tree: LabelTree, cfg: EmbedConfig) -> PoincareEmbedding:
-    """Train embeddings for all contracted nodes of a label tree."""
+    """Train embeddings for all contracted nodes of a label tree.
+
+    Each epoch visits the edges in a seeded random order, EDGE_BATCH at a
+    time; every edge ``(u, v)`` draws ``negatives_per_positive`` negatives
+    for ``u`` with replacement.  An edge whose ``u`` is adjacent to every
+    other node keeps the plain-distance loss.
+    """
     cfg.validate()
     nodes, edges = tree.core_graph()
     n = len(nodes)
     if n < 2:
         raise ValueError("tree must have at least 2 nodes")
-    offsets = _exclusion_offsets(n, edges)
+    edges = np.array(edges, dtype=np.int64)
+    sampler = _NegativeSampler(n, edges)
     rng = np.random.default_rng(cfg.seed)
     vectors = rng.uniform(-0.001, 0.001, size=(n, cfg.d_h))
     for epoch in range(cfg.epochs):
         lr = cfg.learning_rate
         if epoch < cfg.burn_in_epochs:
             lr *= BURN_IN_LR_SCALE
-        for edge_idx in rng.permutation(len(edges)):
-            u, v = edges[edge_idx]
-            pool_size = n - len(offsets[u])
-            if pool_size:
-                k = min(cfg.negatives_per_positive, pool_size)
-                draws = rng.choice(pool_size, size=k, replace=False)
-                negs = list(_non_neighbours(offsets[u], draws))
-            else:
-                negs = []
-            _, grads = edge_loss_and_grads(vectors, u, v, negs)
-            for idx, grad in grads.items():
-                step = riemannian_scale(grad, vectors[idx])
-                vectors[idx] = project_to_ball(vectors[idx] - lr * step, BALL_EPS)
+        order = rng.permutation(len(edges))
+        for lo in range(0, len(order), EDGE_BATCH):
+            u, v = edges[order[lo : lo + EDGE_BATCH]].T
+            cands, has_negs = sampler.candidates(rng, u, v, cfg.negatives_per_positive)
+            _rsgd_step(vectors, u, cands, has_negs, lr)
     return PoincareEmbedding(nodes=nodes, vectors=vectors)
 
 

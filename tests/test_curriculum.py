@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hicu.checkpoint import read_container, write_container
 from hicu.curriculum import (
     SCORE_BATCH_SIZE,
     CurriculumConfig,
@@ -326,6 +327,25 @@ class TestResume:
             assert np.array_equal(resumed.params[name], straight.params[name]), name
         for name in straight.adam.m:
             assert np.array_equal(resumed.adam.m[name], straight.adam.m[name]), name
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda cfg: cfg["asl"].update(clamp_eps=1e-12), "unknown keys ['clamp_eps']"),
+        (lambda cfg: cfg.pop("patience"), "missing keys ['patience']"),
+        (lambda cfg: cfg["asl"].pop("margin"), "missing keys ['margin']"),
+    ])
+    def test_stale_config_keys_rejected(self, small_setup, tiny_cfg, tmp_path, edit, named):
+        _, atree, vocab, splits = small_setup
+        trainer = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg,
+                          vocab_size=vocab.size)
+        trainer.step_epoch()
+        path = tmp_path / "stale.bin"
+        trainer.save(path)
+        meta, arrays = read_container(path)
+        edit(meta["config"])
+        write_container(path, meta, arrays)
+        with pytest.raises(ValueError) as info:
+            Trainer.load(path, splits["train"], splits["valid"], atree, None)
+        assert named in str(info.value)
 
 
 class TestLearnability:

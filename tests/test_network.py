@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hicu.losses import AslConfig, asl, bce, sigmoid
 from hicu.network import (
@@ -327,6 +329,29 @@ class TestKernels:
         assert sorted(grads) == sorted(want)
         for name, g in want.items():
             np.testing.assert_allclose(grads[name], g, rtol=1e-12, atol=0, err_msg=name)
+
+    @given(st.integers(1, 3).flatmap(lambda b: st.lists(
+        st.lists(st.integers(0, 3), min_size=7, max_size=7), min_size=b, max_size=b)),
+        st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_embedding_gradient_bits_match_add_at(self, rows, seed):
+        # Ids 0-3 repeat within and across documents, and 0 is PAD.  Each
+        # position's token gradient is read from a copy of the model whose
+        # embedding table has one row per position (the same vectors, so the
+        # same activations), then scattered with np.add.at as the oracle.
+        enc, dec, _, _, _ = _setup("none", seed=seed % 7)
+        x = np.array(rows)
+        y = (np.random.default_rng(seed).random((len(x), L)) < 0.4).astype(float)
+        _, trace = forward(x, enc, dec)
+        grads = backward(trace, enc, dec, bce(trace.logits, y)[1])
+
+        per_position = EncoderParams(embedding=enc.embedding[x.ravel()],
+                                     kernel=enc.kernel, bias=enc.bias)
+        _, trace1 = forward(np.arange(x.size).reshape(x.shape), per_position, dec)
+        token_grads = backward(trace1, per_position, dec, bce(trace1.logits, y)[1])["embedding"]
+        want = np.zeros_like(enc.embedding)
+        np.add.at(want, x.ravel(), token_grads)
+        assert np.array_equal(grads["embedding"], want)
 
     @pytest.mark.parametrize("mode", ["none", "add", "concat"])
     def test_forward_and_backward_leave_inputs_untouched(self, mode):
