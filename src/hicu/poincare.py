@@ -3,15 +3,15 @@
 Embeddings live in the open unit ball and are trained with mini-batched
 Riemannian SGD on a negative-sampling softmax objective over tree edges
 (Nickel & Kiela, 2017).  Each update takes EDGE_BATCH = 50 edges at once:
-every edge draws its negatives with replacement from its first node's
-non-neighbours, and every node the batch touches moves once, by its summed
-gradient at the batch-start point.  Training is deterministic per seed.
+every edge draws distinct negatives from its first node's non-neighbours,
+and every node the batch touches moves once, by its summed gradient at the
+batch-start point.  Training is deterministic per seed.
 Padding copies in the augmented tree share the vector of their source node,
 so training runs on the contracted (un-padded) tree.
 
-Before mini-batching, the trainer updated one edge at a time and drew
-negatives without replacement.  Embedding files it wrote still load, but
-training again with the same seed gives different vectors.
+Before mini-batching, the trainer updated one edge at a time.  Embedding
+files it wrote still load, but training again with the same seed gives
+different vectors.
 """
 from __future__ import annotations
 
@@ -48,15 +48,20 @@ class EmbedConfig:
             raise ValueError("negatives_per_positive must be positive")
 
 
-def _ball_terms(u: np.ndarray, v: np.ndarray):
-    """1-|u|^2, 1-|v|^2, u-v, |u-v|^2 and the arcosh argument of d(u, v),
-    over the last axis of broadcast inputs."""
+def _distance_and_grads(u: np.ndarray, v: np.ndarray):
+    """Distances and their Euclidean gradients w.r.t. both endpoints, over
+    the last axis of broadcast inputs."""
     alpha = 1.0 - np.einsum("...i,...i->...", u, u)
     beta = 1.0 - np.einsum("...i,...i->...", v, v)
     diff = u - v
     sq = np.einsum("...i,...i->...", diff, diff)
     gamma = 1.0 + 2.0 * sq / (alpha * beta)
-    return alpha, beta, diff, sq, gamma
+    denom = np.sqrt(np.maximum(gamma * gamma - 1.0, 1e-30))
+    alpha, beta = alpha[..., None], beta[..., None]
+    sq, denom = sq[..., None], denom[..., None]
+    du = (4.0 / (beta * denom)) * (diff / alpha + sq * u / alpha**2)
+    dv = (4.0 / (alpha * denom)) * (-diff / beta + sq * v / beta**2)
+    return np.arccosh(gamma), du, dv
 
 
 def poincare_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -65,19 +70,7 @@ def poincare_distance(u: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=np.float64)
     if u @ u >= 1.0 or v @ v >= 1.0:
         raise ValueError("poincare_distance arguments must lie inside the unit ball")
-    return float(np.arccosh(_ball_terms(u, v)[4]))
-
-
-def _distance_and_grads(u: np.ndarray, v: np.ndarray):
-    """Distances and their Euclidean gradients w.r.t. both endpoints, over
-    the last axis of broadcast inputs."""
-    alpha, beta, diff, sq, gamma = _ball_terms(u, v)
-    denom = np.sqrt(np.maximum(gamma * gamma - 1.0, 1e-30))
-    alpha, beta = alpha[..., None], beta[..., None]
-    sq, denom = sq[..., None], denom[..., None]
-    du = (4.0 / (beta * denom)) * (diff / alpha + sq * u / alpha**2)
-    dv = (4.0 / (alpha * denom)) * (-diff / beta + sq * v / beta**2)
-    return np.arccosh(gamma), du, dv
+    return float(_distance_and_grads(u, v)[0])
 
 
 def poincare_distance_grad(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,35 +98,36 @@ def project_to_ball(theta: np.ndarray, ball_eps: float) -> np.ndarray:
 
 
 def _batch_loss_and_grads(
-    vectors: np.ndarray, u: np.ndarray, cands: np.ndarray, has_negs: np.ndarray
+    vectors: np.ndarray, u: np.ndarray, cands: np.ndarray, mask: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Losses of a batch of edges and the Euclidean gradient of their sum.
 
-    Row i is the edge ``(u[i], cands[i, 0])`` with negatives ``cands[i, 1:]``.
-    A row without negatives (``has_negs[i]`` false) takes the plain distance
-    as its loss; its other candidates get coefficient 0.  Returns the per-edge
-    losses, the sorted ids of the touched nodes and one summed gradient row
-    per touched node.
+    Row i is the edge ``(u[i], cands[i, 0])`` with negatives
+    ``cands[i, j]`` for each ``j >= 1`` where ``mask[i, j]``; unmasked
+    candidates get coefficient 0.  A row without negatives takes the plain
+    distance as its loss.  Returns the per-edge losses, the sorted ids of the
+    touched nodes and one summed gradient row per touched node.
     """
     dists, du, dc = _distance_and_grads(vectors[u][:, None, :], vectors[cands])
-    neg = -dists
+    neg = np.where(mask, -dists, -np.inf)
     top = neg.max(axis=1, keepdims=True)
     weights = np.exp(neg - top)
     total = weights.sum(axis=1, keepdims=True)
     coeffs = -weights / total
     coeffs[:, 0] += 1.0
     losses = dists[:, 0] + np.log(total[:, 0]) + top[:, 0]
-    plain = ~has_negs
-    coeffs[plain] = 0.0
+    plain = ~mask[:, 1:].any(axis=1)
     coeffs[plain, 0] = 1.0
     losses[plain] = dists[plain, 0]
     coeffs = coeffs[..., None]
-    ids = np.concatenate([u, cands.ravel()])
-    rows = np.concatenate([(coeffs * du).sum(axis=1), (coeffs * dc).reshape(-1, du.shape[-1])])
-    touched, where = np.unique(ids, return_inverse=True)
-    grads = np.zeros((len(touched), rows.shape[1]))
-    np.add.at(grads, where, rows)
-    return losses, touched, grads
+    d_h = du.shape[-1]
+    rows = np.concatenate([(coeffs * du).sum(axis=1), (coeffs * dc).reshape(-1, d_h)])
+    touched, where = np.unique(np.concatenate([u, cands.ravel()]), return_inverse=True)
+    # scatter-add by node, as one bincount over (node, column) slots; it sums
+    # each slot in order of occurrence from 0.0, so it gives np.add.at's bits
+    slots = (where.reshape(-1, 1) * d_h + np.arange(d_h)).ravel()
+    grads = np.bincount(slots, weights=rows.ravel(), minlength=len(touched) * d_h)
+    return losses, touched, grads.reshape(-1, d_h)
 
 
 def edge_loss_and_grads(
@@ -148,15 +142,15 @@ def edge_loss_and_grads(
     """
     cands = np.array([[v, *negatives]], dtype=np.int64)
     losses, touched, grads = _batch_loss_and_grads(
-        vectors, np.array([u]), cands, np.array([len(negatives) > 0]))
+        vectors, np.array([u]), cands, np.ones(cands.shape, dtype=bool))
     return float(losses[0]), {int(i): g for i, g in zip(touched, grads)}
 
 
 def _rsgd_step(vectors: np.ndarray, u: np.ndarray, cands: np.ndarray,
-               has_negs: np.ndarray, lr: float) -> None:
+               mask: np.ndarray, lr: float) -> None:
     """One Riemannian SGD update of a batch of edges, in place: every touched
     row moves once, by its summed gradient taken at the batch-start point."""
-    _, touched, grads = _batch_loss_and_grads(vectors, u, cands, has_negs)
+    _, touched, grads = _batch_loss_and_grads(vectors, u, cands, mask)
     theta = vectors[touched]
     vectors[touched] = project_to_ball(theta - lr * riemannian_scale(grads, theta), BALL_EPS)
 
@@ -226,7 +220,7 @@ def _non_neighbours(offsets: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 class _NegativeSampler:
-    """Draws negatives with replacement among each node's non-neighbours.
+    """Draws negatives without replacement among each node's non-neighbours.
 
     The per-node offsets are concatenated, node u's shifted by ``u * n`` so
     the whole array stays sorted; one ``_non_neighbours`` call then maps
@@ -244,23 +238,37 @@ class _NegativeSampler:
     def candidates(self, rng: np.random.Generator, u: np.ndarray, v: np.ndarray,
                    k: int) -> tuple[np.ndarray, np.ndarray]:
         """Candidate block ``[v, k negatives of u]`` of each edge ``(u, v)``
-        and whether the edge has negatives.  An edge whose pool is empty gets
-        ``v`` in their place, to be weighted 0."""
-        has_negs = self.pool_size[u] > 0
-        idx = rng.integers(0, np.maximum(self.pool_size[u], 1)[:, None], size=(len(u), k))
+        and its mask.  Edge i gets ``min(k, pool_size[u[i]])`` distinct
+        negatives in its first columns; the rest of its row holds ``v``,
+        masked out."""
+        pool = self.pool_size[u]
+        take = np.minimum(pool, k)
+        # Floyd's subset sampling, one column at a time for all rows: column i
+        # draws t from [0, top]; if an earlier column holds t, it takes top.
+        # floor(r * m) < m for every float r < 1 and integer m < 2**53.
+        top = (pool - take)[:, None] + np.arange(k)
+        t = (rng.random((len(u), k)) * (top + 1)).astype(np.int64)
+        idx = t.copy()
+        for i in range(1, k):
+            taken = (idx[:, :i] == t[:, i, None]).any(axis=1)
+            idx[taken, i] = top[taken, i]
+        mask = np.arange(k) < take[:, None]
         shift = (u * self.n)[:, None]
         negs = _non_neighbours(self.flat, shift + idx) - shift - self.start[u][:, None]
-        negs = np.where(has_negs[:, None], negs, v[:, None])
-        return np.column_stack([v, negs]), has_negs
+        negs = np.where(mask, negs, v[:, None])
+        return np.column_stack([v, negs]), np.column_stack([np.ones(len(u), dtype=bool), mask])
 
 
 def train_poincare(tree: LabelTree, cfg: EmbedConfig) -> PoincareEmbedding:
     """Train embeddings for all contracted nodes of a label tree.
 
     Each epoch visits the edges in a seeded random order, EDGE_BATCH at a
-    time; every edge ``(u, v)`` draws ``negatives_per_positive`` negatives
-    for ``u`` with replacement.  An edge whose ``u`` is adjacent to every
-    other node keeps the plain-distance loss.
+    time; every edge ``(u, v)`` draws ``negatives_per_positive`` distinct
+    negatives for ``u``, or all of them if ``u`` has fewer.  An edge whose
+    ``u`` is adjacent to every other node (the centre of a star) keeps the
+    plain-distance loss and is updated on its own, after the rest of its
+    batch: that gradient does not shrink as the edge contracts, so summing
+    all of a hub's edges at one point would overshoot.
     """
     cfg.validate()
     nodes, edges = tree.core_graph()
@@ -278,8 +286,13 @@ def train_poincare(tree: LabelTree, cfg: EmbedConfig) -> PoincareEmbedding:
         order = rng.permutation(len(edges))
         for lo in range(0, len(order), EDGE_BATCH):
             u, v = edges[order[lo : lo + EDGE_BATCH]].T
-            cands, has_negs = sampler.candidates(rng, u, v, cfg.negatives_per_positive)
-            _rsgd_step(vectors, u, cands, has_negs, lr)
+            cands, mask = sampler.candidates(rng, u, v, cfg.negatives_per_positive)
+            plain = ~mask[:, 1]
+            if not plain.any():
+                _rsgd_step(vectors, u, cands, mask, lr)
+                continue
+            for rows in [~plain, *np.flatnonzero(plain)[:, None]]:
+                _rsgd_step(vectors, u[rows], cands[rows], mask[rows], lr)
     return PoincareEmbedding(nodes=nodes, vectors=vectors)
 
 
