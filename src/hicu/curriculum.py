@@ -23,6 +23,7 @@ from .network import (
     AdamState,
     DecoderParams,
     EncoderParams,
+    _attention_slab,
     adam_step,
     backward,
     decoder_param_dict,
@@ -165,8 +166,6 @@ def score_dataset(
         for lo in range(0, len(idxs), SCORE_BATCH_SIZE):
             chunk = idxs[lo : lo + SCORE_BATCH_SIZE]
             x = np.stack([docs[i].tokens for i in chunk])
-            # no name holds the trace, so its (B, N, L) attention is freed
-            # before the next chunk's forward allocates another
             scores[chunk] = forward(x, enc, dec, E_h)[0]
     return scores
 
@@ -305,23 +304,22 @@ class Trainer:
 
     def _batch_step(self, idxs: np.ndarray) -> float:
         """One Adam step on the batch's mean loss: one (B, N) sub-batch when all
-        lengths agree, else one (1, N) sub-batch per document, with gradients
-        summed in batch order."""
+        lengths agree, else one (1, N) sub-batch per document.  Every
+        sub-batch's forward runs first; one loss call covers the whole batch,
+        and backward's gradients are summed in batch order."""
         docs = [self.train.docs[i] for i in idxs]
-        targets = self.y_train[idxs]
         n = len(docs)
         if len({len(d.tokens) for d in docs}) == 1:
             spans = [slice(0, n)]
         else:
             spans = [slice(i, i + 1) for i in range(n)]
-        loss = 0.0
+        traces = [forward(np.stack([d.tokens for d in docs[span]]),
+                          self.encoder, self.decoder, self.E_h)[1] for span in spans]
+        loss, dlogits = self._loss(np.concatenate([t.logits for t in traces]), self.y_train[idxs])
+        dlogits /= n
         grads = None
-        for span in spans:
-            x = np.stack([d.tokens for d in docs[span]])
-            _, trace = forward(x, self.encoder, self.decoder, self.E_h)
-            span_loss, dlogits = self._loss(trace.logits, targets[span])
-            loss += span_loss
-            g = backward(trace, self.encoder, self.decoder, dlogits / n)
+        for span, trace in zip(spans, traces):
+            g = backward(trace, self.encoder, self.decoder, dlogits[span])
             if grads is None:
                 grads = g  # backward returns fresh arrays, so summing in place aliases nothing
             else:
@@ -518,6 +516,6 @@ def inspect_attention(
     if len(doc.tokens) == 0:
         raise ValueError(f"document {doc.id!r} has no tokens")
     _, trace = forward(doc.tokens[None], state.encoder, state.decoder, E_h)
-    col = trace.A[0][:, state.codes.index(label)]
+    col = _attention_slab(trace, 0)[:, state.codes.index(label)]
     order = np.lexsort((np.arange(len(col)), -col))
     return [(token_strings[i], float(col[i])) for i in order[:top_n]]

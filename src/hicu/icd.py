@@ -354,7 +354,9 @@ class AugmentedLabelTree(LabelTree):
         for j in range(self.k_max - 1, k - 1, -1):
             pmap = self.parent_index_map(j)
             out = np.zeros(y.shape[:-1] + (len(self.level_labels(j)),), dtype=y.dtype)
-            np.maximum.at(np.moveaxis(out, -1, 0), pmap, np.moveaxis(y, -1, 0))
+            # only positive cells can raise a parent above its zero start
+            idx = np.nonzero(y > 0)
+            np.maximum.at(out, idx[:-1] + (pmap[idx[-1]],), y[idx])
             y = out
         return y
 

@@ -9,15 +9,19 @@ layer with sum pooling and a sigmoid.
 All arrays are float64.  Token input is always a (B, N) batch of
 equal-length documents; a lone document is ``x[None]``.
 
-The decoder's attention works on one document at a time.  A document's
-(N, L) slab is contiguous and small enough to stay in cache through the
-score matmul, the token-axis softmax (in place in the score buffer, which
-becomes that document's rows of A) and the pooling matmul.  Backward
-likewise reuses one (N, L) buffer, turning each document's dA into dS in
-place.  The per-document steps give the same bits as batched passes over
-the whole (B, N, L) array.  The one exception is dqhat, which adds up the
-documents' H^T dS products one after another: the gradients of Q, fc_w and
-fc_b can differ in the low-order bits from a single (B*N)-row matmul.
+The decoder's attention works on one document at a time, in one reused
+(N, L) buffer that stays in cache through the score matmul, the token-axis
+softmax (in place) and the pooling matmul.  The (B, N, L) attention is
+never stored: the trace keeps each document's softmax statistics, the
+column max m and column sum s, two (B, L) arrays.  Where a document's slab
+is read again (backward, the attention inspector) ``_attention_slab``
+rebuilds it from H, qhat, m and s with decode's own operations in decode's
+order, so it has the bits decode pooled with.  Backward reuses two (N, L)
+buffers, the rebuilt slab and dA turned into dS in place.  The
+per-document steps give the same bits as batched passes over the whole
+(B, N, L) array.  The one exception is dqhat, which adds up the documents'
+H^T dS products one after another: the gradients of Q, fc_w and fc_b can
+differ in the low-order bits from a single (B*N)-row matmul.
 """
 from __future__ import annotations
 
@@ -74,11 +78,11 @@ class DecoderParams:
 @dataclass
 class ForwardTrace:
     x: np.ndarray  # (B, N) token indices
-    emb: np.ndarray  # (B, N, d_e)
     windows: np.ndarray  # (B, N, s * d_e)
     H: np.ndarray  # (B, N, d_f)
     qhat: np.ndarray  # (d_f, L)
-    A: np.ndarray  # (B, N, L)
+    m: np.ndarray  # (B, L) per-label max of the scores over tokens
+    s: np.ndarray  # (B, L) per-label sum of exp(scores - m) over tokens
     V: np.ndarray  # (B, L, d_f)
     logits: np.ndarray  # (B, L)
     E_h: np.ndarray | None
@@ -129,22 +133,21 @@ def _im2col(emb: np.ndarray, s: int) -> np.ndarray:
     return cols
 
 
-def _encode(x: np.ndarray, enc: EncoderParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Embeddings, im2col windows and H of a (B, N) batch."""
+def _encode(x: np.ndarray, enc: EncoderParams) -> tuple[np.ndarray, np.ndarray]:
+    """im2col windows and H of a (B, N) batch."""
     if np.ndim(x) != 2:
         raise ValueError("token input must be a (B, N) batch")
     if x.size and int(x.max()) >= enc.embedding.shape[0]:
         raise ValueError("token index out of vocabulary range")
-    emb = enc.embedding[x]
     s = enc.kernel.shape[0]
-    windows = _im2col(emb, s)
+    windows = _im2col(enc.embedding[x], s)
     kflat = enc.kernel.reshape(s * enc.kernel.shape[1], enc.d_f)
-    return emb, windows, np.tanh(windows @ kflat + enc.bias)
+    return windows, np.tanh(windows @ kflat + enc.bias)
 
 
 def encode(x: np.ndarray, enc: EncoderParams) -> np.ndarray:
     """H = tanh(conv1d_same(embed(x))) of a (B, N) batch; returns (B, N, d_f)."""
-    return _encode(x, enc)[2]
+    return _encode(x, enc)[1]
 
 
 def corrected_queries(
@@ -180,24 +183,40 @@ def decode(
 ) -> tuple[np.ndarray, dict]:
     """Per-label attention, linear layer and sum pooling of a (B, N, d_f) H.
 
-    Returns (yhat, partial trace); the trace holds qhat, A, V and the
-    logits.  The softmax runs along the token axis so each label's
-    attention column sums to 1.
+    Returns (yhat, partial trace); the trace holds qhat, the softmax
+    statistics m and s, V and the logits.  The softmax runs along the token
+    axis so each label's attention column sums to 1.
     """
     qhat = corrected_queries(dec.Q, E_h, dec.mode, dec.fc_w, dec.fc_b)
     B, N, d_f = H.shape
-    A = np.empty((B, N, qhat.shape[1]))
-    V = np.empty((B, qhat.shape[1], d_f))
-    for Hb, Ab, Vb in zip(H, A, V):  # one document's (N, L) slab stays in cache
-        np.matmul(Hb, qhat, out=Ab)  # scores, turned into attention in place
-        Ab -= Ab.max(axis=0)
-        np.exp(Ab, out=Ab)
-        Ab /= Ab.sum(axis=0)
-        np.matmul(Ab.T, Hb, out=Vb)
+    L = qhat.shape[1]
+    m = np.empty((B, L))
+    s = np.empty((B, L))
+    V = np.empty((B, L, d_f))
+    A = np.empty((N, L))  # one document's scores, turned into attention in place
+    for Hb, mb, sb, Vb in zip(H, m, s, V):
+        np.matmul(Hb, qhat, out=A)
+        A.max(axis=0, out=mb)
+        A -= mb
+        np.exp(A, out=A)
+        A.sum(axis=0, out=sb)
+        A /= sb
+        np.matmul(A.T, Hb, out=Vb)
     w_sum = dec.W.sum(axis=1)  # sum pooling of Z = V W collapses W to row sums
     logits = V @ w_sum + dec.b
     yhat = sigmoid(logits)
-    return yhat, {"qhat": qhat, "A": A, "V": V, "logits": logits}
+    return yhat, {"qhat": qhat, "m": m, "s": s, "V": V, "logits": logits}
+
+
+def _attention_slab(trace: ForwardTrace, b: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Document b's (N, L) attention, rebuilt from the trace's softmax
+    statistics with decode's operations in decode's order, so it holds the
+    bits decode pooled with.  Written into ``out`` when given."""
+    out = np.matmul(trace.H[b], trace.qhat, out=out)
+    out -= trace.m[b]
+    np.exp(out, out=out)
+    out /= trace.s[b]
+    return out
 
 
 def forward(
@@ -206,13 +225,9 @@ def forward(
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Full forward pass of a (B, N) batch; returns (B, L) sigmoid outputs
     and a trace for backward."""
-    emb, windows, H = _encode(x, enc)
+    windows, H = _encode(x, enc)
     yhat, partial = decode(H, dec, E_h)
-    trace = ForwardTrace(
-        x=x, emb=emb, windows=windows, H=H,
-        qhat=partial["qhat"], A=partial["A"], V=partial["V"],
-        logits=partial["logits"], E_h=E_h,
-    )
+    trace = ForwardTrace(x=x, windows=windows, H=H, E_h=E_h, **partial)
     return yhat, trace
 
 
@@ -240,12 +255,14 @@ def backward(
     # V = A^T H, column softmax over tokens, scores = H @ qhat; per document
     dH = np.empty_like(trace.H)
     dqhat = np.zeros((d_f, L))
+    A = np.empty((N, L))  # the document's attention, rebuilt from m and s
     dS = np.empty((N, L))  # dA, turned into dS in place: A * (dA - sum_n A * dA)
-    for Hb, Ab, dVb, dHb in zip(trace.H, trace.A, dV, dH):
+    for b, (Hb, dVb, dHb) in enumerate(zip(trace.H, dV, dH)):
+        _attention_slab(trace, b, out=A)
         np.matmul(Hb, dVb.T, out=dS)
-        np.matmul(Ab, dVb, out=dHb)
-        dS -= np.einsum("nl,nl->l", Ab, dS)
-        dS *= Ab
+        np.matmul(A, dVb, out=dHb)
+        dS -= np.einsum("nl,nl->l", A, dS)
+        dS *= A
         dqhat += Hb.T @ dS
         dHb += dS @ trace.qhat.T
 
@@ -302,18 +319,28 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], adam:
             raise ValueError(f"gradient shape mismatch for parameter {name!r}")
     adam.t += 1
     b1, b2 = adam.beta1, adam.beta2
+    c1, c2 = 1.0 - b1**adam.t, 1.0 - b2**adam.t
     for name, grad in grads.items():
         if name not in adam.m:
             adam.m[name] = np.zeros_like(params[name])
             adam.v[name] = np.zeros_like(params[name])
         m, v = adam.m[name], adam.v[name]
+        # in place, with the bits of m += (1-b1) g; v += (1-b2) g g;
+        # p -= lr (m / c1) / (sqrt(v / c2) + eps)
         m *= b1
-        m += (1.0 - b1) * grad
+        tmp = (1.0 - b1) * grad
+        m += tmp
         v *= b2
-        v += (1.0 - b2) * grad * grad
-        m_hat = m / (1.0 - b1**adam.t)
-        v_hat = v / (1.0 - b2**adam.t)
-        params[name] -= adam.lr * m_hat / (np.sqrt(v_hat) + adam.eps)
+        np.multiply(grad, 1.0 - b2, out=tmp)
+        tmp *= grad
+        v += tmp
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += adam.eps
+        upd = m / c1
+        upd *= adam.lr
+        upd /= tmp
+        params[name] -= upd
 
 
 def encoder_param_dict(enc: EncoderParams) -> dict[str, np.ndarray]:

@@ -1,13 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hicu.curriculum import ModelState, inspect_attention
+from hicu.data import Document
 from hicu.losses import AslConfig, asl, bce, sigmoid
 from hicu.network import (
     AdamState,
     DecoderParams,
     EncoderParams,
+    _attention_slab,
     adam_step,
     backward,
     corrected_queries,
@@ -45,7 +50,7 @@ class TestForward:
     def test_attention_columns_sum_to_one(self):
         enc, dec, E_h, x, _ = _setup()
         _, trace = forward(x, enc, dec, E_h)
-        sums = trace.A.sum(axis=1)
+        sums = np.stack([_attention_slab(trace, b) for b in range(len(x))]).sum(axis=1)
         assert np.allclose(sums, 1.0, atol=1e-12)
 
     def test_single_document_input_rejected(self):
@@ -179,6 +184,24 @@ class TestBackward:
             backward(trace, enc, dec, np.zeros((3, L)))
 
 
+def _adam_reference(params, grads, adam):
+    """Bias-corrected Adam written as the textbook expressions."""
+    adam.t += 1
+    b1, b2 = adam.beta1, adam.beta2
+    for name, grad in grads.items():
+        if name not in adam.m:
+            adam.m[name] = np.zeros_like(params[name])
+            adam.v[name] = np.zeros_like(params[name])
+        m, v = adam.m[name], adam.v[name]
+        m *= b1
+        m += (1.0 - b1) * grad
+        v *= b2
+        v += (1.0 - b2) * grad * grad
+        m_hat = m / (1.0 - b1**adam.t)
+        v_hat = v / (1.0 - b2**adam.t)
+        params[name] -= adam.lr * m_hat / (np.sqrt(v_hat) + adam.eps)
+
+
 class TestAdam:
     def test_scalar_hand_computation(self):
         # one parameter, two steps, worked by hand with bias correction
@@ -216,6 +239,22 @@ class TestAdam:
         adam_step(p, {"w": np.ones(3)}, AdamState(lr=0.1))
         assert p["w"] is arr
         assert not np.allclose(arr, 1.0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_in_place_update_matches_textbook_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        shapes = {"Q": (5, 6), "b": (6,), "kernel": (3, 4, 5)}
+        got = {n: rng.normal(size=s) for n, s in shapes.items()}
+        want = {n: a.copy() for n, a in got.items()}
+        adam_got, adam_want = AdamState(lr=0.01), AdamState(lr=0.01)
+        for _ in range(20):
+            grads = {n: rng.normal(size=s) * rng.choice([1e-6, 1.0, 1e3]) for n, s in shapes.items()}
+            adam_step(got, {n: g.copy() for n, g in grads.items()}, adam_got)
+            _adam_reference(want, grads, adam_want)
+            for n in shapes:
+                assert np.array_equal(got[n], want[n]), n
+                assert np.array_equal(adam_got.m[n], adam_want.m[n]), n
+                assert np.array_equal(adam_got.v[n], adam_want.v[n]), n
 
 
 def test_even_kernel_rejected():
@@ -312,8 +351,9 @@ class TestKernels:
         x = np.random.default_rng(batch).integers(1, VOCAB, size=(batch, 7))
         yhat, trace = forward(x, enc, dec, E_h)
         want = _batched_softmax_forward(x, enc, dec, E_h)
+        A = np.stack([_attention_slab(trace, b) for b in range(batch)])
         for name, got, w in zip(("yhat", "A", "V", "logits"),
-                                (yhat, trace.A, trace.V, trace.logits), want):
+                                (yhat, A, trace.V, trace.logits), want):
             assert np.array_equal(got, w), name
 
     @pytest.mark.parametrize("mode", ["none", "add", "concat"])
@@ -361,9 +401,111 @@ class TestKernels:
         _, trace = forward(x, enc, dec, E_h)
         assert _snapshot(x, E_h, *params) == before
         _, dlogits = bce(trace.logits, y)
-        kept = _snapshot(trace.H, trace.A, trace.windows, trace.emb, trace.qhat,
+        kept = _snapshot(trace.H, trace.m, trace.s, trace.windows, trace.qhat,
                          trace.V, trace.logits, dlogits)
         backward(trace, enc, dec, dlogits)
-        assert _snapshot(trace.H, trace.A, trace.windows, trace.emb, trace.qhat,
+        assert _snapshot(trace.H, trace.m, trace.s, trace.windows, trace.qhat,
                          trace.V, trace.logits, dlogits) == kept
         assert _snapshot(x, E_h, *params) == before
+
+
+def _stored_attention_backward(trace, A, enc, dec, dlogits):
+    """The decoder and encoder backward as it ran on a stored (B, N, L)
+    attention A, kept as the oracle for the backward that rebuilds each
+    document's slab from the softmax statistics."""
+    dY = np.asarray(dlogits, dtype=np.float64)
+    B, N, d_f = trace.H.shape
+    L = dec.n_labels
+    w_sum = dec.W.sum(axis=1)
+    dV = dY[:, :, None] * w_sum[None, None, :]
+    dw_sum = dY.reshape(-1) @ trace.V.reshape(-1, d_f)
+    grads = {"W": np.repeat(dw_sum[:, None], L, axis=1), "b": dY.sum(axis=0)}
+    dH = np.empty_like(trace.H)
+    dqhat = np.zeros((d_f, L))
+    dS = np.empty((N, L))
+    for Hb, Ab, dVb, dHb in zip(trace.H, A, dV, dH):
+        np.matmul(Hb, dVb.T, out=dS)
+        np.matmul(Ab, dVb, out=dHb)
+        dS -= np.einsum("nl,nl->l", Ab, dS)
+        dS *= Ab
+        dqhat += Hb.T @ dS
+        dHb += dS @ trace.qhat.T
+    grads["Q"] = dqhat
+    if dec.mode == "add":
+        grads["fc_w"] = dqhat @ trace.E_h
+    elif dec.mode == "concat":
+        grads["Q"] = dec.fc_w[:, :d_f].T @ dqhat
+        grads["fc_w"] = np.concatenate([dqhat @ dec.Q.T, dqhat @ trace.E_h], axis=1)
+    if dec.mode != "none":
+        grads["fc_b"] = dqhat.sum(axis=1)
+    dpre = dH * (1.0 - trace.H**2)
+    s, d_e = enc.kernel.shape[0], enc.kernel.shape[1]
+    kflat = enc.kernel.reshape(s * d_e, d_f)
+    grads["kernel"] = (trace.windows.reshape(B * N, -1).T @ dpre.reshape(-1, d_f)).reshape(s, d_e, d_f)
+    grads["bias"] = dpre.sum(axis=(0, 1))
+    dwindows = np.matmul(dpre, kflat.T)
+    half = s // 2
+    demb_pad = np.zeros((B, N + 2 * half, d_e))
+    for j in range(s):
+        demb_pad[:, j : j + N] += dwindows[:, :, j * d_e : (j + 1) * d_e]
+    demb = demb_pad[:, half : half + N]
+    slots = (trace.x.reshape(-1, 1) * d_e + np.arange(d_e)).ravel()
+    vocab = enc.embedding.shape[0]
+    grads["embedding"] = np.bincount(slots, weights=demb.ravel(), minlength=vocab * d_e).reshape(vocab, d_e)
+    return grads
+
+
+class TestAttentionStatistics:
+    """The trace keeps each label's softmax max and sum, not the attention."""
+
+    @pytest.mark.parametrize("mode", ["none", "add", "concat"])
+    @pytest.mark.parametrize("batch", [1, 2, 16])
+    def test_backward_bits_match_stored_attention_backward(self, mode, batch):
+        enc, dec, E_h, _, _ = _setup(mode, seed=batch)
+        rng = np.random.default_rng(batch + 50)
+        x = rng.integers(0, VOCAB, size=(batch, 7))
+        y = (rng.random((batch, L)) < 0.4).astype(float)
+        _, trace = forward(x, enc, dec, E_h)
+        dlogits = bce(trace.logits, y)[1]
+        A = _batched_softmax_forward(x, enc, dec, E_h)[1]
+        want = _stored_attention_backward(trace, A, enc, dec, dlogits)
+        got = backward(trace, enc, dec, dlogits)
+        assert sorted(got) == sorted(want)
+        for name, w in want.items():
+            assert np.array_equal(got[name], w), name
+
+    def test_decode_peak_scales_with_one_slab(self):
+        B, N, n_labels, d_f = 64, 128, 256, 4
+        rng = np.random.default_rng(0)
+        H = np.tanh(rng.normal(size=(B, N, d_f)))
+        dec = DecoderParams(Q=rng.normal(size=(d_f, n_labels)), W=rng.normal(size=(d_f, n_labels)),
+                            b=np.zeros(n_labels))
+        slab = 8 * N * n_labels
+        outputs = 8 * B * n_labels * (d_f + 4)  # V, then m, s, logits and yhat
+        whole_attention = 8 * B * N * n_labels
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            decode(H, dec)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak < 1.5 * (slab + outputs), (peak, slab + outputs)
+        assert slab + outputs < whole_attention / 4
+
+    @pytest.mark.parametrize("mode", ["none", "add", "concat"])
+    def test_inspect_attention_reads_the_batched_softmax_column(self, mode):
+        enc, dec, E_h, x, _ = _setup(mode, seed=3)
+        codes = [f"c{j}" for j in range(L)]
+        state = ModelState(encoder=enc, decoder=dec, level=1, codes=codes)
+        doc = Document("d", x[1], ())
+        tokens = [f"t{i}" for i in range(x.shape[1])]
+        A = _batched_softmax_forward(x[1:2], enc, dec, E_h)[1][0]
+        for j, label in enumerate(codes):
+            col = A[:, j]
+            order = sorted(range(len(col)), key=lambda i: (-col[i], i))
+            want = [(tokens[i], float(col[i])) for i in order]
+            assert inspect_attention(state, E_h, doc, tokens, label, top_n=len(tokens)) == want
