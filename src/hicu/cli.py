@@ -16,7 +16,7 @@ from collections import Counter
 import numpy as np
 
 from . import curriculum, data, icd, metrics, poincare
-from .checkpoint import read_container, write_container
+from .checkpoint import write_container
 from .losses import AslConfig
 
 
@@ -47,6 +47,15 @@ def _seed_default() -> int:
 
 def _codes_from_records(records) -> list[str]:
     return sorted({label for rec in records for label in rec["labels"]})
+
+
+def _load_split(records, path, vocab, leaves, max_len) -> data.Dataset:
+    """``data.load_dataset``, reporting the documents it drops for having no tokens."""
+    dataset = data.load_dataset(records, vocab, leaves, max_len)
+    if dataset.skipped_empty:
+        print(f"skipped {dataset.skipped_empty} documents without tokens in {path}",
+              file=sys.stderr)
+    return dataset
 
 
 # ---------------------------------------------------------------- build-tree
@@ -159,8 +168,8 @@ def cmd_train(args) -> int:
         (data.tokenize(rec["text"]) for rec in train_records), min_count=args.min_count
     )
     leaves = atree.level_labels(atree.k_max)
-    train_set = data.load_dataset(train_records, vocab, leaves, args.max_len)
-    valid_set = data.load_dataset(valid_records, vocab, leaves, args.max_len)
+    train_set = _load_split(train_records, args.train, vocab, leaves, args.max_len)
+    valid_set = _load_split(valid_records, args.valid, vocab, leaves, args.max_len)
 
     word_embedding = None
     if args.word_emb:
@@ -182,21 +191,13 @@ def cmd_train(args) -> int:
     state, report = trainer.run()
 
     os.makedirs(args.out, exist_ok=True)
-    extra_meta = {
-        "mode": args.mode,
-        "vocab_tokens": vocab.tokens_in_order(),
-        "min_count": vocab.min_count,
-        "max_len": args.max_len,
-    }
+    meta, arrays = trainer.state()
+    meta.update(mode=args.mode, vocab_tokens=vocab.tokens_in_order(),
+                min_count=vocab.min_count, max_len=args.max_len)
     if args.top_k_labels is not None:
-        extra_meta["top_k_labels"] = args.top_k_labels
+        meta["top_k_labels"] = args.top_k_labels
     ckpt_path = os.path.join(args.out, "checkpoint.bin")
-    trainer.save(ckpt_path, extra_meta=extra_meta)
-    if trainer.E_h is not None:
-        meta, arrays = read_container(ckpt_path)
-        arrays["aux/E_h"] = trainer.E_h
-        meta.pop("arrays")
-        write_container(ckpt_path, meta, arrays)
+    write_container(ckpt_path, meta, arrays)
     report.write_jsonl(os.path.join(args.out, "report.jsonl"))
     print(f"checkpoint written to {ckpt_path}")
     print(f"best {cfg.early_stop_metric}: {trainer.best_metric:.4f} "
@@ -246,7 +247,7 @@ def cmd_eval(args) -> int:
     if "top_k_labels" in meta:
         # the model was trained on the top-k codes only; score the test split the same way
         records = data.restrict_labels(records, set(state.codes))
-    test_set = data.load_dataset(records, vocab, state.codes, meta["max_len"])
+    test_set = _load_split(records, args.test, vocab, state.codes, meta["max_len"])
     scores = curriculum.score_dataset(state.encoder, state.decoder, E_h, test_set.docs)
     y = test_set.label_matrix(state.codes)
     ks = tuple(int(x) for x in args.p_at.split(","))
@@ -269,9 +270,7 @@ def cmd_eval(args) -> int:
         base_auc = [metrics.auc_binary(base_scores[:, j], y[:, j]) for j in range(len(state.codes))]
         out_records.extend(_bucket_table(state.codes, train_counts, model_auc, base_auc))
 
-    with open(os.path.join(args.out, "eval.jsonl"), "w", encoding="utf-8") as fh:
-        for rec in out_records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    data.write_jsonl(os.path.join(args.out, "eval.jsonl"), out_records)
     for rec in out_records:
         print(json.dumps(rec, sort_keys=True))
     return 0

@@ -8,14 +8,14 @@ asymmetric loss plug into the same loop.
 """
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import zip_longest
 
 import numpy as np
 
 from .checkpoint import read_container, write_container
-from .data import Dataset, Document
+from .data import Dataset, Document, write_jsonl
 from .icd import AugmentedLabelTree
 from .losses import AslConfig, asl, bce
 from .metrics import evaluate, macro_micro_f1, precision_at_k
@@ -52,7 +52,6 @@ class CurriculumConfig:
     d_e: int = 32
     d_f: int = 32
     kernel_size: int = 3
-    fresh_final_decoder: bool = False
     p_at: tuple[int, ...] = (5, 8, 15)
 
     def validate(self, k_max: int, n_labels: int) -> None:
@@ -86,9 +85,9 @@ class CurriculumConfig:
         return asdict(self)
 
     def flat(self) -> "CurriculumConfig":
-        """The single-round baseline: a fresh decoder trained at the final level only."""
+        """The single-round baseline: only the final level trains, from a fresh decoder."""
         zeros = (0,) * (len(self.epochs_per_level) - 1) + (self.epochs_per_level[-1],)
-        return replace(self, epochs_per_level=zeros, fresh_final_decoder=True)
+        return replace(self, epochs_per_level=zeros)
 
 
 @dataclass
@@ -100,12 +99,8 @@ class TrainReport:
     wall_clock_s: float = 0.0  # printed, never serialized (reports stay byte-stable)
 
     def write_jsonl(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in self.records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-            final = {"event": "summary", "config": self.config, "seed": self.seed}
-            final.update(self.summary)
-            fh.write(json.dumps(final, sort_keys=True) + "\n")
+        final = {"event": "summary", "config": self.config, "seed": self.seed, **self.summary}
+        write_jsonl(path, [*self.records, final])
 
 
 @dataclass
@@ -126,20 +121,25 @@ def knowledge_transfer(q_parent: np.ndarray, parent_map: np.ndarray) -> np.ndarr
 
 def init_level_decoder(
     prev: DecoderParams | None,
+    prev_level: int | None,
     tree: AugmentedLabelTree,
     k: int,
     cfg: CurriculumConfig,
     rng: np.random.Generator,
     d_h: int = 0,
 ) -> DecoderParams:
-    """Decoder for level k: queries random at the first level and transferred
-    from the parents afterwards; the output layer starts fresh at every level."""
+    """Decoder for level k: queries random at the first trained level, else
+    transferred from their ancestors' columns in ``prev``, the decoder trained
+    at ``prev_level``; the output layer starts fresh at every level."""
     n_labels = len(tree.level_labels(k))
     d_f = cfg.d_f
     if prev is None:
         q = xavier_uniform(rng, (d_f, n_labels), fan_in=d_f, fan_out=n_labels)
     else:
-        q = knowledge_transfer(prev.Q, tree.parent_index_map(k - 1))
+        ancestor = np.arange(n_labels)
+        for j in range(k - 1, prev_level - 1, -1):
+            ancestor = tree.parent_index_map(j)[ancestor]
+        q = knowledge_transfer(prev.Q, ancestor)
     w = xavier_uniform(rng, (d_f, n_labels), fan_in=d_f, fan_out=n_labels)
     b = np.zeros(n_labels)
     fc_w = fc_b = None
@@ -207,31 +207,24 @@ class Trainer:
         cfg: CurriculumConfig,
         word_embedding: np.ndarray | None = None,
         vocab_size: int | None = None,
-        _defer_init: bool = False,
     ):
         self.codes = tree.level_labels(tree.k_max)
         cfg.validate(tree.k_max, len(self.codes))
         if cfg.correction != "none" and emb is None:
             raise ValueError("hyperbolic correction requires trained embeddings")
+        if word_embedding is None and vocab_size is None:
+            raise ValueError("either a word embedding matrix or vocab_size is required")
         self.cfg = cfg
         self.tree = tree
         self.emb = emb
         self.train = train
         self.valid = valid
-        self._check_labels(train)
-        self._check_labels(valid)
         self.y_leaf_train = train.label_matrix(self.codes)
         self.y_leaf_valid = valid.label_matrix(self.codes)
         self.d_h = emb.d_h if emb is not None else 0
-        if cfg.fresh_final_decoder:
-            self.levels = [tree.k_max]
-        else:
-            self.levels = list(range(1, tree.k_max + 1))
+        # a zero-epoch level is never visited; validate() keeps the final level
+        self.levels = [k for k, e in enumerate(cfg.epochs_per_level, start=1) if e > 0]
         self.records: list[dict] = []
-        if _defer_init:
-            return
-        if word_embedding is None and vocab_size is None:
-            raise ValueError("either a word embedding matrix or vocab_size is required")
         self.rng = np.random.default_rng(cfg.seed)
         self.encoder = init_encoder(
             self.rng,
@@ -247,18 +240,10 @@ class Trainer:
         self.best_metric: float | None = None
         self.best_params: dict[str, np.ndarray] | None = None
         self.bad_epochs = 0
-        self.decoder = init_level_decoder(None, tree, self.levels[0], cfg, self.rng, self.d_h)
+        self.decoder = init_level_decoder(None, None, tree, self.levels[0], cfg, self.rng, self.d_h)
         self._enter_level()
-        self._skip_empty_levels()
 
     # -- setup helpers -------------------------------------------------
-
-    def _check_labels(self, dataset: Dataset) -> None:
-        leaves = set(self.codes)
-        for doc in dataset.docs:
-            for label in doc.labels:
-                if label not in leaves:
-                    raise ValueError(f"document {doc.id!r}: label {label!r} not a tree leaf")
 
     @property
     def level(self) -> int:
@@ -267,9 +252,6 @@ class Trainer:
     @property
     def at_final_level(self) -> bool:
         return self.level_pos == len(self.levels) - 1
-
-    def _epochs_for(self, k: int) -> int:
-        return self.cfg.epochs_per_level[k - 1]
 
     def _enter_level(self) -> None:
         k = self.level
@@ -284,16 +266,13 @@ class Trainer:
         self.adam = AdamState(lr=self.cfg.lr)
 
     def _advance_level(self) -> None:
+        trained = self.level
         self.level_pos += 1
         self.epoch_in_level = 0
         self.decoder = init_level_decoder(
-            self.decoder, self.tree, self.level, self.cfg, self.rng, self.d_h
+            self.decoder, trained, self.tree, self.level, self.cfg, self.rng, self.d_h
         )
         self._enter_level()
-
-    def _skip_empty_levels(self) -> None:
-        while not self.at_final_level and self._epochs_for(self.level) == 0:
-            self._advance_level()
 
     # -- training ------------------------------------------------------
 
@@ -340,6 +319,7 @@ class Trainer:
             batch_losses.append(self._batch_step(perm[lo : lo + bs]))
         train_loss = float(np.mean(batch_losses))
         self.epoch_in_level += 1
+        level_done = self.epoch_in_level >= self.cfg.epochs_per_level[k - 1]
 
         record = {
             "event": "epoch",
@@ -362,15 +342,14 @@ class Trainer:
                 self.bad_epochs = 0
             else:
                 self.bad_epochs += 1
-            if self.epoch_in_level >= self._epochs_for(k) or self.bad_epochs > self.cfg.patience:
+            if level_done or self.bad_epochs > self.cfg.patience:
                 self.finished = True
         else:
             macro_f1, micro_f1 = macro_micro_f1(scores, self.y_valid)
             record["valid_macro_f1"] = macro_f1
             record["valid_micro_f1"] = micro_f1
-            if self.epoch_in_level >= self._epochs_for(k):
+            if level_done:
                 self._advance_level()
-                self._skip_empty_levels()
         self.records.append(record)
         return record
 
@@ -411,7 +390,9 @@ class Trainer:
 
     # -- checkpointing -------------------------------------------------
 
-    def save(self, path, extra_meta: dict | None = None) -> None:
+    def state(self) -> tuple[dict, dict[str, np.ndarray]]:
+        """Checkpoint metadata and arrays: everything a bitwise resume needs and,
+        for a corrected model, the current level's hyperbolic rows as ``aux/E_h``."""
         meta = {
             "kind": "trainer",
             "config": self.cfg.to_dict(),
@@ -426,12 +407,15 @@ class Trainer:
             "records": self.records,
             "codes": self.codes,
         }
-        if extra_meta:
-            meta.update(extra_meta)
         groups = {"param/": self.params, "adam_m/": self.adam.m, "adam_v/": self.adam.v,
                   "best/": self.best_params or {}}
         arrays = {prefix + n: a for prefix, group in groups.items() for n, a in group.items()}
-        write_container(path, meta, arrays)
+        if self.E_h is not None:
+            arrays["aux/E_h"] = self.E_h
+        return meta, arrays
+
+    def save(self, path) -> None:
+        write_container(path, *self.state())
 
     @classmethod
     def load(
@@ -452,8 +436,13 @@ class Trainer:
         cfg_dict["p_at"] = tuple(cfg_dict["p_at"])
         cfg_dict["asl"] = AslConfig(**cfg_dict["asl"])
         cfg = CurriculumConfig(**cfg_dict)
-        self = cls(train, valid, tree, emb, cfg, _defer_init=True)
-        self.rng = np.random.default_rng(cfg.seed)
+        codes = tree.level_labels(tree.k_max)
+        if meta["codes"] != codes:
+            stored, given = next(p for p in zip_longest(meta["codes"], codes) if p[0] != p[1])
+            raise ValueError(f"{path}: checkpoint has {len(meta['codes'])} leaves, the tree has "
+                             f"{len(codes)}; first different code {stored!r} vs {given!r}")
+        # __init__'s random draws and rng state are all overwritten below
+        self = cls(train, valid, tree, emb, cfg, vocab_size=arrays["param/embedding"].shape[0])
         self.rng.bit_generator.state = meta["rng_state"]
         params = _with_prefix(arrays, "param/")
         self.encoder, self.decoder = _model_from_params(params, cfg.correction)

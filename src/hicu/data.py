@@ -79,10 +79,13 @@ class Dataset:
     skipped_empty: int = 0
 
     def label_matrix(self, codes: list[str]) -> np.ndarray:
+        """0/1 targets, one row per document; every label must be one of ``codes``."""
         index = {c: i for i, c in enumerate(codes)}
         y = np.zeros((len(self.docs), len(codes)), dtype=np.float64)
         for d, doc in enumerate(self.docs):
             for label in doc.labels:
+                if label not in index:
+                    raise ValueError(f"document {doc.id!r}: label {label!r} not a tree leaf")
                 y[d, index[label]] = 1.0
         return y
 
@@ -91,6 +94,13 @@ def read_jsonl(path) -> list[dict]:
     """The records of a JSONL dataset file; blank lines are skipped."""
     with open(path, encoding="utf-8") as fh:
         return [json.loads(line) for line in fh if line.strip()]
+
+
+def write_jsonl(path, records) -> None:
+    """Write one sorted-key JSON record per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 def load_dataset(records: list[dict], vocab: Vocab, leaves: list[str], max_len: int) -> Dataset:
@@ -238,9 +248,7 @@ class SynthCorpus:
 
         os.makedirs(out_dir, exist_ok=True)
         for name, records in self.splits.items():
-            with open(os.path.join(out_dir, f"{name}.jsonl"), "w", encoding="utf-8") as fh:
-                for rec in records:
-                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            write_jsonl(os.path.join(out_dir, f"{name}.jsonl"), records)
         self.ranges.to_file(os.path.join(out_dir, "ranges.tsv"))
         with open(os.path.join(out_dir, "tree.json"), "w", encoding="utf-8") as fh:
             fh.write(self.tree.to_json() + "\n")

@@ -422,6 +422,20 @@ def test_eval_on_truncated_checkpoint_is_invalid_input(
     assert not (tmp_path / "eval").exists()
 
 
+def test_documents_without_tokens_are_reported(corpus_dir, trained_dir, tmp_path, capsys):
+    blank = json.dumps({"id": "blank", "text": "1234 !!", "labels": []}) + "\n"
+    for split in ("train", "test"):
+        (tmp_path / f"{split}.jsonl").write_text((corpus_dir / f"{split}.jsonl").read_text() + blank)
+    assert main(_train_argv(corpus_dir, tmp_path / "model", "--train", str(tmp_path / "train.jsonl"),
+                            "--epochs-per-level", "0,0,0,0,1")) == 0
+    assert capsys.readouterr().err == (
+        f"skipped 1 documents without tokens in {tmp_path / 'train.jsonl'}\n")
+    assert main(["eval", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                 "--test", str(tmp_path / "test.jsonl"), "--out", str(tmp_path / "eval")]) == 0
+    assert capsys.readouterr().err == (
+        f"skipped 1 documents without tokens in {tmp_path / 'test.jsonl'}\n")
+
+
 class TestWordEmbeddings:
     D_E = 12
 

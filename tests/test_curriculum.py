@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hicu import cli
 from hicu.checkpoint import read_container, write_container
 from hicu.curriculum import (
     SCORE_BATCH_SIZE,
@@ -13,6 +14,7 @@ from hicu.curriculum import (
     Trainer,
     inspect_attention,
     knowledge_transfer,
+    load_model,
     score_dataset,
 )
 from hicu.data import (
@@ -24,7 +26,7 @@ from hicu.data import (
     synth_generate,
     tokenize,
 )
-from hicu.icd import augment_tree
+from hicu.icd import augment_tree, build_label_tree, parse_code_auto
 from hicu.losses import bce, sigmoid
 from hicu.metrics import macro_micro_f1, precision_at_k
 from hicu.network import (
@@ -140,18 +142,42 @@ class TestTrainerMechanics:
         _, report = trainer.run()
         assert [r["level"] for r in report.records] == [2, 5]
 
-    def test_flat_mode_matches_zero_schedule(self, small_setup, tiny_cfg):
-        from dataclasses import replace
-
+    def test_skipped_levels_transfer_from_the_last_trained_level(self, small_setup):
         _, atree, vocab, splits = small_setup
-        cfg = replace(tiny_cfg, epochs_per_level=(1, 1, 1, 1, 2))
-        state_f, report_f = Trainer(splits["train"], splits["valid"], atree, None,
-                                    cfg.flat(), vocab_size=vocab.size).run()
-        zero = replace(cfg, epochs_per_level=(0, 0, 0, 0, 2), fresh_final_decoder=True)
-        state_z, report_z = Trainer(splits["train"], splits["valid"], atree, None,
-                                    zero, vocab_size=vocab.size).run()
-        assert report_f.records == report_z.records
-        assert np.array_equal(state_f.decoder.Q, state_z.decoder.Q)
+        cfg = CurriculumConfig(epochs_per_level=(1, 0, 1, 0, 1), d_e=8, d_f=8, seed=0)
+        trainer = Trainer(splits["train"], splits["valid"], atree, None, cfg,
+                          vocab_size=vocab.size)
+        level1 = trainer.decoder  # trained in place during the first epoch
+        trainer.step_epoch()
+        assert trainer.level == 3
+        ancestor = atree.parent_index_map(1)[atree.parent_index_map(2)]
+        assert np.array_equal(trainer.decoder.Q, level1.Q[:, ancestor])
+        _, report = trainer.run()
+        assert [r["level"] for r in report.records] == [1, 3, 5]
+
+    def test_flat_mode_matches_zero_schedule(self, small_setup, tiny_cfg):
+        _, atree, vocab, splits = small_setup
+        flat = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg.flat(),
+                       vocab_size=vocab.size)
+        zero = Trainer(splits["train"], splits["valid"], atree, None,
+                       replace(tiny_cfg, epochs_per_level=(0, 0, 0, 0, 2)), vocab_size=vocab.size)
+        flat.run()
+        zero.run()
+        assert flat.records == zero.records
+        for got, want in ((zero.params, flat.params), (zero.best_params, flat.best_params)):
+            assert sorted(got) == sorted(want)
+            for name in want:
+                assert np.array_equal(got[name], want[name]), name
+
+    def test_label_outside_the_leaves_rejected(self, small_setup, tiny_cfg):
+        _, atree, vocab, splits = small_setup
+        inner = atree.level_labels(4)[0]
+        bad = Dataset(docs=[Document("odd", splits["train"].docs[0].tokens, (inner,))])
+        named = f"document 'odd': label '{inner}' not a tree leaf"
+        with pytest.raises(ValueError, match=named):
+            bad.label_matrix(atree.level_labels(atree.k_max))
+        with pytest.raises(ValueError, match=named):
+            Trainer(splits["train"], bad, atree, None, tiny_cfg, vocab_size=vocab.size)
 
     @pytest.mark.parametrize("metric", ["bogus", "skipped_labels", "p_at_3"])
     def test_unknown_early_stop_metric_rejected(self, small_setup, metric):
@@ -217,7 +243,7 @@ class TestTrainerMechanics:
     def test_early_stopping_uses_patience(self, small_setup):
         _, atree, vocab, splits = small_setup
         cfg = CurriculumConfig(epochs_per_level=(0, 0, 0, 0, 40), patience=0,
-                               d_e=8, d_f=8, lr=1e-5, seed=0, fresh_final_decoder=True)
+                               d_e=8, d_f=8, lr=1e-5, seed=0)
         trainer = Trainer(splits["train"], splits["valid"], atree, None, cfg,
                           vocab_size=vocab.size)
         _, report = trainer.run()
@@ -229,40 +255,43 @@ class TestBatchStep:
     """One training step against a per-sub-batch oracle, bit for bit."""
 
     @staticmethod
-    def _trainer(splits, atree, vocab, lengths):
+    def _trainer(splits, atree, vocab, lengths, epochs):
         docs = [Document(d.id, d.tokens[:n], d.labels)
                 for d, n in zip(splits["train"].docs, lengths)]
-        cfg = CurriculumConfig(epochs_per_level=(1, 1, 1, 1, 1), d_e=8, d_f=8, seed=0)
+        cfg = CurriculumConfig(epochs_per_level=epochs, d_e=8, d_f=8, seed=0)
         return Trainer(Dataset(docs=docs), splits["valid"], atree, None, cfg,
                        vocab_size=vocab.size)
 
     @staticmethod
     def _oracle_step(trainer, sub_batches):
-        """forward, loss and backward(dlogits / n) per sub-batch; gradients
-        summed in order; one Adam step."""
-        n = sum(len(sub) for sub in sub_batches)
-        loss, grads = 0.0, None
-        for sub in sub_batches:
-            x = np.stack([trainer.train.docs[i].tokens for i in sub])
-            _, trace = forward(x, trainer.encoder, trainer.decoder, None)
-            sub_loss, dlogits = bce(trace.logits, trainer.y_train[sub])
-            g = backward(trace, trainer.encoder, trainer.decoder, dlogits / n)
-            loss += sub_loss
+        """forward per sub-batch; one bce call on the concatenated logits;
+        backward(dlogits / n) per sub-batch, gradients summed in order; one
+        Adam step."""
+        idxs = np.concatenate(sub_batches)
+        n = len(idxs)
+        traces = [forward(np.stack([trainer.train.docs[i].tokens for i in sub]),
+                          trainer.encoder, trainer.decoder, None)[1] for sub in sub_batches]
+        loss, dlogits = bce(np.concatenate([t.logits for t in traces]), trainer.y_train[idxs])
+        grads, lo = None, 0
+        for sub, trace in zip(sub_batches, traces):
+            g = backward(trace, trainer.encoder, trainer.decoder, dlogits[lo:lo + len(sub)] / n)
+            lo += len(sub)
             grads = g if grads is None else {k: grads[k] + g[k] for k in grads}
         adam_step(trainer.params, grads, trainer.adam)
         return loss / n
 
-    def _check(self, small_setup, lengths, sub_batches):
+    def _check(self, small_setup, lengths, sub_batches, epochs=(1, 1, 1, 1, 1)):
         _, atree, vocab, splits = small_setup
-        step = self._trainer(splits, atree, vocab, lengths)
-        oracle = self._trainer(splits, atree, vocab, lengths)
+        step = self._trainer(splits, atree, vocab, lengths, epochs)
+        oracle = self._trainer(splits, atree, vocab, lengths, epochs)
         idxs = np.concatenate(sub_batches)
         loss = step._batch_step(idxs)
         assert loss == self._oracle_step(oracle, sub_batches)
         for name, want in oracle.params.items():
             assert np.array_equal(step.params[name], want), name
         assert not np.array_equal(step.params["Q"], self._trainer(
-            splits, atree, vocab, lengths).params["Q"])
+            splits, atree, vocab, lengths, epochs).params["Q"])
+        return step
 
     def test_mixed_lengths_step_one_document_at_a_time(self, small_setup):
         n_docs = len(small_setup[3]["train"].docs)
@@ -270,6 +299,15 @@ class TestBatchStep:
         idxs = [3, 0, 7, 5, 9, 1]
         assert len({lengths[i] for i in idxs}) > 1
         self._check(small_setup, lengths, [[i] for i in idxs])
+
+    def test_mixed_lengths_at_the_leaf_level(self, small_setup):
+        _, atree, _, splits = small_setup
+        n_docs = len(splits["train"].docs)
+        lengths = np.random.default_rng(1).integers(8, 65, size=n_docs)
+        idxs = list(range(16))
+        assert len({lengths[i] for i in idxs}) > 1
+        step = self._check(small_setup, lengths, [[i] for i in idxs], epochs=(0, 0, 0, 0, 1))
+        assert step.y_train.shape[1] == len(atree.level_labels(atree.k_max))
 
     def test_equal_lengths_step_as_one_batch(self, small_setup):
         n_docs = len(small_setup[3]["train"].docs)
@@ -290,6 +328,29 @@ class TestCorrectionModes:
         assert state.decoder.fc_w is not None
         assert np.all(np.isfinite(state.decoder.fc_w))
         assert len(report.records) == 2
+
+    def test_checkpoint_rows_and_model_match_the_trainer(self, small_setup, tmp_path):
+        from hicu.poincare import EmbedConfig, embedding_for_level, train_poincare
+
+        corpus, atree, vocab, splits = small_setup
+        emb = train_poincare(corpus.tree, EmbedConfig(d_h=8, epochs=15, burn_in_epochs=2, seed=0))
+        cfg = CurriculumConfig(epochs_per_level=(1, 0, 0, 0, 1), correction="add",
+                               d_e=8, d_f=8, seed=0)
+        trainer = Trainer(splits["train"], splits["valid"], atree, emb, cfg,
+                          vocab_size=vocab.size)
+        path = tmp_path / "corrected.bin"
+        while True:  # saved at level 1, at level 5 and once finished
+            trainer.save(path)
+            _, arrays = read_container(path)
+            assert np.array_equal(arrays["aux/E_h"], embedding_for_level(emb, atree, trainer.level))
+            if trainer.finished:
+                break
+            trainer.step_epoch()
+        state, E_h, _ = load_model(path)
+        best = trainer.best_state()
+        docs = splits["valid"].docs
+        assert np.array_equal(score_dataset(state.encoder, state.decoder, E_h, docs),
+                              score_dataset(best.encoder, best.decoder, trainer.E_h, docs))
 
 
 class TestResume:
@@ -321,12 +382,48 @@ class TestResume:
         broken.save(path)
         resumed = Trainer.load(path, splits["train"], splits["valid"], atree, None)
         resumed.step_epoch()
+        self._assert_same_state(resumed, straight)
 
-        assert resumed.records == straight.records
-        for name in straight.params:
-            assert np.array_equal(resumed.params[name], straight.params[name]), name
-        for name in straight.adam.m:
-            assert np.array_equal(resumed.adam.m[name], straight.adam.m[name]), name
+    def test_resume_across_a_skipped_level_is_bitwise_identical(self, small_setup, tmp_path):
+        _, atree, vocab, splits = small_setup
+        cfg = CurriculumConfig(epochs_per_level=(1, 0, 1, 0, 2), d_e=8, d_f=8, seed=0)
+        straight = Trainer(splits["train"], splits["valid"], atree, None, cfg,
+                           vocab_size=vocab.size)
+        straight.run()
+        broken = Trainer(splits["train"], splits["valid"], atree, None, cfg,
+                         vocab_size=vocab.size)
+        broken.step_epoch()
+        assert broken.level == 3
+        path = tmp_path / "skip.bin"
+        broken.save(path)
+        resumed = Trainer.load(path, splits["train"], splits["valid"], atree, None)
+        resumed.run()
+        self._assert_same_state(resumed, straight)
+
+    @staticmethod
+    def _assert_same_state(got, want):
+        assert got.records == want.records
+        for name in want.params:
+            assert np.array_equal(got.params[name], want.params[name]), name
+        for name in want.adam.m:
+            assert np.array_equal(got.adam.m[name], want.adam.m[name]), name
+            assert np.array_equal(got.adam.v[name], want.adam.v[name]), name
+
+    def test_resume_on_a_different_tree_rejected(self, small_setup, tiny_cfg, tmp_path):
+        corpus, atree, vocab, splits = small_setup
+        leaves = atree.level_labels(atree.k_max)
+        pruned = augment_tree(build_label_tree([parse_code_auto(c) for c in leaves[1:]],
+                                               corpus.ranges))
+        trainer = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg,
+                          vocab_size=vocab.size)
+        trainer.step_epoch()
+        path = tmp_path / "tree.bin"
+        trainer.save(path)
+        with pytest.raises(ValueError) as info:
+            Trainer.load(path, splits["train"], splits["valid"], pruned, None)
+        assert (f"checkpoint has {len(leaves)} leaves, the tree has {len(leaves) - 1}; "
+                f"first different code {leaves[0]!r} vs {leaves[1]!r}") in str(info.value)
+        assert cli._ERROR_CODES[type(info.value)] == "invalid_input"
 
     @pytest.mark.parametrize("edit, named", [
         (lambda cfg: cfg["asl"].update(clamp_eps=1e-12), "unknown keys ['clamp_eps']"),
