@@ -32,14 +32,12 @@ from .data import (
 )
 from .icd import (
     K_MAX,
-    AugmentedLabelTree,
     CodeError,
     IcdCode,
     LabelTree,
     Node,
     RangeRow,
     RangeTable,
-    augment_tree,
     build_label_tree,
     build_path,
     infer_kind,
@@ -48,7 +46,6 @@ from .icd import (
 )
 from .losses import AslConfig, asl, bce, sigmoid
 from .metrics import (
-    EvalResult,
     auc_binary,
     evaluate,
     macro_micro_auc,

@@ -49,9 +49,9 @@ def _codes_from_records(records) -> list[str]:
     return sorted({label for rec in records for label in rec["labels"]})
 
 
-def _load_split(records, path, vocab, leaves, max_len) -> data.Dataset:
+def _load_split(records, path, vocab, max_len) -> data.Dataset:
     """``data.load_dataset``, reporting the documents it drops for having no tokens."""
-    dataset = data.load_dataset(records, vocab, leaves, max_len)
+    dataset = data.load_dataset(records, vocab, max_len)
     if dataset.skipped_empty:
         print(f"skipped {dataset.skipped_empty} documents without tokens in {path}",
               file=sys.stderr)
@@ -66,12 +66,11 @@ def cmd_build_tree(args) -> int:
     records = data.read_jsonl(args.train)
     codes = _codes_from_records(records)
     tree = icd.build_label_tree([icd.parse_code_auto(c) for c in codes], ranges)
-    atree = icd.augment_tree(tree)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(tree.to_json() + "\n")
     print(f"tree written to {args.out}")
-    for k in range(1, atree.k_max + 1):
-        print(f"level {k}: {len(atree.level_labels(k))} nodes")
+    for k in range(1, tree.k_max + 1):
+        print(f"level {k}: {len(tree.level_labels(k))} nodes")
     return 0
 
 
@@ -162,14 +161,12 @@ def cmd_train(args) -> int:
             tree = icd.LabelTree.from_json(fh.read())
     else:
         tree = icd.build_label_tree([icd.parse_code_auto(c) for c in codes], ranges)
-    atree = icd.augment_tree(tree)
 
     vocab = data.build_vocab(
         (data.tokenize(rec["text"]) for rec in train_records), min_count=args.min_count
     )
-    leaves = atree.level_labels(atree.k_max)
-    train_set = _load_split(train_records, args.train, vocab, leaves, args.max_len)
-    valid_set = _load_split(valid_records, args.valid, vocab, leaves, args.max_len)
+    train_set = _load_split(train_records, args.train, vocab, args.max_len)
+    valid_set = _load_split(valid_records, args.valid, vocab, args.max_len)
 
     word_embedding = None
     if args.word_emb:
@@ -185,7 +182,7 @@ def cmd_train(args) -> int:
     if args.mode == "flat":
         cfg = cfg.flat()
     trainer = curriculum.Trainer(
-        train_set, valid_set, atree, emb, cfg,
+        train_set, valid_set, tree, emb, cfg,
         word_embedding=word_embedding, vocab_size=vocab.size,
     )
     state, report = trainer.run()
@@ -247,22 +244,24 @@ def cmd_eval(args) -> int:
     if "top_k_labels" in meta:
         # the model was trained on the top-k codes only; score the test split the same way
         records = data.restrict_labels(records, set(state.codes))
-    test_set = _load_split(records, args.test, vocab, state.codes, meta["max_len"])
-    scores = curriculum.score_dataset(state.encoder, state.decoder, E_h, test_set.docs)
+    test_set = _load_split(records, args.test, vocab, meta["max_len"])
     y = test_set.label_matrix(state.codes)
     ks = tuple(int(x) for x in args.p_at.split(","))
-    result = metrics.evaluate(scores, y, ks=ks)
-
-    os.makedirs(args.out, exist_ok=True)
-    np.save(os.path.join(args.out, "scores.npy"), scores)
-    out_records = [{"event": "metrics", **result.to_dict()}]
-
+    base_scores = None
     if args.baseline:
-        base_scores = np.load(args.baseline)
-        if base_scores.shape != scores.shape:
-            raise ValueError("baseline score matrix shape mismatch")
         if not args.train:
             raise ValueError("--baseline requires --train for label frequencies")
+        base_scores = np.load(args.baseline)
+        if base_scores.shape != y.shape:
+            raise ValueError(f"baseline score matrix has shape {base_scores.shape}, "
+                             f"expected {y.shape}")
+
+    scores = curriculum.score_dataset(state.encoder, state.decoder, E_h, test_set.docs)
+    os.makedirs(args.out, exist_ok=True)
+    np.save(os.path.join(args.out, "scores.npy"), scores)
+    out_records = [{"event": "metrics", **metrics.evaluate(scores, y, ks=ks)}]
+
+    if base_scores is not None:
         train_records = data.read_jsonl(args.train)
         counts = Counter(l for rec in train_records for l in rec["labels"])
         train_counts = [counts.get(c, 0) for c in state.codes]

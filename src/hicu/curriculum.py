@@ -16,9 +16,9 @@ import numpy as np
 
 from .checkpoint import read_container, write_container
 from .data import Dataset, Document, write_jsonl
-from .icd import AugmentedLabelTree
+from .icd import LabelTree
 from .losses import AslConfig, asl, bce
-from .metrics import evaluate, macro_micro_f1, precision_at_k
+from .metrics import evaluate, macro_micro_f1
 from .network import (
     AdamState,
     DecoderParams,
@@ -122,7 +122,7 @@ def knowledge_transfer(q_parent: np.ndarray, parent_map: np.ndarray) -> np.ndarr
 def init_level_decoder(
     prev: DecoderParams | None,
     prev_level: int | None,
-    tree: AugmentedLabelTree,
+    tree: LabelTree,
     k: int,
     cfg: CurriculumConfig,
     rng: np.random.Generator,
@@ -196,13 +196,13 @@ def _model_from_params(
 
 
 class Trainer:
-    """Resumable curriculum trainer over an augmented label tree."""
+    """Resumable curriculum trainer over a label tree."""
 
     def __init__(
         self,
         train: Dataset,
         valid: Dataset,
-        tree: AugmentedLabelTree,
+        tree: LabelTree,
         emb: PoincareEmbedding | None,
         cfg: CurriculumConfig,
         word_embedding: np.ndarray | None = None,
@@ -329,7 +329,7 @@ class Trainer:
         }
         scores = score_dataset(self.encoder, self.decoder, self.E_h, self.valid.docs)
         if self.at_final_level:
-            result = self._evaluate_full(scores, self.y_valid)
+            result = evaluate(scores, self.y_valid, ks=self.cfg.p_at)
             record.update({f"valid_{key}": v for key, v in result.items()})
             metric = result.get(self.cfg.early_stop_metric)
             if metric is None:
@@ -352,15 +352,6 @@ class Trainer:
                 self._advance_level()
         self.records.append(record)
         return record
-
-    def _evaluate_full(self, scores: np.ndarray, targets: np.ndarray) -> dict:
-        try:
-            return evaluate(scores, targets, ks=self.cfg.p_at).to_dict()
-        except ValueError:  # AUC is undefined when no label has both classes
-            macro, micro = macro_micro_f1(scores, targets)
-            ks = [k for k in self.cfg.p_at if k <= scores.shape[1]]
-            return {"macro_f1": macro, "micro_f1": micro, "macro_auc": None, "micro_auc": None,
-                    **{f"p_at_{k}": precision_at_k(scores, targets, k) for k in ks}}
 
     def run(self) -> tuple[ModelState, TrainReport]:
         t0 = time.perf_counter()
@@ -423,7 +414,7 @@ class Trainer:
         path,
         train: Dataset,
         valid: Dataset,
-        tree: AugmentedLabelTree,
+        tree: LabelTree,
         emb: PoincareEmbedding | None,
     ) -> "Trainer":
         meta, arrays = read_container(path)

@@ -103,22 +103,16 @@ def write_jsonl(path, records) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def load_dataset(records: list[dict], vocab: Vocab, leaves: list[str], max_len: int) -> Dataset:
-    """Tokenize and index dataset records; every label must be in ``leaves``.
+def load_dataset(records: list[dict], vocab: Vocab, max_len: int) -> Dataset:
+    """Tokenize and index dataset records; ``Dataset.label_matrix`` checks the labels.
 
     Documents without tokens are skipped and counted.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    leaves = set(leaves)
     docs = []
     skipped = 0
     for rec in records:
-        for label in rec["labels"]:
-            if label not in leaves:
-                raise ValueError(
-                    f"document {rec['id']!r}: label {label!r} not in the label tree"
-                )
         tokens = tokenize(rec["text"])[:max_len]
         if not tokens:
             skipped += 1

@@ -209,7 +209,8 @@ def build_path(code: IcdCode, ranges: RangeTable) -> list[Node]:
 
 
 class LabelTree:
-    """Tree over range and code nodes; nodes are (level, label) pairs."""
+    """Depth-uniform tree over range and code nodes; nodes are (level, label)
+    pairs and every leaf sits at level ``k_max``."""
 
     def __init__(self, parent: dict[Node, Node], k_max: int = K_MAX):
         self.root = Node(0, ROOT_LABEL)
@@ -219,10 +220,24 @@ class LabelTree:
         for child in self.parent:
             self.children.setdefault(child, [])
         for child, par in sorted(self.parent.items()):
+            if child.level != par.level + 1:
+                raise CodeError(f"node {child} is not one level below its parent {par}")
             self.children.setdefault(par, [])
             self.children[par].append(child)
         for par in self.children:
             self.children[par].sort()
+        for leaf in self.leaves():
+            if leaf.level != self.k_max:
+                raise CodeError(f"leaf {leaf} not at level {self.k_max}")
+        self._level_labels = {
+            k: [n.label for n in self.nodes_at_level(k)] for k in range(1, k_max + 1)
+        }
+        self._parent_maps: dict[int, np.ndarray] = {}
+        for k in range(1, k_max):
+            up = {label: i for i, label in enumerate(self._level_labels[k])}
+            self._parent_maps[k] = np.array(
+                [up[self.parent[n].label] for n in self.nodes_at_level(k + 1)], dtype=np.int64
+            )
 
     def __eq__(self, other) -> bool:
         return (
@@ -240,10 +255,6 @@ class LabelTree:
 
     def leaves(self) -> list[Node]:
         return sorted(n for n in self.parent if not self.children[n])
-
-    @property
-    def targets(self) -> list[str]:
-        return sorted({n.label for n in self.leaves()})
 
     def is_copy(self, node: Node) -> bool:
         """True for padding nodes that repeat their parent's label."""
@@ -264,6 +275,37 @@ class LabelTree:
             par = self.original(self.parent[node])
             edges.append((index[par], index[node]))
         return core, edges
+
+    def level_labels(self, k: int) -> list[str]:
+        """Deterministic (lexicographic) label ordering for level k."""
+        if not 1 <= k <= self.k_max:
+            raise CodeError(f"level {k} out of range 1..{self.k_max}")
+        return self._level_labels[k]
+
+    def parent_index_map(self, k: int) -> np.ndarray:
+        """Index of each level-(k+1) label's parent among level-k labels."""
+        if not 1 <= k < self.k_max:
+            raise CodeError(f"level {k} out of range 1..{self.k_max - 1}")
+        return self._parent_maps[k]
+
+    def ancestor_targets(self, y_leaf: np.ndarray, k: int) -> np.ndarray:
+        """Binary targets at level k: 1 iff some positive leaf passes through."""
+        y = np.asarray(y_leaf)
+        n_leaf = len(self.level_labels(self.k_max))
+        if y.shape[-1] != n_leaf:
+            raise CodeError(
+                f"leaf target width {y.shape[-1]} != number of leaves {n_leaf}"
+            )
+        if not 1 <= k <= self.k_max:
+            raise CodeError(f"level {k} out of range 1..{self.k_max}")
+        for j in range(self.k_max - 1, k - 1, -1):
+            pmap = self.parent_index_map(j)
+            out = np.zeros(y.shape[:-1] + (len(self.level_labels(j)),), dtype=y.dtype)
+            # only positive cells can raise a parent above its zero start
+            idx = np.nonzero(y > 0)
+            np.maximum.at(out, idx[:-1] + (pmap[idx[-1]],), y[idx])
+            y = out
+        return y
 
     def to_json(self) -> str:
         nodes = self.nodes
@@ -310,64 +352,6 @@ def build_label_tree(codes: Iterable[IcdCode], ranges: RangeTable) -> LabelTree:
     return LabelTree(parent)
 
 
-class AugmentedLabelTree(LabelTree):
-    """Depth-uniform label tree; every leaf sits at level ``k_max``."""
-
-    def __init__(self, parent: dict[Node, Node], k_max: int = K_MAX):
-        super().__init__(parent, k_max)
-        self._level_labels: dict[int, list[str]] = {}
-        self._parent_maps: dict[int, np.ndarray] = {}
-        for leaf in self.leaves():
-            if leaf.level != self.k_max:
-                raise CodeError(f"leaf {leaf} not at level {self.k_max}")
-
-    def level_labels(self, k: int) -> list[str]:
-        """Deterministic (lexicographic) label ordering for level k."""
-        if not 1 <= k <= self.k_max:
-            raise CodeError(f"level {k} out of range 1..{self.k_max}")
-        if k not in self._level_labels:
-            self._level_labels[k] = [n.label for n in self.nodes_at_level(k)]
-        return self._level_labels[k]
-
-    def parent_index_map(self, k: int) -> np.ndarray:
-        """Index of each level-(k+1) label's parent among level-k labels."""
-        if not 1 <= k < self.k_max:
-            raise CodeError(f"level {k} out of range 1..{self.k_max - 1}")
-        if k not in self._parent_maps:
-            up = {label: i for i, label in enumerate(self.level_labels(k))}
-            out = np.empty(len(self.level_labels(k + 1)), dtype=np.int64)
-            for j, node in enumerate(self.nodes_at_level(k + 1)):
-                out[j] = up[self.parent[node].label]
-            self._parent_maps[k] = out
-        return self._parent_maps[k]
-
-    def ancestor_targets(self, y_leaf: np.ndarray, k: int) -> np.ndarray:
-        """Binary targets at level k: 1 iff some positive leaf passes through."""
-        y = np.asarray(y_leaf)
-        n_leaf = len(self.level_labels(self.k_max))
-        if y.shape[-1] != n_leaf:
-            raise CodeError(
-                f"leaf target width {y.shape[-1]} != number of leaves {n_leaf}"
-            )
-        if not 1 <= k <= self.k_max:
-            raise CodeError(f"level {k} out of range 1..{self.k_max}")
-        for j in range(self.k_max - 1, k - 1, -1):
-            pmap = self.parent_index_map(j)
-            out = np.zeros(y.shape[:-1] + (len(self.level_labels(j)),), dtype=y.dtype)
-            # only positive cells can raise a parent above its zero start
-            idx = np.nonzero(y > 0)
-            np.maximum.at(out, idx[:-1] + (pmap[idx[-1]],), y[idx])
-            y = out
-        return y
-
-
-def augment_tree(tree: LabelTree) -> AugmentedLabelTree:
-    """Pad every leaf of a tree down to level ``k_max`` with self-copy nodes."""
-    parent = dict(tree.parent)
-    for leaf in tree.leaves():
-        prev = leaf
-        for level in range(leaf.level + 1, tree.k_max + 1):
-            node = Node(level, leaf.label)
-            parent[node] = prev
-            prev = node
-    return AugmentedLabelTree(parent, k_max=tree.k_max)
+# Former name of LabelTree.  The benchmark's tracer (perfbench/tracing.py)
+# still looks the class up under it to wrap ``ancestor_targets``.
+AugmentedLabelTree = LabelTree

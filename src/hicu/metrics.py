@@ -1,31 +1,7 @@
 """Macro/micro AUC, macro/micro F1 and Precision@K for multi-label output."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-
-
-@dataclass
-class EvalResult:
-    macro_auc: float
-    micro_auc: float
-    macro_f1: float
-    micro_f1: float
-    p_at_k: dict[int, float] = field(default_factory=dict)
-    skipped_labels: int = 0
-
-    def to_dict(self) -> dict:
-        out = {
-            "macro_auc": self.macro_auc,
-            "micro_auc": self.micro_auc,
-            "macro_f1": self.macro_f1,
-            "micro_f1": self.micro_f1,
-            "skipped_labels": self.skipped_labels,
-        }
-        for k, v in sorted(self.p_at_k.items()):
-            out[f"p_at_{k}"] = v
-        return out
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
@@ -112,14 +88,25 @@ def precision_at_k(scores: np.ndarray, labels: np.ndarray, k: int) -> float:
 
 def evaluate(
     scores: np.ndarray, labels: np.ndarray, ks: tuple[int, ...] = (5, 8, 15)
-) -> EvalResult:
-    macro_auc, micro_auc, skipped = macro_micro_auc(scores, labels)
-    macro_f1, micro_f1 = macro_micro_f1(scores, labels)
-    p_at_k = {
-        k: precision_at_k(scores, labels, k) for k in ks if k <= scores.shape[1]
+) -> dict:
+    """AUCs, F1s and ``p_at_<k>`` for every k up to the label count, as one flat
+    record.  When no label has both classes the AUCs are None and every label
+    counts as skipped."""
+    macro_f1, micro_f1 = macro_micro_f1(scores, labels)  # raises on a shape mismatch
+    n_labels = np.shape(scores)[1]
+    try:
+        macro_auc, micro_auc, skipped = macro_micro_auc(scores, labels)
+    except ValueError:  # the shapes agree, so only an undefined AUC lands here
+        macro_auc = micro_auc = None
+        skipped = n_labels
+    out = {
+        "macro_auc": macro_auc,
+        "micro_auc": micro_auc,
+        "macro_f1": macro_f1,
+        "micro_f1": micro_f1,
+        "skipped_labels": skipped,
     }
-    return EvalResult(
-        macro_auc=macro_auc, micro_auc=micro_auc,
-        macro_f1=macro_f1, micro_f1=micro_f1,
-        p_at_k=p_at_k, skipped_labels=skipped,
-    )
+    for k in sorted(set(ks)):
+        if k <= n_labels:
+            out[f"p_at_{k}"] = precision_at_k(scores, labels, k)
+    return out

@@ -6,7 +6,7 @@ Riemannian SGD on a negative-sampling softmax objective over tree edges
 every edge draws distinct negatives from its first node's non-neighbours,
 and every node the batch touches moves once, by its summed gradient at the
 batch-start point.  Training is deterministic per seed.
-Padding copies in the augmented tree share the vector of their source node,
+Padding copies in the label tree share the vector of their source node,
 so training runs on the contracted (un-padded) tree.
 
 Before mini-batching, the trainer updated one edge at a time.  Embedding
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .icd import AugmentedLabelTree, CodeError, LabelTree, Node
+from .icd import CodeError, LabelTree, Node
 
 BALL_EPS = 1e-5  # trained points keep norm <= 1 - BALL_EPS
 BURN_IN_LR_SCALE = 0.1  # learning-rate factor for the burn-in epochs
@@ -302,9 +302,7 @@ def mean_edge_distance(emb: PoincareEmbedding, tree: LabelTree) -> float:
     return float(np.mean(dists))
 
 
-def embedding_for_level(
-    emb: PoincareEmbedding, tree: AugmentedLabelTree, k: int
-) -> np.ndarray:
+def embedding_for_level(emb: PoincareEmbedding, tree: LabelTree, k: int) -> np.ndarray:
     """Rows of embeddings for level-k labels, in level_labels order.
 
     Padded copies map back to their original (contracted) node.

@@ -25,7 +25,6 @@ def pytest_runtest_logreport(report):
     print(f"\nACCEPTANCE {m.group(1)}: {verdict}{suffix}", flush=True)
 
 from hicu.data import SynthConfig, build_vocab, load_dataset, synth_generate, tokenize
-from hicu.icd import augment_tree
 
 # ------------------------------------------------------------------ oracles
 
@@ -119,14 +118,12 @@ def small_corpus():
 
 @pytest.fixture(scope="session")
 def small_setup(small_corpus):
-    """Corpus plus augmented tree, vocab and indexed splits."""
-    atree = augment_tree(small_corpus.tree)
+    """Corpus plus label tree, vocab and indexed splits."""
     vocab = build_vocab(
         (tokenize(r["text"]) for r in small_corpus.splits["train"]), min_count=3
     )
-    leaves = atree.level_labels(atree.k_max)
     splits = {
-        name: load_dataset(records, vocab, leaves, 128)
+        name: load_dataset(records, vocab, 128)
         for name, records in small_corpus.splits.items()
     }
-    return small_corpus, atree, vocab, splits
+    return small_corpus, small_corpus.tree, vocab, splits

@@ -20,7 +20,6 @@ from hicu.icd import (
     PROCEDURE,
     RangeRow,
     RangeTable,
-    augment_tree,
     build_label_tree,
     build_path,
     parse_code,
@@ -201,8 +200,7 @@ def test_criterion_3_tree_paths_and_ancestors():
     for raw in list(expected) + ["700"]:
         path = build_path(parse_code_auto(raw), ranges)
         assert oracle_ancestors(tree, path[-1]) == list(reversed(path[:-1])), raw
-    atree = augment_tree(tree)
-    assert all(n.level == atree.k_max for n in atree.leaves())
+    assert all(n.level == tree.k_max for n in tree.leaves())
 
 
 def test_criterion_4_knowledge_transfer_sibling_equality(small_setup):

@@ -239,7 +239,40 @@ class TestErrors:
             "--test", str(bad), "--out", str(tmp_path / "o"),
         ])
         assert rc == 1
-        assert "code=invalid_input" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "code=invalid_input" in err and "label '999.99' not a tree leaf" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("case, code", [
+        ("no_train", "invalid_input"),
+        ("missing", "io_error"),
+        ("wrong_shape", "invalid_input"),
+    ])
+    def test_failed_baseline_writes_nothing(
+        self, corpus_dir, trained_dir, tmp_path, capsys, case, code
+    ):
+        baseline = tmp_path / "base.npy"
+        if case != "missing":
+            np.save(baseline, np.zeros((3, 2)))
+        argv = ["eval", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                "--test", str(corpus_dir / "test.jsonl"), "--baseline", str(baseline),
+                "--out", str(tmp_path / "o")]
+        if case != "no_train":
+            argv += ["--train", str(corpus_dir / "train.jsonl")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"HICU_ERROR code={code}")
+        assert not (tmp_path / "o" / "scores.npy").exists()
+
+    def test_eval_without_defined_auc_writes_null(self, corpus_dir, trained_dir, tmp_path):
+        one = tmp_path / "one.jsonl"
+        one.write_text((corpus_dir / "test.jsonl").read_text().splitlines()[0] + "\n")
+        assert main(["eval", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                     "--test", str(one), "--out", str(tmp_path / "o")]) == 0
+        rec = json.loads((tmp_path / "o" / "eval.jsonl").read_text())
+        n_labels = np.load(tmp_path / "o" / "scores.npy").shape[1]
+        assert rec["macro_auc"] is None and rec["micro_auc"] is None
+        assert rec["skipped_labels"] == n_labels
+        assert {"macro_f1", "micro_f1", "p_at_5", "p_at_8", "p_at_15"} <= set(rec)
 
 
 def _train_argv(corpus_dir, out, *extra):
@@ -381,6 +414,34 @@ def test_unreachable_p_at_k_rejected_before_training(corpus_dir, tmp_path, capsy
     assert not (tmp_path / "checkpoint.bin").exists()
 
 
+def test_shallow_tree_leaf_rejected_before_training(corpus_dir, tmp_path, capsys, epochs_started):
+    """A --tree file whose leaf stops above level 5 is refused, naming the leaf."""
+    payload = json.loads((corpus_dir / "tree.json").read_text())
+    nodes, parents = payload["nodes"], payload["parents"]
+    cut = next(i for i, (level, _) in enumerate(nodes) if level == 3)
+
+    def below_cut(i):
+        while parents[i] >= 0:
+            i = parents[i]
+            if i == cut:
+                return True
+        return False
+
+    keep = [i for i in range(len(nodes)) if not below_cut(i)]
+    new_index = {old: new for new, old in enumerate(keep)}
+    payload["nodes"] = [nodes[i] for i in keep]
+    payload["parents"] = [new_index.get(parents[i], -1) for i in keep]
+    shallow = tmp_path / "shallow.json"
+    shallow.write_text(json.dumps(payload))
+
+    assert main(_train_argv(corpus_dir, tmp_path, "--tree", str(shallow))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("HICU_ERROR code=code_error")
+    assert f"leaf Node(level=3, label='{nodes[cut][1]}') not at level 5" in err
+    assert epochs_started == []
+    assert not (tmp_path / "checkpoint.bin").exists()
+
+
 @pytest.mark.parametrize("flags, detail", [
     (("--p-at", "0"), "p_at entries must be >= 1"),
     (("--p-at", "5,-1"), "p_at entries must be >= 1"),
@@ -518,11 +579,11 @@ class TestCorrectedRoundTrip:
 
     def test_checkpoint_carries_final_level_rows(self, corpus_dir, corrected):
         from hicu.checkpoint import read_container
-        from hicu.icd import LabelTree, augment_tree
+        from hicu.icd import LabelTree
         from hicu.poincare import PoincareEmbedding, embedding_for_level
 
         _, arrays = read_container(corrected / "model" / "checkpoint.bin")
-        tree = augment_tree(LabelTree.from_json((corpus_dir / "tree.json").read_text()))
+        tree = LabelTree.from_json((corpus_dir / "tree.json").read_text())
         emb = PoincareEmbedding.load(corrected / "emb.txt")
         assert np.array_equal(arrays["aux/E_h"], embedding_for_level(emb, tree, tree.k_max))
 
@@ -533,8 +594,7 @@ class TestCorrectedRoundTrip:
 
         meta, arrays = read_container(corrected / "model" / "checkpoint.bin")
         enc, dec = _best_model(meta, arrays)
-        test = load_dataset(read_jsonl(corpus_dir / "test.jsonl"), _vocab(meta),
-                            meta["codes"], meta["max_len"])
+        test = load_dataset(read_jsonl(corpus_dir / "test.jsonl"), _vocab(meta), meta["max_len"])
         expected = score_dataset(enc, dec, arrays["aux/E_h"], test.docs)
         assert np.array_equal(np.load(corrected / "eval" / "scores.npy"), expected)
 
@@ -556,7 +616,7 @@ class TestCliSharesTheLibraryPath:
     def flat(self, corpus_dir, tmp_path_factory):
         from hicu.curriculum import CurriculumConfig, Trainer
         from hicu.data import build_vocab, load_dataset, read_jsonl, tokenize
-        from hicu.icd import RangeTable, augment_tree, build_label_tree, parse_code_auto
+        from hicu.icd import RangeTable, build_label_tree, parse_code_auto
 
         out = tmp_path_factory.mktemp("flat")
         assert main(_train_argv(corpus_dir, out, "--mode", "flat")) == 0
@@ -565,14 +625,12 @@ class TestCliSharesTheLibraryPath:
         valid = read_jsonl(corpus_dir / "valid.jsonl")
         codes = sorted({l for r in train + valid for l in r["labels"]})
         ranges = RangeTable.from_file(corpus_dir / "ranges.tsv")
-        atree = augment_tree(build_label_tree([parse_code_auto(c) for c in codes], ranges))
+        tree = build_label_tree([parse_code_auto(c) for c in codes], ranges)
         vocab = build_vocab((tokenize(r["text"]) for r in train), min_count=3)
-        leaves = atree.level_labels(atree.k_max)
         cfg = CurriculumConfig(epochs_per_level=(1, 1, 1, 1, 2), d_e=12, d_f=12,
                                lr=0.002, seed=0)
-        trainer = Trainer(load_dataset(train, vocab, leaves, 4096),
-                          load_dataset(valid, vocab, leaves, 4096),
-                          atree, None, cfg.flat(), vocab_size=vocab.size)
+        trainer = Trainer(load_dataset(train, vocab, 4096), load_dataset(valid, vocab, 4096),
+                          tree, None, cfg.flat(), vocab_size=vocab.size)
         trainer.run()
         return out, trainer, vocab
 

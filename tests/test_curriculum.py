@@ -26,9 +26,9 @@ from hicu.data import (
     synth_generate,
     tokenize,
 )
-from hicu.icd import augment_tree, build_label_tree, parse_code_auto
+from hicu.icd import build_label_tree, parse_code_auto
 from hicu.losses import bce, sigmoid
-from hicu.metrics import macro_micro_f1, precision_at_k
+from hicu.metrics import evaluate, macro_micro_f1, precision_at_k
 from hicu.network import (
     AdamState,
     DecoderParams,
@@ -83,7 +83,7 @@ class TestAncestorMonotonicity:
         cfg = SynthConfig(branching=(2, 2, 2, 2, 2), docs_per_split=(1, 1, 1),
                           doc_length=64, seed=seed % 100)
         corpus = synth_generate(cfg)
-        atree = augment_tree(corpus.tree)
+        atree = corpus.tree
         rng = np.random.default_rng(seed)
         n_leaf = len(atree.level_labels(atree.k_max))
         y = (rng.random((4, n_leaf)) < 0.25).astype(np.float64)
@@ -218,16 +218,13 @@ class TestTrainerMechanics:
         # the caller's matrix is copied, not trained in place
         assert np.array_equal(word_embedding, load_embeddings(path, vocab, tiny_cfg.d_e, seed=0))
 
-    def test_undefined_auc_still_reports_p_at_k(self, small_setup):
-        _, atree, vocab, splits = small_setup
-        cfg = CurriculumConfig(p_at=(1, 3, 10**6), d_e=8, d_f=8)
-        trainer = Trainer(splits["train"], splits["valid"], atree, None, cfg,
-                          vocab_size=vocab.size)
+    def test_undefined_auc_still_reports_p_at_k(self):
         rng = np.random.default_rng(0)
         scores = rng.random((20, 6))
         targets = np.tile([1.0, 0.0, 1.0, 0.0, 0.0, 1.0], (20, 1))  # no label has both classes
-        got = trainer._evaluate_full(scores, targets)
+        got = evaluate(scores, targets, ks=(1, 3, 10**6))
         assert got["macro_auc"] is None and got["micro_auc"] is None
+        assert got["skipped_labels"] == 6
         assert {k for k in got if k.startswith("p_at_")} == {"p_at_1", "p_at_3"}
         for k in (1, 3):
             assert got[f"p_at_{k}"] == precision_at_k(scores, targets, k)
@@ -412,8 +409,7 @@ class TestResume:
     def test_resume_on_a_different_tree_rejected(self, small_setup, tiny_cfg, tmp_path):
         corpus, atree, vocab, splits = small_setup
         leaves = atree.level_labels(atree.k_max)
-        pruned = augment_tree(build_label_tree([parse_code_auto(c) for c in leaves[1:]],
-                                               corpus.ranges))
+        pruned = build_label_tree([parse_code_auto(c) for c in leaves[1:]], corpus.ranges)
         trainer = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg,
                           vocab_size=vocab.size)
         trainer.step_epoch()
@@ -453,7 +449,7 @@ class TestLearnability:
         cfg = SynthConfig(branching=(2, 2, 2, 2, 2), docs_per_split=(300, 80, 80),
                           doc_length=64, noise_rate=0.0, seed=1)
         corpus = synth_generate(cfg)
-        atree = augment_tree(corpus.tree)
+        atree = corpus.tree
         vocab = build_vocab((tokenize(r["text"]) for r in corpus.splits["train"]),
                             min_count=1)
         codes = atree.level_labels(atree.k_max)

@@ -17,8 +17,6 @@ from hicu.data import (
     synth_generate,
     tokenize,
 )
-from hicu.icd import augment_tree
-
 
 class TestTokenize:
     def test_basic(self):
@@ -50,45 +48,40 @@ class TestVocab:
 
 
 class TestLoadDataset:
-    def _tree(self, corpus):
-        return augment_tree(corpus.tree)
-
     def test_loads_and_truncates(self, small_corpus, tmp_path):
-        atree = self._tree(small_corpus)
         path = tmp_path / "train.jsonl"
         with open(path, "w") as fh:
             for rec in small_corpus.splits["train"][:10]:
                 fh.write(json.dumps(rec) + "\n")
         vocab = build_vocab(tokenize(r["text"]) for r in small_corpus.splits["train"])
-        ds = load_dataset(read_jsonl(path), vocab, atree.level_labels(atree.k_max), max_len=7)
+        ds = load_dataset(read_jsonl(path), vocab, max_len=7)
         assert len(ds.docs) == 10
         assert all(len(d.tokens) == 7 for d in ds.docs)
 
     def test_unknown_label_names_doc(self, small_corpus, tmp_path):
-        atree = self._tree(small_corpus)
+        tree = small_corpus.tree
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"id": "d1", "text": "x", "labels": ["999.99"]}) + "\n")
         vocab = build_vocab([["x"]], min_count=1)
-        with pytest.raises(ValueError, match="d1.*999.99"):
-            load_dataset(read_jsonl(path), vocab, atree.level_labels(atree.k_max), max_len=10)
+        ds = load_dataset(read_jsonl(path), vocab, max_len=10)
+        with pytest.raises(ValueError, match="document 'd1': label '999.99' not a tree leaf"):
+            ds.label_matrix(tree.level_labels(tree.k_max))
 
     @pytest.mark.parametrize("max_len", [0, -60])
     def test_max_len_below_one_rejected(self, small_corpus, max_len):
-        atree = self._tree(small_corpus)
         records = small_corpus.splits["train"][:3]
         vocab = build_vocab(tokenize(r["text"]) for r in records)
         with pytest.raises(ValueError, match="max_len must be >= 1"):
-            load_dataset(records, vocab, atree.level_labels(atree.k_max), max_len=max_len)
+            load_dataset(records, vocab, max_len=max_len)
 
     def test_empty_docs_skipped_and_counted(self, small_corpus, tmp_path):
-        atree = self._tree(small_corpus)
-        label = atree.level_labels(atree.k_max)[0]
+        label = small_corpus.tree.level_labels(small_corpus.tree.k_max)[0]
         path = tmp_path / "mixed.jsonl"
         with open(path, "w") as fh:
             fh.write(json.dumps({"id": "a", "text": "1234 !!", "labels": [label]}) + "\n")
             fh.write(json.dumps({"id": "b", "text": "word", "labels": [label]}) + "\n")
         vocab = build_vocab([["word"]], min_count=1)
-        ds = load_dataset(read_jsonl(path), vocab, atree.level_labels(atree.k_max), max_len=10)
+        ds = load_dataset(read_jsonl(path), vocab, max_len=10)
         assert [d.id for d in ds.docs] == ["b"]
         assert ds.skipped_empty == 1
 
@@ -162,8 +155,8 @@ class TestSynth:
         assert a.splits == b.splits
 
     def test_labels_are_tree_leaves(self, small_corpus):
-        atree = augment_tree(small_corpus.tree)
-        leaves = set(atree.level_labels(atree.k_max))
+        tree = small_corpus.tree
+        leaves = set(tree.level_labels(tree.k_max))
         for split in small_corpus.splits.values():
             for rec in split:
                 assert set(rec["labels"]) <= leaves

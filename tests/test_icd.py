@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from hicu.icd import (
     DIAGNOSIS,
     PROCEDURE,
-    AugmentedLabelTree,
     CodeError,
     LabelTree,
     Node,
     RangeRow,
     RangeTable,
-    augment_tree,
     build_label_tree,
     build_path,
     infer_kind,
@@ -148,7 +146,7 @@ class TestLabelTree:
             build_label_tree([], ranges)
 
     def test_leaves_are_codes(self, tree):
-        assert tree.targets == sorted(self.CODES)
+        assert tree.level_labels(tree.k_max) == sorted(self.CODES)
 
     def test_ancestors_by_oracle(self, tree, ranges):
         for raw in self.CODES:
@@ -172,6 +170,12 @@ class TestLabelTree:
         assert labels_by_level["401.9"] == [4]
         assert len(edges) == len(core) - 1
 
+    def test_level_skip_rejected(self):
+        text = json.dumps({"k_max": 3, "nodes": [[0, "<root>"], [1, "a"], [3, "b"]],
+                           "parents": [-1, 0, 1]})
+        with pytest.raises(CodeError, match="node Node\\(level=3, label='b'\\) is not one level"):
+            LabelTree.from_json(text)
+
     def test_conflicting_parent_detected(self, monkeypatch):
         # force the lookup to anchor the same integer code under two parents
         table = RangeTable([RangeRow(DIAGNOSIS, "390", "459", "401", "405")])
@@ -184,68 +188,76 @@ class TestLabelTree:
 
 
 class TestAugmentedTree:
+    """Level views of the padded tree: orderings, parent maps, ancestor targets."""
+
     @pytest.fixture(scope="module")
-    def atree(self, ranges):
-        codes = [parse_code_auto(c) for c in TestLabelTree.CODES]
-        return augment_tree(build_label_tree(codes, ranges))
+    def tree(self, ranges):
+        return build_label_tree([parse_code_auto(c) for c in TestLabelTree.CODES], ranges)
 
-    def test_all_leaves_at_k_max(self, atree):
-        assert all(n.level == atree.k_max for n in atree.leaves())
+    def test_all_leaves_at_k_max(self, tree):
+        assert all(n.level == tree.k_max for n in tree.leaves())
 
-    def test_level_labels_sorted(self, atree):
-        for k in range(1, atree.k_max + 1):
-            labels = atree.level_labels(k)
+    def test_level_labels_sorted(self, tree):
+        for k in range(1, tree.k_max + 1):
+            labels = tree.level_labels(k)
             assert labels == sorted(labels)
 
-    def test_parent_index_map_matches_parents(self, atree):
-        for k in range(1, atree.k_max):
-            pmap = atree.parent_index_map(k)
-            up = atree.level_labels(k)
-            for j, node in enumerate(atree.nodes_at_level(k + 1)):
-                assert up[pmap[j]] == atree.parent[node].label
+    def test_parent_index_map_matches_parents(self, tree):
+        for k in range(1, tree.k_max):
+            pmap = tree.parent_index_map(k)
+            up = tree.level_labels(k)
+            for j, node in enumerate(tree.nodes_at_level(k + 1)):
+                assert up[pmap[j]] == tree.parent[node].label
 
-    def test_ancestor_targets_by_oracle(self, atree):
+    def test_ancestor_targets_by_oracle(self, tree):
         rng = np.random.default_rng(0)
-        leaves = atree.nodes_at_level(atree.k_max)
+        leaves = tree.nodes_at_level(tree.k_max)
         y = (rng.random((7, len(leaves))) < 0.3).astype(np.float64)
-        for k in range(1, atree.k_max + 1):
-            got = atree.ancestor_targets(y, k)
-            labels = atree.level_labels(k)
+        for k in range(1, tree.k_max + 1):
+            got = tree.ancestor_targets(y, k)
+            labels = tree.level_labels(k)
             want = np.zeros((7, len(labels)))
             for d in range(7):
                 for j, leaf in enumerate(leaves):
                     if y[d, j]:
-                        chain = [leaf] + oracle_ancestors(atree, leaf)
+                        chain = [leaf] + oracle_ancestors(tree, leaf)
                         for node in chain:
                             if node.level == k:
                                 want[d, labels.index(node.label)] = 1.0
             assert np.array_equal(got, want)
 
-    def test_augment_is_idempotent_on_padded_tree(self, atree):
-        assert augment_tree(atree).parent == atree.parent
-
     def test_unpadded_leaf_rejected(self):
-        with pytest.raises(CodeError):
-            AugmentedLabelTree({Node(1, "100-199"): Node(0, "<root>")})
+        shallow = {Node(1, "100-199"): Node(0, "<root>")}
+        with pytest.raises(CodeError, match=r"leaf Node\(level=1, label='100-199'\) not at level 5"):
+            LabelTree(shallow)
+        text = json.dumps({"k_max": 5, "nodes": [[0, "<root>"], [1, "100-199"]], "parents": [-1, 0]})
+        with pytest.raises(CodeError, match="not at level 5"):
+            LabelTree.from_json(text)
 
 
 @given(st.lists(
-    st.tuples(st.integers(0, 7), st.integers(0, 9), st.integers(0, 9)),
-    min_size=1, max_size=12, unique=True,
+    st.tuples(st.integers(0, 7), st.integers(0, 9), st.integers(0, 2), st.integers(0, 99)),
+    min_size=1, max_size=12,
 ))
 @settings(max_examples=40, deadline=None)
-def test_augment_idempotence_property(specs):
-    """Augmenting an already depth-uniform tree changes nothing."""
-    rows, codes = [], []
+def test_built_trees_are_depth_uniform(specs):
+    """Codes of every depth pad down to level k_max, each leaf is one code, and
+    the tree survives a JSON round trip."""
+    rows, codes = [], set()
     seen_l1 = set()
-    for i, d, e in specs:
+    for i, d, n_decimals, decimals in specs:
         base = 100 * (i + 1)
         if base not in seen_l1:
             rows.append(RangeRow(DIAGNOSIS, str(base), str(base + 99), str(base), str(base + 9)))
             seen_l1.add(base)
-        codes.append(f"{base}.{d}{e}")
-    tree = build_label_tree([parse_code_auto(c) for c in sorted(set(codes))], RangeTable(rows))
-    atree = augment_tree(tree)
-    again = augment_tree(atree)
-    assert again.parent == atree.parent
-    assert all(n.level == atree.k_max for n in atree.leaves())
+        code = str(base + d)
+        if n_decimals:
+            code += "." + f"{decimals:02d}"[:n_decimals]
+        codes.add(code)
+    tree = build_label_tree([parse_code_auto(c) for c in sorted(codes)], RangeTable(rows))
+    assert all(n.level == tree.k_max for n in tree.leaves())
+    assert tree.level_labels(tree.k_max) == sorted(codes)
+    back = LabelTree.from_json(tree.to_json())
+    assert back == tree and back.to_json() == tree.to_json()
+    for k in range(1, tree.k_max + 1):
+        assert back.level_labels(k) == tree.level_labels(k)

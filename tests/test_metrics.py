@@ -149,9 +149,13 @@ class TestEvaluate:
         labels = (rng.random((20, 10)) < 0.3).astype(float)
         labels[0, 0] = 1.0
         labels[1, 0] = 0.0
-        result = evaluate(scores, labels, ks=(5, 8, 15))
-        d = result.to_dict()
+        d = evaluate(scores, labels, ks=(5, 8, 15))
         assert set(d) >= {"macro_auc", "micro_auc", "macro_f1", "micro_f1",
                           "skipped_labels", "p_at_5", "p_at_8"}
         assert "p_at_15" not in d  # k beyond the label count is skipped
         assert 0.0 <= d["micro_auc"] <= 1.0
+
+    def test_shape_mismatch_still_raises(self):
+        # single-class labels make the AUC undefined; the mismatch must not be read as that
+        with pytest.raises(ValueError, match="identical shapes"):
+            evaluate(np.zeros((2, 3)), np.zeros((2, 4)))

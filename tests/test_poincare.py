@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hicu.icd import DIAGNOSIS, Node, RangeRow, RangeTable, augment_tree, build_label_tree, parse_code_auto
+from hicu.icd import DIAGNOSIS, Node, RangeRow, RangeTable, build_label_tree, parse_code_auto
 from hicu.poincare import (
     BALL_EPS,
     EmbedConfig,
@@ -249,23 +249,21 @@ class TestEmbeddingIo:
 
     def test_level_rows_share_padded_vectors(self):
         tree = _toy_tree()
-        atree = augment_tree(tree)
         emb = train_poincare(tree, EmbedConfig(d_h=4, epochs=3, burn_in_epochs=0, seed=1))
-        rows5 = embedding_for_level(emb, atree, 5)
-        labels5 = atree.level_labels(5)
+        rows5 = embedding_for_level(emb, tree, 5)
+        labels5 = tree.level_labels(5)
         # a two-decimal leaf keeps its own vector at its original node
         i = labels5.index("100.11")
         assert np.array_equal(rows5[i], emb.vector(Node(5, "100.11")))
 
     def test_missing_label_raises(self):
         tree = _toy_tree()
-        atree = augment_tree(tree)
         emb = train_poincare(tree, EmbedConfig(d_h=4, epochs=2, burn_in_epochs=0, seed=1))
         emb2 = PoincareEmbedding(nodes=emb.nodes[:-1], vectors=emb.vectors[:-1])
         from hicu.icd import CodeError
 
         with pytest.raises(CodeError):
-            embedding_for_level(emb2, atree, 5)
+            embedding_for_level(emb2, tree, 5)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
