@@ -226,6 +226,16 @@ class TestAugmentedTree:
                                 want[d, labels.index(node.label)] = 1.0
             assert np.array_equal(got, want)
 
+    def test_augment_is_idempotent_on_padded_tree(self, tree, ranges):
+        # padding is now done while building: rebuilding the padded tree from its
+        # own parent map, or from its own leaf codes, changes nothing
+        again = LabelTree(tree.parent, tree.k_max)
+        assert again == tree and again.parent == tree.parent
+        rebuilt = build_label_tree(
+            [parse_code_auto(c) for c in tree.level_labels(tree.k_max)], ranges
+        )
+        assert rebuilt.parent == tree.parent
+
     def test_unpadded_leaf_rejected(self):
         shallow = {Node(1, "100-199"): Node(0, "<root>")}
         with pytest.raises(CodeError, match=r"leaf Node\(level=1, label='100-199'\) not at level 5"):
@@ -233,6 +243,33 @@ class TestAugmentedTree:
         text = json.dumps({"k_max": 5, "nodes": [[0, "<root>"], [1, "100-199"]], "parents": [-1, 0]})
         with pytest.raises(CodeError, match="not at level 5"):
             LabelTree.from_json(text)
+
+
+@given(st.lists(
+    st.tuples(st.integers(0, 7), st.integers(0, 9), st.integers(0, 9)),
+    min_size=1, max_size=12, unique=True,
+))
+@settings(max_examples=40, deadline=None)
+def test_augment_idempotence_property(specs):
+    """Rebuilding an already depth-uniform tree, from its parent map or from its
+    leaf codes, changes nothing."""
+    rows, codes = [], []
+    seen_l1 = set()
+    for i, d, e in specs:
+        base = 100 * (i + 1)
+        if base not in seen_l1:
+            rows.append(RangeRow(DIAGNOSIS, str(base), str(base + 99), str(base), str(base + 9)))
+            seen_l1.add(base)
+        codes.append(f"{base}.{d}{e}")
+    table = RangeTable(rows)
+    tree = build_label_tree([parse_code_auto(c) for c in sorted(set(codes))], table)
+    again = LabelTree(tree.parent, tree.k_max)
+    assert again.parent == tree.parent
+    assert all(n.level == again.k_max for n in again.leaves())
+    rebuilt = build_label_tree(
+        [parse_code_auto(c) for c in tree.level_labels(tree.k_max)], table
+    )
+    assert rebuilt.parent == tree.parent
 
 
 @given(st.lists(
