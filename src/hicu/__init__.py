@@ -9,7 +9,6 @@ from .curriculum import (
     CurriculumConfig,
     ModelState,
     Trainer,
-    TrainReport,
     inspect_attention,
     knowledge_transfer,
     load_model,

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from collections import Counter
 
 import numpy as np
@@ -52,8 +53,8 @@ def _codes_from_records(records) -> list[str]:
 def _load_split(records, path, vocab, max_len) -> data.Dataset:
     """``data.load_dataset``, reporting the documents it drops for having no tokens."""
     dataset = data.load_dataset(records, vocab, max_len)
-    if dataset.skipped_empty:
-        print(f"skipped {dataset.skipped_empty} documents without tokens in {path}",
+    if dataset.dropped:
+        print(f"skipped {len(dataset.dropped)} documents without tokens in {path}",
               file=sys.stderr)
     return dataset
 
@@ -185,7 +186,9 @@ def cmd_train(args) -> int:
         train_set, valid_set, tree, emb, cfg,
         word_embedding=word_embedding, vocab_size=vocab.size,
     )
-    state, report = trainer.run()
+    t0 = time.perf_counter()
+    trainer.run()
+    wall = time.perf_counter() - t0
 
     os.makedirs(args.out, exist_ok=True)
     meta, arrays = trainer.state()
@@ -195,10 +198,10 @@ def cmd_train(args) -> int:
         meta["top_k_labels"] = args.top_k_labels
     ckpt_path = os.path.join(args.out, "checkpoint.bin")
     write_container(ckpt_path, meta, arrays)
-    report.write_jsonl(os.path.join(args.out, "report.jsonl"))
+    trainer.write_report(os.path.join(args.out, "report.jsonl"))
     print(f"checkpoint written to {ckpt_path}")
     print(f"best {cfg.early_stop_metric}: {trainer.best_metric:.4f} "
-          f"({len(report.records)} epochs, {report.wall_clock_s:.1f}s)")
+          f"({len(trainer.records)} epochs, {wall:.1f}s)")
     return 0
 
 

@@ -8,7 +8,7 @@ asymmetric loss plug into the same loop.
 """
 from __future__ import annotations
 
-import time
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import zip_longest
 
@@ -91,19 +91,6 @@ class CurriculumConfig:
 
 
 @dataclass
-class TrainReport:
-    records: list[dict]
-    summary: dict
-    config: dict
-    seed: int
-    wall_clock_s: float = 0.0  # printed, never serialized (reports stay byte-stable)
-
-    def write_jsonl(self, path) -> None:
-        final = {"event": "summary", "config": self.config, "seed": self.seed, **self.summary}
-        write_jsonl(path, [*self.records, final])
-
-
-@dataclass
 class ModelState:
     encoder: EncoderParams
     decoder: DecoderParams
@@ -170,11 +157,6 @@ def score_dataset(
     return scores
 
 
-def _with_prefix(arrays: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
-    """The arrays whose names start with ``prefix``, keyed by the rest of the name."""
-    return {n[len(prefix):]: a for n, a in arrays.items() if n.startswith(prefix)}
-
-
 def _model_from_params(
     params: dict[str, np.ndarray], mode: str
 ) -> tuple[EncoderParams, DecoderParams]:
@@ -208,12 +190,30 @@ class Trainer:
         word_embedding: np.ndarray | None = None,
         vocab_size: int | None = None,
     ):
+        if word_embedding is None and vocab_size is None:
+            raise ValueError("either a word embedding matrix or vocab_size is required")
+        self._setup(train, valid, tree, emb, cfg)
+        # the fresh draws; their order fixes every seeded run's bits
+        self.encoder = init_encoder(
+            self.rng,
+            vocab_size=vocab_size if word_embedding is None else word_embedding.shape[0],
+            d_e=cfg.d_e,
+            d_f=cfg.d_f,
+            kernel_size=cfg.kernel_size,
+            embedding=word_embedding,
+        )
+        self.decoder = init_level_decoder(None, None, tree, self.levels[0], cfg, self.rng, self.d_h)
+        self._enter_level()
+
+    # -- setup helpers -------------------------------------------------
+
+    def _setup(self, train, valid, tree, emb, cfg) -> None:
+        """What a fresh and a loaded trainer share: checked settings, leaf
+        targets, the level schedule, the seeded rng and zero progress; no draws."""
         self.codes = tree.level_labels(tree.k_max)
         cfg.validate(tree.k_max, len(self.codes))
         if cfg.correction != "none" and emb is None:
             raise ValueError("hyperbolic correction requires trained embeddings")
-        if word_embedding is None and vocab_size is None:
-            raise ValueError("either a word embedding matrix or vocab_size is required")
         self.cfg = cfg
         self.tree = tree
         self.emb = emb
@@ -226,24 +226,12 @@ class Trainer:
         self.levels = [k for k, e in enumerate(cfg.epochs_per_level, start=1) if e > 0]
         self.records: list[dict] = []
         self.rng = np.random.default_rng(cfg.seed)
-        self.encoder = init_encoder(
-            self.rng,
-            vocab_size=vocab_size if word_embedding is None else word_embedding.shape[0],
-            d_e=cfg.d_e,
-            d_f=cfg.d_f,
-            kernel_size=cfg.kernel_size,
-            embedding=word_embedding,
-        )
         self.level_pos = 0
         self.epoch_in_level = 0
         self.finished = False
         self.best_metric: float | None = None
         self.best_params: dict[str, np.ndarray] | None = None
         self.bad_epochs = 0
-        self.decoder = init_level_decoder(None, None, tree, self.levels[0], cfg, self.rng, self.d_h)
-        self._enter_level()
-
-    # -- setup helpers -------------------------------------------------
 
     @property
     def level(self) -> int:
@@ -353,26 +341,23 @@ class Trainer:
         self.records.append(record)
         return record
 
-    def run(self) -> tuple[ModelState, TrainReport]:
-        t0 = time.perf_counter()
+    def run(self) -> None:
+        """Train to the end of the final level; ``best_state()`` is the model."""
         while not self.finished:
             self.step_epoch()
-        wall = time.perf_counter() - t0
-        state = self.best_state()
+
+    def write_report(self, path) -> None:
+        """The epoch records, then one summary record, as JSON lines."""
         summary = {
+            "event": "summary",
+            "config": self.cfg.to_dict(),
+            "seed": self.cfg.seed,
             "best_metric": self.best_metric,
             "early_stop_metric": self.cfg.early_stop_metric,
             "epochs_run": len(self.records),
             "final_level": self.level,
         }
-        report = TrainReport(
-            records=list(self.records),
-            summary=summary,
-            config=self.cfg.to_dict(),
-            seed=self.cfg.seed,
-            wall_clock_s=wall,
-        )
-        return state, report
+        write_jsonl(path, [*self.records, summary])
 
     def best_state(self) -> ModelState:
         params = self.best_params if self.best_params is not None else self.params
@@ -417,41 +402,46 @@ class Trainer:
         tree: LabelTree,
         emb: PoincareEmbedding | None,
     ) -> "Trainer":
-        meta, arrays = read_container(path)
-        if meta.get("kind") != "trainer":
-            raise ValueError(f"{path}: not a trainer checkpoint")
-        cfg_dict = dict(meta["config"])
-        _check_keys(path, "config", cfg_dict, CurriculumConfig)
-        _check_keys(path, "config.asl", cfg_dict["asl"], AslConfig)
-        cfg_dict["epochs_per_level"] = tuple(cfg_dict["epochs_per_level"])
-        cfg_dict["p_at"] = tuple(cfg_dict["p_at"])
-        cfg_dict["asl"] = AslConfig(**cfg_dict["asl"])
-        cfg = CurriculumConfig(**cfg_dict)
+        meta, cfg, groups = _read_checkpoint(path)
         codes = tree.level_labels(tree.k_max)
         if meta["codes"] != codes:
             stored, given = next(p for p in zip_longest(meta["codes"], codes) if p[0] != p[1])
             raise ValueError(f"{path}: checkpoint has {len(meta['codes'])} leaves, the tree has "
                              f"{len(codes)}; first different code {stored!r} vs {given!r}")
-        # __init__'s random draws and rng state are all overwritten below
-        self = cls(train, valid, tree, emb, cfg, vocab_size=arrays["param/embedding"].shape[0])
+        self = cls.__new__(cls)
+        self._setup(train, valid, tree, emb, cfg)
         self.rng.bit_generator.state = meta["rng_state"]
-        params = _with_prefix(arrays, "param/")
-        self.encoder, self.decoder = _model_from_params(params, cfg.correction)
+        self.encoder, self.decoder = _model_from_params(groups["param/"], cfg.correction)
         self.level_pos = meta["level_pos"]
         self.epoch_in_level = meta["epoch_in_level"]
         self.finished = meta["finished"]
         self.best_metric = meta["best_metric"]
         self.bad_epochs = meta["bad_epochs"]
         self.records = list(meta["records"])
-        self.best_params = _with_prefix(arrays, "best/") or None
+        self.best_params = groups["best/"] or None
         self._enter_level()
-        self.adam = AdamState(
-            lr=cfg.lr,
-            t=meta["adam_t"],
-            m=_with_prefix(arrays, "adam_m/"),
-            v=_with_prefix(arrays, "adam_v/"),
-        )
+        self.adam = AdamState(lr=cfg.lr, t=meta["adam_t"], m=groups["adam_m/"], v=groups["adam_v/"])
         return self
+
+
+def _read_checkpoint(path) -> tuple[dict, CurriculumConfig, dict[str, dict[str, np.ndarray]]]:
+    """The one reader of trainer checkpoints: metadata, config, and the arrays
+    grouped by prefix (``param/``, ``best/``, ``adam_m/``, ``adam_v/``, ``aux/``)
+    and keyed by the rest of the name.  A group the file lacks reads as empty."""
+    meta, arrays = read_container(path)
+    if meta.get("kind") != "trainer":
+        raise ValueError(f"{path}: not a trainer checkpoint")
+    cfg_dict = dict(meta["config"])
+    _check_keys(path, "config", cfg_dict, CurriculumConfig)
+    _check_keys(path, "config.asl", cfg_dict["asl"], AslConfig)
+    cfg_dict["epochs_per_level"] = tuple(cfg_dict["epochs_per_level"])
+    cfg_dict["p_at"] = tuple(cfg_dict["p_at"])
+    cfg_dict["asl"] = AslConfig(**cfg_dict["asl"])
+    groups: dict[str, dict[str, np.ndarray]] = defaultdict(dict)
+    for name, a in arrays.items():
+        prefix, _, rest = name.partition("/")
+        groups[prefix + "/"][rest] = a
+    return meta, CurriculumConfig(**cfg_dict), groups
 
 
 def _check_keys(path, what: str, stored: dict, cls) -> None:
@@ -469,11 +459,10 @@ def load_model(path) -> tuple[ModelState, np.ndarray | None, dict]:
 
     Falls back to the current parameters when no best ones were recorded.
     """
-    meta, arrays = read_container(path)
-    params = _with_prefix(arrays, "best/") or _with_prefix(arrays, "param/")
-    enc, dec = _model_from_params(params, meta["config"]["correction"])
+    meta, cfg, groups = _read_checkpoint(path)
+    enc, dec = _model_from_params(groups["best/"] or groups["param/"], cfg.correction)
     state = ModelState(encoder=enc, decoder=dec, level=meta["level"], codes=list(meta["codes"]))
-    return state, arrays.get("aux/E_h"), meta
+    return state, groups["aux/"].get("E_h"), meta
 
 
 def inspect_attention(

@@ -76,17 +76,19 @@ class Document:
 @dataclass
 class Dataset:
     docs: list[Document]
-    skipped_empty: int = 0
+    dropped: list[Document] = field(default_factory=list)  # no tokens, never scored
 
     def label_matrix(self, codes: list[str]) -> np.ndarray:
-        """0/1 targets, one row per document; every label must be one of ``codes``."""
+        """0/1 targets, one row per document of ``docs``; every label, the
+        dropped documents' too, must be one of ``codes``."""
         index = {c: i for i, c in enumerate(codes)}
         y = np.zeros((len(self.docs), len(codes)), dtype=np.float64)
-        for d, doc in enumerate(self.docs):
+        for d, doc in enumerate(self.docs + self.dropped):
             for label in doc.labels:
                 if label not in index:
                     raise ValueError(f"document {doc.id!r}: label {label!r} not a tree leaf")
-                y[d, index[label]] = 1.0
+                if d < len(y):
+                    y[d, index[label]] = 1.0
         return y
 
 
@@ -106,25 +108,21 @@ def write_jsonl(path, records) -> None:
 def load_dataset(records: list[dict], vocab: Vocab, max_len: int) -> Dataset:
     """Tokenize and index dataset records; ``Dataset.label_matrix`` checks the labels.
 
-    Documents without tokens are skipped and counted.
+    Documents without tokens go to ``Dataset.dropped``.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    docs = []
-    skipped = 0
+    docs, dropped = [], []
     for rec in records:
         tokens = tokenize(rec["text"])[:max_len]
-        if not tokens:
-            skipped += 1
-            continue
-        docs.append(
+        (docs if tokens else dropped).append(
             Document(
                 id=rec["id"],
                 tokens=vocab.indices(tokens),
                 labels=tuple(sorted(set(rec["labels"]))),
             )
         )
-    return Dataset(docs=docs, skipped_empty=skipped)
+    return Dataset(docs=docs, dropped=dropped)
 
 
 def filter_top_k_labels(splits: list[list[dict]], k: int) -> list[list[dict]]:

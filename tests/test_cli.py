@@ -497,6 +497,49 @@ def test_documents_without_tokens_are_reported(corpus_dir, trained_dir, tmp_path
         f"skipped 1 documents without tokens in {tmp_path / 'test.jsonl'}\n")
 
 
+_MISLABELLED_EMPTY = json.dumps({"id": "e", "text": "1234 !!", "labels": ["999.99"]}) + "\n"
+
+
+def test_train_checks_the_labels_of_dropped_documents(corpus_dir, tmp_path, capsys, epochs_started):
+    train = tmp_path / "train.jsonl"
+    train.write_text((corpus_dir / "train.jsonl").read_text() + _MISLABELLED_EMPTY)
+    argv = _train_argv(corpus_dir, tmp_path / "model", "--train", str(train),
+                       "--tree", str(corpus_dir / "tree.json"))
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == ("HICU_ERROR code=invalid_input "
+                       "detail=document 'e': label '999.99' not a tree leaf")
+    assert epochs_started == []
+    assert not (tmp_path / "model" / "checkpoint.bin").exists()
+
+
+def test_eval_checks_the_labels_of_dropped_documents(corpus_dir, trained_dir, tmp_path, capsys):
+    test = tmp_path / "test.jsonl"
+    lines = (corpus_dir / "test.jsonl").read_text().splitlines(keepends=True)
+    test.write_text("".join(lines[:3]) + _MISLABELLED_EMPTY)
+    assert main(["eval", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                 "--test", str(test), "--out", str(tmp_path / "eval")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == ("HICU_ERROR code=invalid_input "
+                       "detail=document 'e': label '999.99' not a tree leaf")
+    assert not (tmp_path / "eval" / "scores.npy").exists()
+
+
+def test_eval_rejects_a_checkpoint_that_is_not_a_trainers(
+    corpus_dir, trained_dir, tmp_path, capsys
+):
+    from hicu.checkpoint import read_container, write_container
+
+    meta, arrays = read_container(trained_dir / "checkpoint.bin")
+    other = tmp_path / "other.bin"
+    write_container(other, {**meta, "kind": "other"}, arrays)
+    assert main(["eval", "--checkpoint", str(other), "--test", str(corpus_dir / "test.jsonl"),
+                 "--out", str(tmp_path / "eval")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("HICU_ERROR code=invalid_input") and "not a trainer checkpoint" in err
+    assert not (tmp_path / "eval" / "scores.npy").exists()
+
+
 class TestWordEmbeddings:
     D_E = 12
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hicu import cli
+from hicu import cli, curriculum
 from hicu.checkpoint import read_container, write_container
 from hicu.curriculum import (
     SCORE_BATCH_SIZE,
@@ -107,8 +107,8 @@ class TestTrainerMechanics:
         _, atree, vocab, splits = small_setup
         trainer = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg,
                           vocab_size=vocab.size)
-        _, report = trainer.run()
-        levels = [r["level"] for r in report.records]
+        trainer.run()
+        levels = [r["level"] for r in trainer.records]
         assert levels == sorted(levels)
         assert levels[0] == 1 and levels[-1] == atree.k_max
         assert set(levels) == {1, 2, 3, 4, 5}
@@ -127,20 +127,20 @@ class TestTrainerMechanics:
         for _ in range(2):
             t = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg,
                         vocab_size=vocab.size)
-            state, report = t.run()
-            runs.append((state, report))
+            t.run()
+            runs.append((t.best_state(), t.records))
         a, b = runs
         assert np.array_equal(a[0].decoder.Q, b[0].decoder.Q)
         assert np.array_equal(a[0].encoder.kernel, b[0].encoder.kernel)
-        assert a[1].records == b[1].records
+        assert a[1] == b[1]
 
     def test_zero_epoch_levels_skipped(self, small_setup):
         _, atree, vocab, splits = small_setup
         cfg = CurriculumConfig(epochs_per_level=(0, 1, 0, 0, 1), d_e=8, d_f=8, seed=0)
         trainer = Trainer(splits["train"], splits["valid"], atree, None, cfg,
                           vocab_size=vocab.size)
-        _, report = trainer.run()
-        assert [r["level"] for r in report.records] == [2, 5]
+        trainer.run()
+        assert [r["level"] for r in trainer.records] == [2, 5]
 
     def test_skipped_levels_transfer_from_the_last_trained_level(self, small_setup):
         _, atree, vocab, splits = small_setup
@@ -152,8 +152,8 @@ class TestTrainerMechanics:
         assert trainer.level == 3
         ancestor = atree.parent_index_map(1)[atree.parent_index_map(2)]
         assert np.array_equal(trainer.decoder.Q, level1.Q[:, ancestor])
-        _, report = trainer.run()
-        assert [r["level"] for r in report.records] == [1, 3, 5]
+        trainer.run()
+        assert [r["level"] for r in trainer.records] == [1, 3, 5]
 
     def test_flat_mode_matches_zero_schedule(self, small_setup, tiny_cfg):
         _, atree, vocab, splits = small_setup
@@ -243,9 +243,9 @@ class TestTrainerMechanics:
                                d_e=8, d_f=8, lr=1e-5, seed=0)
         trainer = Trainer(splits["train"], splits["valid"], atree, None, cfg,
                           vocab_size=vocab.size)
-        _, report = trainer.run()
+        trainer.run()
         # with lr this small the metric plateaus immediately and patience=0 stops it
-        assert len(report.records) < 40
+        assert len(trainer.records) < 40
 
 
 class TestBatchStep:
@@ -320,11 +320,13 @@ class TestCorrectionModes:
         emb = train_poincare(corpus.tree, EmbedConfig(d_h=8, epochs=15, burn_in_epochs=2, seed=0))
         cfg = CurriculumConfig(epochs_per_level=(1, 0, 0, 0, 1), correction=mode,
                                d_e=8, d_f=8, seed=0)
-        state, report = Trainer(splits["train"], splits["valid"], atree, emb, cfg,
-                                vocab_size=vocab.size).run()
+        trainer = Trainer(splits["train"], splits["valid"], atree, emb, cfg,
+                          vocab_size=vocab.size)
+        trainer.run()
+        state = trainer.best_state()
         assert state.decoder.fc_w is not None
         assert np.all(np.isfinite(state.decoder.fc_w))
-        assert len(report.records) == 2
+        assert len(trainer.records) == 2
 
     def test_checkpoint_rows_and_model_match_the_trainer(self, small_setup, tmp_path):
         from hicu.poincare import EmbedConfig, embedding_for_level, train_poincare
@@ -397,6 +399,42 @@ class TestResume:
         resumed.run()
         self._assert_same_state(resumed, straight)
 
+    def test_load_makes_no_draws_and_enters_the_level_once(
+        self, small_setup, tiny_cfg, tmp_path, monkeypatch
+    ):
+        _, atree, vocab, splits = small_setup
+        straight = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg,
+                           vocab_size=vocab.size)
+        for _ in range(4):
+            straight.step_epoch()
+        broken = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg,
+                         vocab_size=vocab.size)
+        for _ in range(3):
+            broken.step_epoch()
+        path = tmp_path / "mid.bin"
+        broken.save(path)
+
+        def draw(*args, **kwargs):
+            raise AssertionError("Trainer.load made a fresh draw")
+
+        entered = []
+        original_enter_level = Trainer._enter_level
+
+        def enter_level(self):
+            entered.append(self.level)
+            original_enter_level(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(curriculum, "init_encoder", draw)
+            patch.setattr(curriculum, "init_level_decoder", draw)
+            patch.setattr(Trainer, "_enter_level", enter_level)
+            resumed = Trainer.load(path, splits["train"], splits["valid"], atree, None)
+        assert entered == [4]
+        # the next epoch finishes level 4 and draws the level-5 decoder
+        resumed.step_epoch()
+        assert resumed.level == 5
+        self._assert_same_state(resumed, straight)
+
     @staticmethod
     def _assert_same_state(got, want):
         assert got.records == want.records
@@ -436,9 +474,11 @@ class TestResume:
         meta, arrays = read_container(path)
         edit(meta["config"])
         write_container(path, meta, arrays)
-        with pytest.raises(ValueError) as info:
-            Trainer.load(path, splits["train"], splits["valid"], atree, None)
-        assert named in str(info.value)
+        for load in (lambda: Trainer.load(path, splits["train"], splits["valid"], atree, None),
+                     lambda: load_model(path)):
+            with pytest.raises(ValueError) as info:
+                load()
+            assert named in str(info.value)
 
 
 class TestLearnability:
@@ -491,8 +531,10 @@ class TestInspection:
 
         corpus, atree, vocab, splits = small_setup
         cfg = replace(tiny_cfg, epochs_per_level=(0, 0, 0, 0, 8))
-        state, _ = Trainer(splits["train"], splits["valid"], atree, None, cfg.flat(),
-                           vocab_size=vocab.size).run()
+        trainer = Trainer(splits["train"], splits["valid"], atree, None, cfg.flat(),
+                          vocab_size=vocab.size)
+        trainer.run()
+        state = trainer.best_state()
         doc = splits["train"].docs[0]
         rec = next(r for r in corpus.splits["train"] if r["id"] == doc.id)
         token_strings = tokenize(rec["text"])[: len(doc.tokens)]
@@ -508,8 +550,10 @@ class TestInspection:
 
         _, atree, vocab, splits = small_setup
         cfg = replace(tiny_cfg, epochs_per_level=(0, 0, 0, 0, 1))
-        state, _ = Trainer(splits["train"], splits["valid"], atree, None, cfg.flat(),
-                           vocab_size=vocab.size).run()
+        trainer = Trainer(splits["train"], splits["valid"], atree, None, cfg.flat(),
+                          vocab_size=vocab.size)
+        trainer.run()
+        state = trainer.best_state()
         doc = splits["train"].docs[0]
         with pytest.raises(ValueError):
             inspect_attention(state, None, doc, ["x"] * len(doc.tokens), "nope")
@@ -523,8 +567,10 @@ class TestScoreDataset:
 
         _, atree, vocab, splits = small_setup
         cfg = replace(tiny_cfg, epochs_per_level=(0, 0, 0, 0, 1))
-        state, _ = Trainer(splits["train"], splits["valid"], atree, None, cfg.flat(),
-                           vocab_size=vocab.size).run()
+        trainer = Trainer(splits["train"], splits["valid"], atree, None, cfg.flat(),
+                          vocab_size=vocab.size)
+        trainer.run()
+        state = trainer.best_state()
         docs = splits["valid"].docs[:10]
         scores = score_dataset(state.encoder, state.decoder, None, docs)
         for i, doc in enumerate(docs):

@@ -83,7 +83,7 @@ class TestLoadDataset:
         vocab = build_vocab([["word"]], min_count=1)
         ds = load_dataset(read_jsonl(path), vocab, max_len=10)
         assert [d.id for d in ds.docs] == ["b"]
-        assert ds.skipped_empty == 1
+        assert [(d.id, len(d.tokens), d.labels) for d in ds.dropped] == [("a", 0, (label,))]
 
 
 class TestTopK:
