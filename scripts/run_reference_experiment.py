@@ -5,13 +5,16 @@ Generates a corpus, trains the flat baseline and the curriculum model with
 identical hyperparameters, evaluates both on the test split, and prints the
 per-frequency-bucket AUC deltas (curriculum minus flat), then one
 ``sha256 <file> <16-hex prefix>`` line per output file, so two runs can be
-checked for byte-identity by comparing those lines.
+checked for byte-identity by comparing those lines.  The last line,
+``rusage maxrss_mb=... minflt=...``, gives this process's peak resident set
+and minor page faults over the whole run.
 
 Usage: python3 scripts/run_reference_experiment.py [--out DIR] [--seed N]
 """
 import argparse
 import hashlib
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -94,6 +97,8 @@ def main() -> int:
     for rel in OUTPUTS:
         digest = hashlib.sha256((Path(args.out) / rel).read_bytes()).hexdigest()
         print(f"sha256 {rel} {digest[:16]}")
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    print(f"rusage maxrss_mb={usage.ru_maxrss / 1024:.1f} minflt={usage.ru_minflt}")
     return 0
 
 

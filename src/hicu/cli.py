@@ -8,6 +8,7 @@ seed is given anywhere.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -19,6 +20,32 @@ import numpy as np
 from . import curriculum, data, icd, metrics, poincare
 from .checkpoint import write_container
 from .losses import AslConfig
+
+
+# glibc malloc thresholds, pinned for the whole process.  By default glibc
+# serves each block over 128 KiB with mmap and raises that threshold only
+# after freeing such a block, so the 0.1-3 MB temporaries of a training step
+# are mapped, zero-filled through page faults and unmapped on every call.  A
+# paper-wide `hicu train` took 219k minor faults and 0.51 s of system time
+# that way, and 7.5k faults and 0.01 s with these thresholds (2-core x86_64
+# VM, one BLAS thread).
+MALLOC_MMAP_THRESHOLD = 32 * 2**20  # bytes; the ceiling of glibc's dynamic threshold on 64-bit
+MALLOC_TRIM_THRESHOLD = 256 * 2**20  # bytes of free heap top kept instead of returned
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameter numbers in malloc.h
+
+
+def _pin_malloc_thresholds() -> bool:
+    """Set glibc's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD.  Returns whether
+    malloc accepted both; without glibc's ``mallopt`` it does nothing."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    accepted = [mallopt(_M_MMAP_THRESHOLD, MALLOC_MMAP_THRESHOLD),
+                mallopt(_M_TRIM_THRESHOLD, MALLOC_TRIM_THRESHOLD)]
+    return all(accepted)
 
 
 def _read_config_file(path) -> list[str]:
@@ -398,6 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    _pin_malloc_thresholds()
     try:
         # expand --config before the real parse so explicit flags win
         if argv and "--config" in argv:

@@ -35,7 +35,7 @@ from .network import (
 )
 from .poincare import PoincareEmbedding, embedding_for_level
 
-SCORE_BATCH_SIZE = 64  # documents per forward call when scoring
+SCORE_BATCH_SIZE = 16  # documents per forward call when scoring; a default training batch's worth
 
 
 @dataclass

@@ -82,13 +82,17 @@ class Dataset:
         """0/1 targets, one row per document of ``docs``; every label, the
         dropped documents' too, must be one of ``codes``."""
         index = {c: i for i, c in enumerate(codes)}
+        docs = self.docs + self.dropped
+        labels = [label for doc in docs for label in doc.labels]
+        cols = np.fromiter((index.get(label, -1) for label in labels), dtype=np.intp, count=len(labels))
+        owner = np.repeat(np.arange(len(docs)), np.array([len(doc.labels) for doc in docs], dtype=np.intp))
+        bad = np.flatnonzero(cols < 0)
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"document {docs[owner[k]].id!r}: label {labels[k]!r} not a tree leaf")
         y = np.zeros((len(self.docs), len(codes)), dtype=np.float64)
-        for d, doc in enumerate(self.docs + self.dropped):
-            for label in doc.labels:
-                if label not in index:
-                    raise ValueError(f"document {doc.id!r}: label {label!r} not a tree leaf")
-                if d < len(y):
-                    y[d, index[label]] = 1.0
+        kept = owner < len(self.docs)
+        y[owner[kept], cols[kept]] = 1.0
         return y
 
 

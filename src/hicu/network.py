@@ -9,6 +9,14 @@ layer with sum pooling and a sigmoid.
 All arrays are float64.  Token input is always a (B, N) batch of
 equal-length documents; a lone document is ``x[None]``.
 
+The encoder holds two batch arrays: the (B, N, s*d_e) windows, which one
+``np.take`` fills straight from the embedding table (the padding slots are
+zeroed, so no (B, N, d_e) gather or padded copy is made), and H, which the
+conv matmul writes and the bias add and tanh update in place.  Backward
+forms each document's (L, d_f) dV rows in one reused buffer, turns dH into
+dpre in place, and sums the window gradients into a (B, N, d_e) array in
+slot order from 0.0, which keeps the bits of a sum over a padded array.
+
 The decoder's attention works on one document at a time, in one reused
 (N, L) buffer that stays in cache through the score matmul, the token-axis
 softmax (in place) and the pooling matmul.  The (B, N, L) attention is
@@ -121,28 +129,35 @@ def init_fc(rng: np.random.Generator, d_f: int, d_h: int, mode: str) -> tuple[np
     return xavier_uniform(rng, (d_f, d_in), fan_in=d_in, fan_out=d_f), np.zeros(d_f)
 
 
-def _im2col(emb: np.ndarray, s: int) -> np.ndarray:
-    """Zero-padded sliding windows: (B, N, d_e) -> (B, N, s*d_e)."""
-    B, N, d_e = emb.shape
+def _im2col(x: np.ndarray, embedding: np.ndarray, s: int) -> np.ndarray:
+    """Zero-padded sliding windows of the embedded tokens: (B, N) -> (B, N, s*d_e).
+
+    One ``np.take`` gathers every slot of every window straight into the
+    window array; the slots that fall in the padding are then zeroed."""
+    B, N = x.shape
+    d_e = embedding.shape[1]
     half = s // 2
-    padded = np.zeros((B, N + 2 * half, d_e))
-    padded[:, half : half + N] = emb
-    cols = np.empty((B, N, s * d_e))
-    for j in range(s):
-        cols[:, :, j * d_e : (j + 1) * d_e] = padded[:, j : j + N]
-    return cols
+    xpad = np.zeros((B, N + 2 * half), dtype=np.intp)
+    xpad[:, half : half + N] = x
+    cols = np.empty((B, N, s, d_e))
+    np.take(embedding, xpad[:, np.arange(N)[:, None] + np.arange(s)], axis=0, out=cols, mode="clip")
+    for j in range(s):  # slot j of window t reads token t + j - half
+        cols[:, : max(0, half - j), j] = 0.0
+        cols[:, max(0, N + half - j) :, j] = 0.0
+    return cols.reshape(B, N, s * d_e)
 
 
 def _encode(x: np.ndarray, enc: EncoderParams) -> tuple[np.ndarray, np.ndarray]:
     """im2col windows and H of a (B, N) batch."""
     if np.ndim(x) != 2:
         raise ValueError("token input must be a (B, N) batch")
-    if x.size and int(x.max()) >= enc.embedding.shape[0]:
+    if x.size and (int(x.min()) < 0 or int(x.max()) >= enc.embedding.shape[0]):
         raise ValueError("token index out of vocabulary range")
     s = enc.kernel.shape[0]
-    windows = _im2col(enc.embedding[x], s)
-    kflat = enc.kernel.reshape(s * enc.kernel.shape[1], enc.d_f)
-    return windows, np.tanh(windows @ kflat + enc.bias)
+    windows = _im2col(x, enc.embedding, s)
+    H = windows @ enc.kernel.reshape(s * enc.kernel.shape[1], enc.d_f)
+    H += enc.bias
+    return windows, np.tanh(H, out=H)
 
 
 def encode(x: np.ndarray, enc: EncoderParams) -> np.ndarray:
@@ -246,18 +261,19 @@ def backward(
         raise ValueError("dlogits shape does not match the trace")
 
     w_sum = dec.W.sum(axis=1)
-    # logits = V @ w_sum + b
-    dV = dY[:, :, None] * w_sum[None, None, :]  # (B, L, d_f)
+    # logits = V @ w_sum + b, so dV[b] = dY[b, :, None] * w_sum
     dw_sum = dY.reshape(-1) @ trace.V.reshape(-1, d_f)
     dW = np.repeat(dw_sum[:, None], L, axis=1)  # every column of W gets the same grad
     db = dY.sum(axis=0)
 
     # V = A^T H, column softmax over tokens, scores = H @ qhat; per document
-    dH = np.empty_like(trace.H)
+    dpre = np.empty_like(trace.H)  # dH, taken through H = tanh(pre) in place
     dqhat = np.zeros((d_f, L))
+    dVb = np.empty((L, d_f))
     A = np.empty((N, L))  # the document's attention, rebuilt from m and s
     dS = np.empty((N, L))  # dA, turned into dS in place: A * (dA - sum_n A * dA)
-    for b, (Hb, dVb, dHb) in enumerate(zip(trace.H, dV, dH)):
+    for b, (Hb, dYb, dHb) in enumerate(zip(trace.H, dY, dpre)):
+        np.multiply(dYb[:, None], w_sum, out=dVb)
         _attention_slab(trace, b, out=A)
         np.matmul(Hb, dVb.T, out=dS)
         np.matmul(A, dVb, out=dHb)
@@ -265,6 +281,7 @@ def backward(
         dS *= A
         dqhat += Hb.T @ dS
         dHb += dS @ trace.qhat.T
+        dHb *= 1.0 - Hb**2
 
     grads: dict[str, np.ndarray] = {"W": dW, "b": db, "Q": dqhat}
     if dec.mode == "add":
@@ -276,19 +293,20 @@ def backward(
         grads["fc_b"] = dqhat.sum(axis=1)
 
     # H = tanh(windows @ kflat + bias)
-    dpre = dH * (1.0 - trace.H**2)
     s, d_e = enc.kernel.shape[0], enc.kernel.shape[1]
     kflat = enc.kernel.reshape(s * d_e, d_f)
     dkflat = trace.windows.reshape(B * N, -1).T @ dpre.reshape(-1, d_f)
     grads["kernel"] = dkflat.reshape(s, d_e, d_f)
     grads["bias"] = dpre.sum(axis=(0, 1))
 
-    dwindows = np.matmul(dpre, kflat.T)  # (B, N, s*d_e)
+    # each token's gradient sums its window slots in slot order from 0.0
+    dwindows = np.matmul(dpre, kflat.T).reshape(B, N, s, d_e)
     half = s // 2
-    demb_pad = np.zeros((B, N + 2 * half, d_e))
-    for j in range(s):
-        demb_pad[:, j : j + N] += dwindows[:, :, j * d_e : (j + 1) * d_e]
-    demb = demb_pad[:, half : half + N]
+    demb = np.zeros((B, N, d_e))
+    for j in range(s):  # slot j of window t reads token t + j - half
+        lo, hi = max(0, half - j), min(N, N + half - j)
+        if lo < hi:
+            demb[:, lo + j - half : hi + j - half] += dwindows[:, lo:hi, j]
     # scatter-add by token, as one bincount over (token, column) slots; it sums
     # each slot in order of occurrence from 0.0, so it gives np.add.at's bits
     slots = (trace.x.reshape(-1, 1) * d_e + np.arange(d_e)).ravel()

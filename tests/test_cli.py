@@ -1,9 +1,13 @@
+import ctypes
 import json
 import os
+import platform
+import types
 
 import numpy as np
 import pytest
 
+from hicu import cli
 from hicu.cli import main
 
 
@@ -704,3 +708,30 @@ class TestCliSharesTheLibraryPath:
         doc = Document(id=rec["id"], tokens=vocab.indices(tokens), labels=())
         top = inspect_attention(trainer.best_state(), None, doc, tokens, label, top_n=5)
         assert capsys.readouterr().out.splitlines() == [f"{t}\t{w:.6f}" for t, w in top]
+
+
+class TestMallocThresholds:
+    def test_sets_both_thresholds_through_mallopt(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        assert cli._pin_malloc_thresholds()
+        assert calls == [(-3, cli.MALLOC_MMAP_THRESHOLD), (-1, cli.MALLOC_TRIM_THRESHOLD)]
+        assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+
+    def test_quiet_without_a_library_or_mallopt(self, monkeypatch):
+        def no_library(name):
+            raise OSError(f"{name}: cannot open shared object file")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_library)
+        assert not cli._pin_malloc_thresholds()
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        assert not cli._pin_malloc_thresholds()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt only")
+    def test_glibc_accepts_the_thresholds(self):
+        assert cli._pin_malloc_thresholds()

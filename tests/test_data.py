@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from hicu.data import (
     PAD,
     UNK,
+    Dataset,
+    Document,
     SynthConfig,
     build_vocab,
     filter_top_k_labels,
@@ -66,6 +69,45 @@ class TestLoadDataset:
         ds = load_dataset(read_jsonl(path), vocab, max_len=10)
         with pytest.raises(ValueError, match="document 'd1': label '999.99' not a tree leaf"):
             ds.label_matrix(tree.level_labels(tree.k_max))
+
+    @staticmethod
+    def _loop_label_matrix(ds, codes):
+        """The per-label loop ``label_matrix`` replaced, kept as its oracle."""
+        index = {c: i for i, c in enumerate(codes)}
+        y = np.zeros((len(ds.docs), len(codes)), dtype=np.float64)
+        for d, doc in enumerate(ds.docs + ds.dropped):
+            for label in doc.labels:
+                if label not in index:
+                    raise ValueError(f"document {doc.id!r}: label {label!r} not a tree leaf")
+                if d < len(y):
+                    y[d, index[label]] = 1.0
+        return y
+
+    @given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "x", "y"]), max_size=5),
+                    max_size=8),
+           st.integers(0, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_label_matrix_matches_the_loop(self, label_lists, n_kept):
+        # labels repeat within and across documents; "x" and "y" are not
+        # codes, so a bad label may sit on a kept or on a dropped document
+        codes = ["d", "b", "a", "c"]
+        docs = [Document(f"doc{i}", np.array([1]), tuple(ls)) for i, ls in enumerate(label_lists)]
+        ds = Dataset(docs=docs[:n_kept], dropped=docs[n_kept:])
+        try:
+            want = self._loop_label_matrix(ds, codes)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                ds.label_matrix(codes)
+        else:
+            got = ds.label_matrix(codes)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_label_matrix_names_the_first_bad_label_of_a_dropped_document(self):
+        ds = Dataset(docs=[Document("kept", np.array([1]), ("a", "a"))],
+                     dropped=[Document("empty", np.array([], dtype=np.int64), ("b", "zz", "yy"))])
+        with pytest.raises(ValueError, match="document 'empty': label 'zz' not a tree leaf"):
+            ds.label_matrix(["a", "b"])
 
     @pytest.mark.parametrize("max_len", [0, -60])
     def test_max_len_below_one_rejected(self, small_corpus, max_len):
