@@ -18,18 +18,21 @@ dpre in place, and sums the window gradients into a (B, N, d_e) array in
 slot order from 0.0, which keeps the bits of a sum over a padded array.
 
 The decoder's attention works on one document at a time, in one reused
-(N, L) buffer that stays in cache through the score matmul, the token-axis
-softmax (in place) and the pooling matmul.  The (B, N, L) attention is
-never stored: the trace keeps each document's softmax statistics, the
-column max m and column sum s, two (B, L) arrays.  Where a document's slab
-is read again (backward, the attention inspector) ``_attention_slab``
-rebuilds it from H, qhat, m and s with decode's own operations in decode's
-order, so it has the bits decode pooled with.  Backward reuses two (N, L)
-buffers, the rebuilt slab and dA turned into dS in place.  The
-per-document steps give the same bits as batched passes over the whole
-(B, N, L) array.  The one exception is dqhat, which adds up the documents'
-H^T dS products one after another: the gradients of Q, fc_w and fc_b can
-differ in the low-order bits from a single (B*N)-row matmul.
+(N, L) buffer that stays in cache.  Decode passes over a document's slab
+with the score matmul, the token-axis max m, the subtraction of m, the
+exp and the sum s.  It then pools the unnormalised slab
+E = exp(scores - m) and divides the (L, d_f) result by s, instead of
+dividing the slab.  The (B, N, L) attention is never stored: the trace
+keeps m and s, two (B, L) arrays.  Backward rebuilds each document's E as
+exp([H | 1] @ [qhat ; -m]), one matmul and one exp.  It takes the softmax
+correction sum_n A * dA from V instead of the slab (FlashAttention-2's
+D term, rowsum(dV * V)) and folds it and the 1/s into one more matmul, so
+it makes two elementwise passes (the exp and one product) on top of its
+five slab matmuls.  The attention inspector's ``_attention_slab`` divides
+the slab as a batched softmax would.  Deferring the division and folding
+-m into the matmul move the low-order bits of V, the logits and every
+gradient against a softmax-then-pool evaluation; dqhat also adds up the
+documents' H^T dS products one after another.
 """
 from __future__ import annotations
 
@@ -200,7 +203,8 @@ def decode(
 
     Returns (yhat, partial trace); the trace holds qhat, the softmax
     statistics m and s, V and the logits.  The softmax runs along the token
-    axis so each label's attention column sums to 1.
+    axis so each label's attention column sums to 1; its division is
+    applied to the pooled V.
     """
     qhat = corrected_queries(dec.Q, E_h, dec.mode, dec.fc_w, dec.fc_b)
     B, N, d_f = H.shape
@@ -208,15 +212,15 @@ def decode(
     m = np.empty((B, L))
     s = np.empty((B, L))
     V = np.empty((B, L, d_f))
-    A = np.empty((N, L))  # one document's scores, turned into attention in place
+    E = np.empty((N, L))  # one document's scores, turned into exp(scores - m) in place
     for Hb, mb, sb, Vb in zip(H, m, s, V):
-        np.matmul(Hb, qhat, out=A)
-        A.max(axis=0, out=mb)
-        A -= mb
-        np.exp(A, out=A)
-        A.sum(axis=0, out=sb)
-        A /= sb
-        np.matmul(A.T, Hb, out=Vb)
+        np.matmul(Hb, qhat, out=E)
+        E.max(axis=0, out=mb)
+        E -= mb
+        np.exp(E, out=E)
+        E.sum(axis=0, out=sb)
+        np.matmul(E.T, Hb, out=Vb)
+        Vb /= sb[:, None]  # the softmax division, on (L, d_f) instead of the slab
     w_sum = dec.W.sum(axis=1)  # sum pooling of Z = V W collapses W to row sums
     logits = V @ w_sum + dec.b
     yhat = sigmoid(logits)
@@ -224,9 +228,10 @@ def decode(
 
 
 def _attention_slab(trace: ForwardTrace, b: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Document b's (N, L) attention, rebuilt from the trace's softmax
-    statistics with decode's operations in decode's order, so it holds the
-    bits decode pooled with.  Written into ``out`` when given."""
+    """Document b's (N, L) attention exp(H qhat - m) / s, rebuilt from the
+    trace's softmax statistics with decode's score and exp operations, then
+    divided, so it has the bits of a softmax over the whole batch's scores.
+    Written into ``out`` when given."""
     out = np.matmul(trace.H[b], trace.qhat, out=out)
     out -= trace.m[b]
     np.exp(out, out=out)
@@ -266,19 +271,30 @@ def backward(
     dW = np.repeat(dw_sum[:, None], L, axis=1)  # every column of W gets the same grad
     db = dY.sum(axis=0)
 
-    # V = A^T H, column softmax over tokens, scores = H @ qhat; per document
+    # V = A^T H, A = E / s with E = exp(H qhat - m), per document.  With
+    # dA = H dV^T the softmax gives dS = A * (dA - c), where
+    # c[l] = sum_n A dA = dV[l] . V[l] (FlashAttention-2's D term), so
+    #   dS = E * ([H | 1] @ [dV / s | -c / s]^T),  dH = E @ (dV / s) + dS @ qhat^T
+    # and the slab sees two elementwise passes: the exp and the product.
     dpre = np.empty_like(trace.H)  # dH, taken through H = tanh(pre) in place
     dqhat = np.zeros((d_f, L))
-    dVb = np.empty((L, d_f))
-    A = np.empty((N, L))  # the document's attention, rebuilt from m and s
-    dS = np.empty((N, L))  # dA, turned into dS in place: A * (dA - sum_n A * dA)
-    for b, (Hb, dYb, dHb) in enumerate(zip(trace.H, dY, dpre)):
-        np.multiply(dYb[:, None], w_sum, out=dVb)
-        _attention_slab(trace, b, out=A)
-        np.matmul(Hb, dVb.T, out=dS)
-        np.matmul(A, dVb, out=dHb)
-        dS -= np.einsum("nl,nl->l", A, dS)
-        dS *= A
+    H1 = np.ones((N, d_f + 1))  # [H_b | 1]
+    qm = np.empty((d_f + 1, L))  # [qhat ; -m_b]
+    qm[:d_f] = trace.qhat
+    G = np.empty((L, d_f + 1))  # [dV_b / s_b | -c_b / s_b]
+    dVs, negc = G[:, :d_f], G[:, d_f]
+    E = np.empty((N, L))
+    dS = np.empty((N, L))
+    for Hb, mb, sb, Vb, dYb, dHb in zip(trace.H, trace.m, trace.s, trace.V, dY, dpre):
+        H1[:, :d_f] = Hb
+        np.negative(mb, out=qm[d_f])
+        np.exp(np.matmul(H1, qm, out=E), out=E)
+        np.multiply((dYb / sb)[:, None], w_sum, out=dVs)
+        np.einsum("ld,ld->l", dVs, Vb, out=negc)
+        negc *= -1.0
+        np.matmul(H1, G.T, out=dS)
+        dS *= E
+        np.matmul(E, dVs, out=dHb)
         dqhat += Hb.T @ dS
         dHb += dS @ trace.qhat.T
         dHb *= 1.0 - Hb**2
