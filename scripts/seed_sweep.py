@@ -2,8 +2,8 @@
 """Multi-seed comparison of flat vs curriculum training.
 
 Runs the reference experiment across several seeds and summarizes the
-rare-label effect: mean test micro-F1 for both modes and the mean
-rare-quartile AUC delta (curriculum minus flat).
+rare-label effect: the mean and spread of test micro-F1 and micro-AUC for
+both modes and of the rare-quartile AUC delta (curriculum minus flat).
 
 Usage: python3 scripts/seed_sweep.py [--seeds 0,1,2,3,4] [--out DIR]
 """
@@ -24,6 +24,8 @@ def one_seed(root: Path, seed: int) -> dict:
         "seed": seed,
         "flat_micro_f1": flat["micro_f1"],
         "hicu_micro_f1": records[0]["micro_f1"],
+        "flat_micro_auc": flat["micro_auc"],
+        "hicu_micro_auc": records[0]["micro_auc"],
         "rare_delta": buckets[0]["mean_auc_delta"] if buckets else None,
     }
 
@@ -43,14 +45,15 @@ def main() -> int:
         results.append(res)
         print(f"seed {seed}: flat {res['flat_micro_f1']:.4f}  "
               f"hicu {res['hicu_micro_f1']:.4f}  "
+              f"micro-AUC flat {res['flat_micro_auc']:.4f} hicu {res['hicu_micro_auc']:.4f}  "
               f"rare-quartile AUC delta {res['rare_delta']:+.4f}")
 
-    flat = np.array([r["flat_micro_f1"] for r in results])
-    hc = np.array([r["hicu_micro_f1"] for r in results])
     rare = np.array([r["rare_delta"] for r in results if r["rare_delta"] is not None])
     print()
-    print(f"flat micro-F1: {flat.mean():.4f} +/- {flat.std():.4f}")
-    print(f"hicu micro-F1: {hc.mean():.4f} +/- {hc.std():.4f}")
+    for key, name in (("micro_f1", "micro-F1"), ("micro_auc", "micro-AUC")):
+        for mode in ("flat", "hicu"):
+            vals = np.array([r[f"{mode}_{key}"] for r in results])
+            print(f"{mode} {name}: {vals.mean():.4f} +/- {vals.std():.4f}")
     if len(rare):
         wins = int((rare > 0).sum())
         print(f"rare-quartile AUC delta: {rare.mean():+.4f} +/- {rare.std():.4f} "
