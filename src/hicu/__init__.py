@@ -49,6 +49,7 @@ from .metrics import (
     evaluate,
     macro_micro_auc,
     macro_micro_f1,
+    per_label_auc,
     precision_at_k,
 )
 from .network import (

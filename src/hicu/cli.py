@@ -245,13 +245,14 @@ def _load_model(path):
 
 
 def _bucket_table(codes, train_counts, model_auc, base_auc, n_buckets=4):
-    """Mean per-label AUC deltas grouped by training-frequency quartiles."""
+    """Mean per-label AUC deltas grouped by training-frequency quartiles; NaN AUCs go unscored."""
     order = sorted(range(len(codes)), key=lambda i: (train_counts[i], codes[i]))
+    scored = ~(np.isnan(model_auc) | np.isnan(base_auc))
     records = []
     for b in range(n_buckets):
         lo = b * len(order) // n_buckets
         hi = (b + 1) * len(order) // n_buckets
-        idxs = [i for i in order[lo:hi] if model_auc[i] is not None and base_auc[i] is not None]
+        idxs = [i for i in order[lo:hi] if scored[i]]
         rec = {
             "event": "auc_bucket",
             "bucket": b,
@@ -261,8 +262,8 @@ def _bucket_table(codes, train_counts, model_auc, base_auc, n_buckets=4):
             "max_train_freq": int(train_counts[order[hi - 1]]) if hi > lo else None,
         }
         if idxs:
-            rec["mean_auc"] = float(np.mean([model_auc[i] for i in idxs]))
-            rec["mean_baseline_auc"] = float(np.mean([base_auc[i] for i in idxs]))
+            rec["mean_auc"] = float(np.mean(model_auc[idxs]))
+            rec["mean_baseline_auc"] = float(np.mean(base_auc[idxs]))
             rec["mean_auc_delta"] = rec["mean_auc"] - rec["mean_baseline_auc"]
         records.append(rec)
     return records
@@ -277,6 +278,7 @@ def cmd_eval(args) -> int:
     test_set = _load_split(records, args.test, vocab, meta["max_len"])
     y = test_set.label_matrix(state.codes)
     ks = tuple(int(x) for x in args.p_at.split(","))
+    metrics.check_p_at(ks)
     base_scores = None
     if args.baseline:
         if not args.train:
@@ -285,6 +287,8 @@ def cmd_eval(args) -> int:
         if base_scores.shape != y.shape:
             raise ValueError(f"baseline score matrix has shape {base_scores.shape}, "
                              f"expected {y.shape}")
+        if not np.isfinite(base_scores).all():
+            raise ValueError(f"baseline score matrix {args.baseline} has non-finite entries")
 
     scores = curriculum.score_dataset(state.encoder, state.decoder, E_h, test_set.docs)
     os.makedirs(args.out, exist_ok=True)
@@ -295,8 +299,8 @@ def cmd_eval(args) -> int:
         train_records = data.read_jsonl(args.train)
         counts = Counter(l for rec in train_records for l in rec["labels"])
         train_counts = [counts.get(c, 0) for c in state.codes]
-        model_auc = [metrics.auc_binary(scores[:, j], y[:, j]) for j in range(len(state.codes))]
-        base_auc = [metrics.auc_binary(base_scores[:, j], y[:, j]) for j in range(len(state.codes))]
+        model_auc = metrics.per_label_auc(scores, y)
+        base_auc = metrics.per_label_auc(base_scores, y)
         out_records.extend(_bucket_table(state.codes, train_counts, model_auc, base_auc))
 
     data.write_jsonl(os.path.join(args.out, "eval.jsonl"), out_records)

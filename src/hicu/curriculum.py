@@ -18,7 +18,7 @@ from .checkpoint import read_container, write_container
 from .data import Dataset, Document, write_jsonl
 from .icd import LabelTree
 from .losses import AslConfig, asl, bce
-from .metrics import evaluate, macro_micro_f1
+from .metrics import check_p_at, evaluate, macro_micro_f1
 from .network import (
     AdamState,
     DecoderParams,
@@ -71,8 +71,7 @@ class CurriculumConfig:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.kernel_size % 2 == 0:
             raise ValueError("kernel_size must be odd")
-        if any(k < 1 for k in self.p_at):
-            raise ValueError(f"p_at entries must be >= 1, got {list(self.p_at)}")
+        check_p_at(self.p_at)
         metrics = ["macro_f1", "micro_f1", "macro_auc", "micro_auc"]
         metrics += [f"p_at_{k}" for k in self.p_at]
         if self.early_stop_metric not in metrics:
@@ -486,5 +485,5 @@ def inspect_attention(
         raise ValueError(f"document {doc.id!r} has no tokens")
     _, trace = forward(doc.tokens[None], state.encoder, state.decoder, E_h)
     col = _attention_slab(trace, 0)[:, state.codes.index(label)]
-    order = np.lexsort((np.arange(len(col)), -col))
+    order = np.argsort(-col, kind="stable")
     return [(token_strings[i], float(col[i])) for i in order[:top_n]]

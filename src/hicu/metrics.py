@@ -5,27 +5,38 @@ import numpy as np
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned the group average."""
-    order = np.argsort(scores, kind="mergesort")
-    sorted_scores = scores[order]
-    group_start = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
-    size = np.diff(group_start, append=len(scores))
-    ranks = np.empty(len(scores))
-    ranks[order] = np.repeat(0.5 * (2 * group_start + size - 1) + 1.0, size)
+    """1-based ranks of a float64 array along axis 0, each tie group assigned its average rank."""
+    order = np.argsort(scores, axis=0, kind="stable")
+    ordered = np.take_along_axis(scores, order, axis=0)
+    pos = np.arange(len(scores)).reshape((-1,) + (1,) * (scores.ndim - 1))
+    starts = np.ones(ordered.shape, dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    ends = np.roll(starts, -1, axis=0)  # the last row wraps onto starts[0], always True
+    span = np.maximum.accumulate(np.where(starts, pos, 0), axis=0)  # each group's first index
+    span += np.minimum.accumulate(np.where(ends, pos, len(pos))[::-1], axis=0)[::-1]  # + its last
+    ranks = ordered  # the sorted scores are spent; their buffer takes the ranks
+    np.put_along_axis(ranks, order, span / 2 + 1, axis=0)
     return ranks
 
 
-def auc_binary(scores: np.ndarray, labels: np.ndarray) -> float | None:
-    """Mann-Whitney AUC; ties credited 0.5.  None when one class is missing."""
-    scores = np.asarray(scores, dtype=np.float64).ravel()
-    labels = np.asarray(labels).ravel().astype(bool)
-    n_pos = int(labels.sum())
+def per_label_auc(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Mann-Whitney AUC of each column, ties credited 0.5; NaN where a column
+    lacks a class.  A 1-D input is one column and gives a 0-d result."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels).astype(bool)
+    if scores.shape != labels.shape:
+        raise ValueError("score and label matrices must have identical shapes")
+    n_pos = labels.sum(axis=0)
     n_neg = len(labels) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        return None
-    ranks = _average_ranks(scores)
-    rank_sum = float(ranks[labels].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    rank_sum = np.where(labels, _average_ranks(scores), 0.0).sum(axis=0)
+    with np.errstate(invalid="ignore"):  # 0/0 where a class is missing
+        return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def auc_binary(scores: np.ndarray, labels: np.ndarray) -> float | None:
+    """Mann-Whitney AUC of the flattened inputs; None when one class is missing."""
+    auc = per_label_auc(np.ravel(scores), np.ravel(labels))
+    return None if np.isnan(auc) else float(auc)
 
 
 def macro_micro_auc(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float, int]:
@@ -33,16 +44,12 @@ def macro_micro_auc(scores: np.ndarray, labels: np.ndarray) -> tuple[float, floa
 
     Returns (macro, micro, skipped_label_count).
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    if scores.shape != labels.shape:
-        raise ValueError("score and label matrices must have identical shapes")
-    per_label = [auc_binary(scores[:, j], labels[:, j]) for j in range(scores.shape[1])]
-    defined = [a for a in per_label if a is not None]
+    per_label = per_label_auc(scores, labels)
+    defined = per_label[~np.isnan(per_label)]
     skipped = len(per_label) - len(defined)
-    if not defined:
+    if not len(defined):
         raise ValueError("macro AUC undefined: no label has both classes")
-    micro = auc_binary(scores.ravel(), labels.ravel())
+    micro = auc_binary(scores, labels)
     if micro is None:
         raise ValueError("micro AUC undefined: labels are single-class overall")
     return float(np.mean(defined)), micro, skipped
@@ -66,6 +73,12 @@ def macro_micro_f1(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float
     return macro, micro
 
 
+def check_p_at(ks: tuple[int, ...]) -> None:
+    """Reject precision@k cutoffs below 1."""
+    if any(k < 1 for k in ks):
+        raise ValueError(f"p_at entries must be >= 1, got {list(ks)}")
+
+
 def precision_at_k(scores: np.ndarray, labels: np.ndarray, k: int) -> float:
     """Mean fraction of true labels among each document's top-k scores.
 
@@ -78,12 +91,9 @@ def precision_at_k(scores: np.ndarray, labels: np.ndarray, k: int) -> float:
     n_docs, n_labels = scores.shape
     if not 1 <= k <= n_labels:
         raise ValueError(f"k={k} out of range 1..{n_labels}")
-    total = 0.0
-    idx = np.arange(n_labels)
-    for d in range(n_docs):
-        order = np.lexsort((idx, -scores[d]))
-        total += labels[d, order[:k]].sum() / k
-    return total / n_docs
+    top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    hits = np.take_along_axis(labels, top, axis=1).sum(axis=1)
+    return float(np.cumsum(hits / k)[-1] / n_docs)  # summed in document order, not pairwise
 
 
 def evaluate(

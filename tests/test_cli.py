@@ -251,21 +251,35 @@ class TestErrors:
         ("no_train", "invalid_input"),
         ("missing", "io_error"),
         ("wrong_shape", "invalid_input"),
+        ("non_finite", "invalid_input"),
+        ("p_at_zero", "invalid_input"),
     ])
     def test_failed_baseline_writes_nothing(
         self, corpus_dir, trained_dir, tmp_path, capsys, case, code
     ):
+        """An eval that fails on its --baseline or its --p-at scores and writes nothing."""
+        from hicu.checkpoint import read_container
+
+        n_docs = len((corpus_dir / "test.jsonl").read_text().splitlines())
+        n_labels = len(read_container(trained_dir / "checkpoint.bin")[0]["codes"])
         baseline = tmp_path / "base.npy"
         if case != "missing":
-            np.save(baseline, np.zeros((3, 2)))
+            shape = (3, 2) if case == "wrong_shape" else (n_docs, n_labels)
+            np.save(baseline, np.full(shape, np.nan if case == "non_finite" else 0.0))
         argv = ["eval", "--checkpoint", str(trained_dir / "checkpoint.bin"),
                 "--test", str(corpus_dir / "test.jsonl"), "--baseline", str(baseline),
                 "--out", str(tmp_path / "o")]
         if case != "no_train":
             argv += ["--train", str(corpus_dir / "train.jsonl")]
+        if case == "p_at_zero":
+            argv += ["--p-at", "5,0"]
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith(f"HICU_ERROR code={code}")
-        assert not (tmp_path / "o" / "scores.npy").exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"HICU_ERROR code={code}")
+        detail = {"non_finite": f"{baseline} has non-finite entries",
+                  "p_at_zero": "p_at entries must be >= 1"}.get(case, "")
+        assert detail in err
+        assert not (tmp_path / "o").exists()
 
     def test_eval_without_defined_auc_writes_null(self, corpus_dir, trained_dir, tmp_path):
         one = tmp_path / "one.jsonl"

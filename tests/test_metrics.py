@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from hicu.metrics import (
     _average_ranks,
@@ -9,6 +10,7 @@ from hicu.metrics import (
     evaluate,
     macro_micro_auc,
     macro_micro_f1,
+    per_label_auc,
     precision_at_k,
 )
 
@@ -40,11 +42,82 @@ def _loop_average_ranks(scores):
     return ranks
 
 
-@given(st.lists(st.integers(-4, 4), max_size=500))
+def _column_auc(scores, labels):
+    """Each column's AUC by the one-column rank-sum formula; NaN where a class is missing."""
+    out = []
+    for j in range(scores.shape[1]):
+        y = labels[:, j].astype(bool)
+        n_pos = int(y.sum())
+        n_neg = len(y) - n_pos
+        if n_pos == 0 or n_neg == 0:
+            out.append(np.nan)
+            continue
+        rank_sum = float(_loop_average_ranks(scores[:, j])[y].sum())
+        out.append((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    return np.array(out)
+
+
+def _loop_precision_at_k(scores, labels, k):
+    """Precision@k with one lexsort per document and a running total."""
+    total = 0.0
+    idx = np.arange(scores.shape[1])
+    for d in range(scores.shape[0]):
+        order = np.lexsort((idx, -scores[d]))
+        total += labels[d, order[:k]].astype(bool).sum() / k
+    return total / scores.shape[0]
+
+
+def _tie_heavy_matrix(rng, max_docs=30, max_labels=12):
+    """Scores with many ties and labels whose prevalence leaves some columns single-class."""
+    shape = (int(rng.integers(1, max_docs + 1)), int(rng.integers(1, max_labels + 1)))
+    if rng.random() < 0.5:
+        scores = rng.integers(-3, 4, shape).astype(np.float64)
+    else:
+        scores = np.round(rng.random(shape), 1)
+    labels = rng.random(shape) < rng.choice([0.05, 0.4, 0.95])
+    return scores, labels
+
+
+_TIE_VALUES = st.integers(-4, 4).map(float)
+
+
+@given(st.one_of(
+    st.lists(_TIE_VALUES, max_size=500).map(lambda v: np.array(v, dtype=np.float64)),
+    arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=40), elements=_TIE_VALUES),
+))
+@example(np.array([[1.0, 1.0, -2.0, 1.0]]))  # one row
+@example(np.array([[3.0], [1.0], [3.0], [3.0]]))  # one column
+@example(np.array([[2.0, 0.0, -1.0], [2.0, 1.0, -1.0], [2.0, 0.0, -1.0]]))  # all-equal columns
 @settings(max_examples=200, deadline=None)
-def test_average_ranks_match_loop_oracle_on_ties(values):
-    scores = np.array(values, dtype=np.float64)
-    assert np.array_equal(_average_ranks(scores), _loop_average_ranks(scores))
+def test_average_ranks_match_loop_oracle_on_ties(scores):
+    ranks = _average_ranks(scores)
+    assert ranks.shape == scores.shape
+    for j in np.ndindex(scores.shape[1:]):  # a 1-D input is a single column
+        col = (slice(None), *j)
+        assert np.array_equal(ranks[col], _loop_average_ranks(scores[col]))
+
+
+def test_per_label_auc_matches_column_formula_bitwise():
+    rng = np.random.default_rng(5)
+    single_class = 0
+    for _ in range(300):
+        scores, labels = _tie_heavy_matrix(rng)
+        want = _column_auc(scores, labels)
+        single_class += int(np.isnan(want).sum())
+        assert np.array_equal(per_label_auc(scores, labels), want, equal_nan=True)
+        micro = _column_auc(scores.reshape(-1, 1), labels.reshape(-1, 1))[0]
+        got = auc_binary(scores, labels)
+        assert got is None if np.isnan(micro) else got == micro
+    assert single_class > 0
+
+
+def test_p_at_k_matches_lexsort_loop_bitwise():
+    rng = np.random.default_rng(6)
+    for _ in range(100):
+        scores, labels = _tie_heavy_matrix(rng, max_docs=200)
+        n_labels = scores.shape[1]
+        for k in sorted({1, (n_labels + 1) // 2, n_labels}):
+            assert precision_at_k(scores, labels, k) == _loop_precision_at_k(scores, labels, k)
 
 
 class TestAucBinary:
