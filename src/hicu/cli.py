@@ -8,7 +8,9 @@ seed is given anywhere.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
+import glob
 import json
 import os
 import sys
@@ -46,6 +48,30 @@ def _pin_malloc_thresholds() -> bool:
     accepted = [mallopt(_M_MMAP_THRESHOLD, MALLOC_MMAP_THRESHOLD),
                 mallopt(_M_TRIM_THRESHOLD, MALLOC_TRIM_THRESHOLD)]
     return all(accepted)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's bundled OpenBLAS at one thread, then restore
+    its old count.  OpenBLAS's low-order bits change with its thread count,
+    so this makes a run's bits independent of the core count and of
+    ``OPENBLAS_NUM_THREADS``; decode and backward get their parallelism from
+    worker lanes instead.  Without the library it does nothing."""
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*")
+    try:
+        lib = ctypes.CDLL(sorted(glob.glob(pattern))[0])
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        yield
+        return
+    get.argtypes, get.restype = (), ctypes.c_int
+    set_.argtypes, set_.restype = (ctypes.c_int,), None
+    old = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(old)
 
 
 def _read_config_file(path) -> list[str]:
@@ -430,26 +456,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     _pin_malloc_thresholds()
-    try:
-        # expand --config before the real parse so explicit flags win
-        if argv and "--config" in argv:
-            i = argv.index("--config")
-            if i + 1 < len(argv):
-                injected = _read_config_file(argv[i + 1])
-                argv = argv[:1] + injected + argv[1:]
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except SystemExit:
-        raise  # argparse usage errors keep their own exit code
-    except Exception as exc:  # noqa: BLE001 - single reporting point for the CLI
-        code = "internal_error"
-        for etype, name in _ERROR_CODES.items():
-            if isinstance(exc, etype):
-                code = name
-                break
-        print(f"HICU_ERROR code={code} detail={exc}", file=sys.stderr)
-        return 1
+    with _one_blas_thread():
+        try:
+            # expand --config before the real parse so explicit flags win
+            if argv and "--config" in argv:
+                i = argv.index("--config")
+                if i + 1 < len(argv):
+                    injected = _read_config_file(argv[i + 1])
+                    argv = argv[:1] + injected + argv[1:]
+            parser = build_parser()
+            args = parser.parse_args(argv)
+            return args.func(args)
+        except SystemExit:
+            raise  # argparse usage errors keep their own exit code
+        except Exception as exc:  # noqa: BLE001 - single reporting point for the CLI
+            code = "internal_error"
+            for etype, name in _ERROR_CODES.items():
+                if isinstance(exc, etype):
+                    code = name
+                    break
+            print(f"HICU_ERROR code={code} detail={exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

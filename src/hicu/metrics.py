@@ -79,21 +79,26 @@ def check_p_at(ks: tuple[int, ...]) -> None:
         raise ValueError(f"p_at entries must be >= 1, got {list(ks)}")
 
 
-def precision_at_k(scores: np.ndarray, labels: np.ndarray, k: int) -> float:
+def precision_at_k(scores: np.ndarray, labels: np.ndarray, k: int | list[int]) -> float | list[float]:
     """Mean fraction of true labels among each document's top-k scores.
 
-    Ties are broken by ascending label index.
+    ``k`` is one cutoff, giving a float, or a sequence of them, giving a list
+    from one row-wise sort.  Ties are broken by ascending label index.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels).astype(bool)
     if scores.shape != labels.shape:
         raise ValueError("score and label matrices must have identical shapes")
     n_docs, n_labels = scores.shape
-    if not 1 <= k <= n_labels:
-        raise ValueError(f"k={k} out of range 1..{n_labels}")
-    top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-    hits = np.take_along_axis(labels, top, axis=1).sum(axis=1)
-    return float(np.cumsum(hits / k)[-1] / n_docs)  # summed in document order, not pairwise
+    ks = [int(c) for c in np.atleast_1d(k)]
+    for c in ks:
+        if not 1 <= c <= n_labels:
+            raise ValueError(f"k={c} out of range 1..{n_labels}")
+    top = np.argsort(-scores, axis=1, kind="stable")[:, : max(ks)]
+    hits = np.cumsum(np.take_along_axis(labels, top, axis=1), axis=1)  # hits among the top 1, 2, ...
+    # each cutoff sums its per-document fractions in document order, not pairwise
+    out = [float(np.cumsum(hits[:, c - 1] / c)[-1] / n_docs) for c in ks]
+    return out if np.ndim(k) else out[0]
 
 
 def evaluate(
@@ -116,7 +121,7 @@ def evaluate(
         "micro_f1": micro_f1,
         "skipped_labels": skipped,
     }
-    for k in sorted(set(ks)):
-        if k <= n_labels:
-            out[f"p_at_{k}"] = precision_at_k(scores, labels, k)
+    ks = [k for k in sorted(set(ks)) if k <= n_labels]
+    if ks:
+        out.update((f"p_at_{k}", p) for k, p in zip(ks, precision_at_k(scores, labels, ks)))
     return out

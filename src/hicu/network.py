@@ -9,13 +9,15 @@ layer with sum pooling and a sigmoid.
 All arrays are float64.  Token input is always a (B, N) batch of
 equal-length documents; a lone document is ``x[None]``.
 
-The encoder holds two batch arrays: the (B, N, s*d_e) windows, which one
-``np.take`` fills straight from the embedding table (the padding slots are
-zeroed, so no (B, N, d_e) gather or padded copy is made), and H, which the
-conv matmul writes and the bias add and tanh update in place.  Backward
-forms each document's (L, d_f) dV rows in one reused buffer, turns dH into
-dpre in place, and sums the window gradients into a (B, N, d_e) array in
-slot order from 0.0, which keeps the bits of a sum over a padded array.
+The encoder builds the (B, N, s*d_e) windows, which one ``np.take`` fills
+straight from the embedding table (the padding slots are zeroed, so no
+(B, N, d_e) gather or padded copy is made), and H, which the conv matmul
+writes and the bias add and tanh update in place.  The trace keeps H but
+not the windows: backward rebuilds them from the tokens just before the
+kernel gradient, from the same embedding table, so they have the same bits.
+Backward turns dH into dpre in place and sums the window gradients into a
+(B, N, d_e) array in slot order from 0.0, which keeps the bits of a sum over
+a padded array.
 
 The decoder's attention works on one document at a time, in one reused
 (N, L) buffer that stays in cache.  Decode passes over a document's slab
@@ -31,11 +33,27 @@ it makes two elementwise passes (the exp and one product) on top of its
 five slab matmuls.  The attention inspector's ``_attention_slab`` divides
 the slab as a batched softmax would.  Deferring the division and folding
 -m into the matmul move the low-order bits of V, the logits and every
-gradient against a softmax-then-pool evaluation; dqhat also adds up the
-documents' H^T dS products one after another.
+gradient against a softmax-then-pool evaluation.
+
+Decode and the attention backward split a batch's documents across worker
+lanes, one per CPU the process may use and at most one per document (the
+per-row split of FlashAttention-2).  Lane w takes documents w, w+n, w+2n,
+...; lane 0 runs on the calling thread and the others on module-level
+threads that call numpy only, never a public function of the package.  Each
+lane has its own buffers and writes only its own documents' rows of m, s, V
+and dpre.  Document b's H^T dS goes into its lane's (d_f, L) buffer and is
+added into dqhat only after document b-1's add, so dqhat is summed in
+document order from 0.0 at any lane count.  The encoder and kernel-gradient
+GEMMs stay on the calling thread.  Below a document's N*L*d_f work of
+LANE_WORK_FLOOR one lane runs inline.  So the bits do not depend on the lane
+count; with one BLAS thread (the CLI pins it) they do not depend on the
+core count either.
 """
 from __future__ import annotations
 
+import os
+import queue
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +61,15 @@ import numpy as np
 from .losses import sigmoid
 
 CORRECTION_MODES = ("none", "add", "concat")
+
+# A document's attention work N*L*d_f below which decode and backward run
+# their documents inline.  On two lanes, one BLAS thread and the 2-core
+# x86_64 VM, a forward-backward step at the reference shape (N*L*d_f = 249k)
+# went from 3.5-4.3 to 3.9-4.3 ms, and at paper-wide's leaf level (4.5M)
+# from 46-56 to 27-32 ms.
+LANE_WORK_FLOOR = 2**20
+_LANE_TASKS: queue.SimpleQueue = queue.SimpleQueue()  # (run, w, results) for the lane threads
+_LANE_THREADS: list[threading.Thread] = []  # started on first use, never stopped
 
 
 @dataclass
@@ -89,7 +116,6 @@ class DecoderParams:
 @dataclass
 class ForwardTrace:
     x: np.ndarray  # (B, N) token indices
-    windows: np.ndarray  # (B, N, s * d_e)
     H: np.ndarray  # (B, N, d_f)
     qhat: np.ndarray  # (d_f, L)
     m: np.ndarray  # (B, L) per-label max of the scores over tokens
@@ -150,8 +176,8 @@ def _im2col(x: np.ndarray, embedding: np.ndarray, s: int) -> np.ndarray:
     return cols.reshape(B, N, s * d_e)
 
 
-def _encode(x: np.ndarray, enc: EncoderParams) -> tuple[np.ndarray, np.ndarray]:
-    """im2col windows and H of a (B, N) batch."""
+def _encode(x: np.ndarray, enc: EncoderParams) -> np.ndarray:
+    """H of a (B, N) batch."""
     if np.ndim(x) != 2:
         raise ValueError("token input must be a (B, N) batch")
     if x.size and (int(x.min()) < 0 or int(x.max()) >= enc.embedding.shape[0]):
@@ -160,12 +186,12 @@ def _encode(x: np.ndarray, enc: EncoderParams) -> tuple[np.ndarray, np.ndarray]:
     windows = _im2col(x, enc.embedding, s)
     H = windows @ enc.kernel.reshape(s * enc.kernel.shape[1], enc.d_f)
     H += enc.bias
-    return windows, np.tanh(H, out=H)
+    return np.tanh(H, out=H)
 
 
 def encode(x: np.ndarray, enc: EncoderParams) -> np.ndarray:
     """H = tanh(conv1d_same(embed(x))) of a (B, N) batch; returns (B, N, d_f)."""
-    return _encode(x, enc)[1]
+    return _encode(x, enc)
 
 
 def corrected_queries(
@@ -196,6 +222,91 @@ def corrected_queries(
     raise ValueError(f"unknown correction mode {mode!r}")
 
 
+def _cores() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _lane_count(B: int, N: int, L: int, d_f: int) -> int:
+    """Worker lanes for a batch: one per core, at most one per document, and
+    one when a document's N*L*d_f attention work is below LANE_WORK_FLOOR."""
+    if N * L * d_f < LANE_WORK_FLOOR:
+        return 1
+    return max(1, min(_cores(), B))
+
+
+def _lane_thread() -> None:
+    while True:
+        run, w, results = _LANE_TASKS.get()
+        try:
+            run(w)
+        except BaseException as exc:  # handed to the calling thread
+            results.put(exc)
+        else:
+            results.put(None)
+        del run  # an idle thread keeps no lane's arrays alive
+
+
+def _run_lanes(lane, n: int, done: list[threading.Event] | None, *args) -> None:
+    """Run ``lane(w, n, done, *args)`` for w = 0..n-1: lane 0 on the calling
+    thread, the others on the module's lane threads.  Lane w takes documents
+    w, w+n, w+2n, ...  When a lane ends, raised or not, its documents' events
+    are set, so no lane waits forever on another; a lane's error is re-raised
+    here once every lane has stopped.
+
+    Each lane's thread is held to its own CPU while it runs, and the calling
+    thread gets its CPUs back afterwards.  Left to itself, the scheduler kept
+    a new lane thread on its creator's core for about a second (2-core x86_64
+    VM), a third of a paper-wide training run."""
+    if n == 1:
+        lane(0, 1, done, *args)
+        return
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+
+    def run(w):
+        try:
+            if cpus:
+                os.sched_setaffinity(0, {cpus[w % len(cpus)]})
+            lane(w, n, done, *args)
+        finally:
+            if done is not None:
+                for event in done[w::n]:
+                    event.set()
+
+    _LANE_THREADS[:] = [t for t in _LANE_THREADS if t.is_alive()]  # none survive a fork
+    while len(_LANE_THREADS) < n - 1:
+        _LANE_THREADS.append(threading.Thread(target=_lane_thread, name="hicu-lane", daemon=True))
+        _LANE_THREADS[-1].start()
+    results: queue.SimpleQueue = queue.SimpleQueue()
+    for w in range(1, n):
+        _LANE_TASKS.put((run, w, results))
+    try:
+        run(0)
+    finally:
+        if cpus:
+            os.sched_setaffinity(0, cpus)
+        errors = [results.get() for _ in range(1, n)]
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
+def _decode_lane(w, n, done, H, qhat, m, s, V, slabs) -> None:
+    E = slabs[w]  # one document's scores, turned into exp(scores - m) in place
+    for b in range(w, len(H), n):
+        Hb, mb, sb, Vb = H[b], m[b], s[b], V[b]
+        np.matmul(Hb, qhat, out=E)
+        E.max(axis=0, out=mb)
+        E -= mb
+        np.exp(E, out=E)
+        E.sum(axis=0, out=sb)
+        np.matmul(E.T, Hb, out=Vb)
+        Vb /= sb[:, None]  # the softmax division, on (L, d_f) instead of the slab
+
+
 def decode(
     H: np.ndarray, dec: DecoderParams, E_h: np.ndarray | None = None
 ) -> tuple[np.ndarray, dict]:
@@ -212,15 +323,8 @@ def decode(
     m = np.empty((B, L))
     s = np.empty((B, L))
     V = np.empty((B, L, d_f))
-    E = np.empty((N, L))  # one document's scores, turned into exp(scores - m) in place
-    for Hb, mb, sb, Vb in zip(H, m, s, V):
-        np.matmul(Hb, qhat, out=E)
-        E.max(axis=0, out=mb)
-        E -= mb
-        np.exp(E, out=E)
-        E.sum(axis=0, out=sb)
-        np.matmul(E.T, Hb, out=Vb)
-        Vb /= sb[:, None]  # the softmax division, on (L, d_f) instead of the slab
+    n = _lane_count(B, N, L, d_f)
+    _run_lanes(_decode_lane, n, None, H, qhat, m, s, V, [np.empty((N, L)) for _ in range(n)])
     w_sum = dec.W.sum(axis=1)  # sum pooling of Z = V W collapses W to row sums
     logits = V @ w_sum + dec.b
     yhat = sigmoid(logits)
@@ -245,10 +349,52 @@ def forward(
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Full forward pass of a (B, N) batch; returns (B, L) sigmoid outputs
     and a trace for backward."""
-    windows, H = _encode(x, enc)
+    H = _encode(x, enc)
     yhat, partial = decode(H, dec, E_h)
-    trace = ForwardTrace(x=x, windows=windows, H=H, E_h=E_h, **partial)
+    trace = ForwardTrace(x=x, H=H, E_h=E_h, **partial)
     return yhat, trace
+
+
+def _backward_buffers(N: int, d_f: int, qhat: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One lane's per-document buffers for backward."""
+    L = qhat.shape[1]
+    H1 = np.ones((N, d_f + 1))  # [H_b | 1]
+    qm = np.empty((d_f + 1, L))  # [qhat ; -m_b]
+    qm[:d_f] = qhat
+    G = np.empty((L, d_f + 1))  # [dV_b / s_b | -c_b / s_b]
+    return H1, qm, G, np.empty((N, L)), np.empty((N, L)), np.empty((d_f, L))
+
+
+def _backward_lane(w, n, done, trace, dY, w_sum, dpre, dqhat, buffers) -> None:
+    # V = A^T H, A = E / s with E = exp(H qhat - m), per document.  With
+    # dA = H dV^T the softmax gives dS = A * (dA - c), where
+    # c[l] = sum_n A dA = dV[l] . V[l] (FlashAttention-2's D term), so
+    #   dS = E * ([H | 1] @ [dV / s | -c / s]^T),  dH = E @ (dV / s) + dS @ qhat^T
+    # and the slab sees two elementwise passes: the exp and the product.
+    # Document b's H^T dS is added into dqhat only after document b-1's, so
+    # dqhat is summed in document order at any lane count.
+    H1, qm, G, E, dS, HdS = buffers[w]
+    d_f = trace.H.shape[2]
+    dVs, negc = G[:, :d_f], G[:, d_f]
+    for b in range(w, len(dY), n):
+        Hb, mb, sb, dHb = trace.H[b], trace.m[b], trace.s[b], dpre[b]
+        H1[:, :d_f] = Hb
+        np.negative(mb, out=qm[d_f])
+        np.exp(np.matmul(H1, qm, out=E), out=E)
+        np.multiply((dY[b] / sb)[:, None], w_sum, out=dVs)
+        np.einsum("ld,ld->l", dVs, trace.V[b], out=negc)
+        negc *= -1.0
+        np.matmul(H1, G.T, out=dS)
+        dS *= E
+        np.matmul(E, dVs, out=dHb)
+        np.matmul(Hb.T, dS, out=HdS)
+        if done is not None and b > 0:
+            done[b - 1].wait()
+        dqhat += HdS
+        if done is not None:
+            done[b].set()
+        dHb += dS @ trace.qhat.T
+        dHb *= 1.0 - Hb**2
 
 
 def backward(
@@ -271,33 +417,12 @@ def backward(
     dW = np.repeat(dw_sum[:, None], L, axis=1)  # every column of W gets the same grad
     db = dY.sum(axis=0)
 
-    # V = A^T H, A = E / s with E = exp(H qhat - m), per document.  With
-    # dA = H dV^T the softmax gives dS = A * (dA - c), where
-    # c[l] = sum_n A dA = dV[l] . V[l] (FlashAttention-2's D term), so
-    #   dS = E * ([H | 1] @ [dV / s | -c / s]^T),  dH = E @ (dV / s) + dS @ qhat^T
-    # and the slab sees two elementwise passes: the exp and the product.
+    n = _lane_count(B, N, L, d_f)
     dpre = np.empty_like(trace.H)  # dH, taken through H = tanh(pre) in place
     dqhat = np.zeros((d_f, L))
-    H1 = np.ones((N, d_f + 1))  # [H_b | 1]
-    qm = np.empty((d_f + 1, L))  # [qhat ; -m_b]
-    qm[:d_f] = trace.qhat
-    G = np.empty((L, d_f + 1))  # [dV_b / s_b | -c_b / s_b]
-    dVs, negc = G[:, :d_f], G[:, d_f]
-    E = np.empty((N, L))
-    dS = np.empty((N, L))
-    for Hb, mb, sb, Vb, dYb, dHb in zip(trace.H, trace.m, trace.s, trace.V, dY, dpre):
-        H1[:, :d_f] = Hb
-        np.negative(mb, out=qm[d_f])
-        np.exp(np.matmul(H1, qm, out=E), out=E)
-        np.multiply((dYb / sb)[:, None], w_sum, out=dVs)
-        np.einsum("ld,ld->l", dVs, Vb, out=negc)
-        negc *= -1.0
-        np.matmul(H1, G.T, out=dS)
-        dS *= E
-        np.matmul(E, dVs, out=dHb)
-        dqhat += Hb.T @ dS
-        dHb += dS @ trace.qhat.T
-        dHb *= 1.0 - Hb**2
+    done = [threading.Event() for _ in range(B)] if n > 1 else None
+    _run_lanes(_backward_lane, n, done, trace, dY, w_sum, dpre, dqhat,
+               [_backward_buffers(N, d_f, trace.qhat) for _ in range(n)])  # freed before the encoder's arrays
 
     grads: dict[str, np.ndarray] = {"W": dW, "b": db, "Q": dqhat}
     if dec.mode == "add":
@@ -311,7 +436,9 @@ def backward(
     # H = tanh(windows @ kflat + bias)
     s, d_e = enc.kernel.shape[0], enc.kernel.shape[1]
     kflat = enc.kernel.reshape(s * d_e, d_f)
-    dkflat = trace.windows.reshape(B * N, -1).T @ dpre.reshape(-1, d_f)
+    windows = _im2col(trace.x, enc.embedding, s)  # the trace does not keep them
+    dkflat = windows.reshape(B * N, -1).T @ dpre.reshape(-1, d_f)
+    del windows
     grads["kernel"] = dkflat.reshape(s, d_e, d_f)
     grads["bias"] = dpre.sum(axis=(0, 1))
 

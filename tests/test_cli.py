@@ -1,14 +1,18 @@
 import ctypes
+import glob
 import json
 import os
 import platform
+import subprocess
+import sys
 import types
 
 import numpy as np
 import pytest
 
-from hicu import cli
+from hicu import cli, network
 from hicu.cli import main
+from hicu.curriculum import load_model
 
 
 @pytest.fixture(scope="module")
@@ -749,3 +753,80 @@ class TestMallocThresholds:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt only")
     def test_glibc_accepts_the_thresholds(self):
         assert cli._pin_malloc_thresholds()
+
+
+class TestBlasThreads:
+    def _fake_openblas(self, monkeypatch, threads):
+        calls = []
+
+        def set_threads(n):
+            calls.append(n)
+            threads[0] = n
+
+        lib = types.SimpleNamespace(scipy_openblas_get_num_threads64_=lambda: threads[0],
+                                    scipy_openblas_set_num_threads64_=set_threads)
+        monkeypatch.setattr(glob, "glob", lambda pattern: ["libscipy_openblas64_.so"])
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: lib)
+        return calls
+
+    def test_pins_one_thread_and_restores_the_old_count(self, monkeypatch):
+        threads = [4]
+        calls = self._fake_openblas(monkeypatch, threads)
+        with cli._one_blas_thread():
+            assert threads == [1]
+        assert calls == [1, 4]
+        with pytest.raises(RuntimeError), cli._one_blas_thread():
+            raise RuntimeError("body failed")
+        assert calls == [1, 4, 1, 4]
+
+    def test_main_runs_under_the_pin(self, monkeypatch, capsys):
+        threads = [2]
+        seen = []
+        self._fake_openblas(monkeypatch, threads)
+        def build_parser():
+            seen.append(threads[0])
+            raise ValueError("parser not needed")
+
+        monkeypatch.setattr(cli, "build_parser", build_parser)
+        assert main(["train"]) == 1
+        assert "parser not needed" in capsys.readouterr().err
+        assert seen == [1]
+        assert threads == [2]
+
+    def test_quiet_without_the_library(self, monkeypatch):
+        monkeypatch.setattr(glob, "glob", lambda pattern: [])
+        with cli._one_blas_thread():
+            pass
+
+        def no_library(name):
+            raise OSError(f"{name}: cannot open shared object file")
+
+        monkeypatch.setattr(glob, "glob", lambda pattern: ["libscipy_openblas64_.so"])
+        monkeypatch.setattr(ctypes, "CDLL", no_library)
+        with cli._one_blas_thread():
+            pass
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        with cli._one_blas_thread():
+            pass
+
+    def test_checkpoints_match_at_one_and_two_blas_threads(self, tmp_path):
+        # At this shape two OpenBLAS threads change the low-order bits of an
+        # unpinned run, and a document's attention work is above the lane floor.
+        assert main(["synth", "--out", str(tmp_path / "data"), "--branching", "5,5,5,5,5",
+                     "--doc-length", "256", "--docs", "100,16,16", "--zipf", "0.8",
+                     "--seed", "0"]) == 0
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            subprocess.run([
+                sys.executable, "-m", "hicu.cli", "train",
+                "--ranges", str(tmp_path / "data" / "ranges.tsv"),
+                "--train", str(tmp_path / "data" / "train.jsonl"),
+                "--valid", str(tmp_path / "data" / "valid.jsonl"),
+                "--out", str(tmp_path / threads), "--mode", "flat", "--epochs-per-level", "1,1,1,1,1",
+                "--d-e", "32", "--d-f", "32", "--lr", "0.002", "--seed", "0",
+            ], env=env, check=True, capture_output=True, timeout=300)
+        state, _, _ = load_model(tmp_path / "1" / "checkpoint.bin")
+        assert 256 * state.decoder.n_labels * 32 >= network.LANE_WORK_FLOOR
+        assert (tmp_path / "1" / "checkpoint.bin").read_bytes() == (tmp_path / "2" / "checkpoint.bin").read_bytes()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hicu import cli, curriculum
+from hicu import cli, curriculum, network
 from hicu.checkpoint import read_container, write_container
 from hicu.curriculum import (
     SCORE_BATCH_SIZE,
@@ -350,6 +350,26 @@ class TestCorrectionModes:
         docs = splits["valid"].docs
         assert np.array_equal(score_dataset(state.encoder, state.decoder, E_h, docs),
                               score_dataset(best.encoder, best.decoder, trainer.E_h, docs))
+
+
+class TestWorkerLanes:
+    def test_checkpoint_and_report_do_not_depend_on_the_lane_count(
+        self, small_setup, tiny_cfg, tmp_path, monkeypatch
+    ):
+        _, atree, vocab, splits = small_setup
+        assert len({len(d.tokens) for d in splits["train"].docs}) == 1  # whole batches reach the lanes
+        monkeypatch.setattr(network, "LANE_WORK_FLOOR", 0)
+        outputs = []
+        for n in (1, 2, 3):
+            monkeypatch.setattr(network, "_cores", lambda n=n: n)
+            trainer = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg,
+                              vocab_size=vocab.size)
+            trainer.run()
+            trainer.save(tmp_path / f"{n}.bin")
+            trainer.write_report(tmp_path / f"{n}.jsonl")
+            outputs.append([(tmp_path / f"{n}.{ext}").read_bytes() for ext in ("bin", "jsonl")])
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
 
 
 class TestResume:

@@ -116,8 +116,10 @@ def test_p_at_k_matches_lexsort_loop_bitwise():
     for _ in range(100):
         scores, labels = _tie_heavy_matrix(rng, max_docs=200)
         n_labels = scores.shape[1]
-        for k in sorted({1, (n_labels + 1) // 2, n_labels}):
-            assert precision_at_k(scores, labels, k) == _loop_precision_at_k(scores, labels, k)
+        ks = sorted({1, (n_labels + 1) // 2, n_labels})
+        want = [_loop_precision_at_k(scores, labels, k) for k in ks]
+        assert [precision_at_k(scores, labels, k) for k in ks] == want
+        assert precision_at_k(scores, labels, ks[::-1]) == want[::-1]  # one sort serves every k
 
 
 class TestAucBinary:

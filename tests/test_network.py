@@ -1,3 +1,6 @@
+import inspect
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,11 +11,13 @@ from hypothesis import strategies as st
 from hicu.curriculum import ModelState, inspect_attention
 from hicu.data import Document
 from hicu.losses import AslConfig, asl, bce, sigmoid
+from hicu import network
 from hicu.network import (
     AdamState,
     DecoderParams,
     EncoderParams,
     _attention_slab,
+    _im2col,
     adam_step,
     backward,
     corrected_queries,
@@ -504,12 +509,122 @@ class TestKernels:
         _, trace = forward(x, enc, dec, E_h)
         assert _snapshot(x, E_h, *params) == before
         _, dlogits = bce(trace.logits, y)
-        kept = _snapshot(trace.H, trace.m, trace.s, trace.windows, trace.qhat,
+        windows = _im2col(trace.x, enc.embedding, enc.kernel.shape[0])  # backward rebuilds them
+        kept = _snapshot(trace.H, trace.m, trace.s, windows, trace.qhat,
                          trace.V, trace.logits, dlogits)
         backward(trace, enc, dec, dlogits)
-        assert _snapshot(trace.H, trace.m, trace.s, trace.windows, trace.qhat,
+        windows = _im2col(trace.x, enc.embedding, enc.kernel.shape[0])
+        assert _snapshot(trace.H, trace.m, trace.s, windows, trace.qhat,
                          trace.V, trace.logits, dlogits) == kept
         assert _snapshot(x, E_h, *params) == before
+
+
+def _lanes(monkeypatch, n):
+    """Run decode and backward on n worker lanes, however small the documents."""
+    monkeypatch.setattr(network, "_cores", lambda: n)
+    monkeypatch.setattr(network, "LANE_WORK_FLOOR", 0)
+
+
+def _lane_batch(mode, seed, n_docs=7):
+    enc, dec, E_h, _, _ = _setup(mode, seed=seed)
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, VOCAB, size=(n_docs, 9))
+    y = (rng.random((n_docs, L)) < 0.4).astype(float)
+    return enc, dec, E_h, x, y
+
+
+class TestWorkerLanes:
+    """Decode and backward split a batch's documents across worker lanes."""
+
+    def test_lane_count(self, monkeypatch):
+        monkeypatch.setattr(network, "_cores", lambda: 2)
+        floor = network.LANE_WORK_FLOOR
+        assert network._lane_count(16, 64, 243, 16) == 1  # the reference shape, below the floor
+        assert network._lane_count(16, 256, 550, 32) == 2  # a paper-wide leaf level
+        assert network._lane_count(1, 256, 550, 32) == 1
+        assert network._lane_count(16, floor, 1, 1) == 2
+        assert network._lane_count(16, floor - 1, 1, 1) == 1
+
+    @pytest.mark.parametrize("mode", ["none", "add", "concat"])
+    def test_bits_do_not_depend_on_the_lane_count(self, mode, monkeypatch):
+        # three lanes on two cores, switching threads often: dqhat adds out of
+        # document order, or a lost update, would change its bits
+        enc, dec, E_h, x, y = _lane_batch(mode, seed=6)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n in (1, 2, 3, 3):
+                _lanes(monkeypatch, n)
+                yhat, trace = forward(x, enc, dec, E_h)
+                runs.append({"yhat": yhat, "V": trace.V, **backward(trace, enc, dec, bce(trace.logits, y)[1])})
+        finally:
+            sys.setswitchinterval(interval)
+        for run in runs[1:]:
+            assert sorted(run) == sorted(runs[0])
+            for name, value in run.items():
+                assert np.array_equal(value, runs[0][name]), name
+
+    def test_worker_threads_call_no_public_function(self, monkeypatch):
+        # perfbench's tracer wraps the package's public functions and assumes
+        # one thread, so only private lane bodies may run on the pool
+        import hicu
+
+        callers, lane_threads = set(), set()
+
+        def record(fn):
+            def wrapped(*args, **kwargs):
+                callers.add(threading.get_ident())
+                return fn(*args, **kwargs)
+            return wrapped
+
+        public = {}
+        for mod in [m for n, m in sys.modules.items() if n == "hicu" or n.startswith("hicu.")]:
+            for attr, obj in list(vars(mod).items()):
+                if inspect.isfunction(obj) and obj.__module__.startswith("hicu") and not attr.startswith("_"):
+                    monkeypatch.setattr(mod, attr, public.setdefault(obj, record(obj)))
+        def spy(fn):
+            def lane(*args):
+                lane_threads.add(threading.get_ident())
+                fn(*args)
+            return lane
+
+        for name in ("_decode_lane", "_backward_lane"):
+            monkeypatch.setattr(network, name, spy(getattr(network, name)))
+        _lanes(monkeypatch, 2)
+        enc, dec, E_h, x, y = _lane_batch("add", seed=7)
+        _, trace = hicu.network.forward(x, enc, dec, E_h)
+        hicu.network.backward(trace, enc, dec, hicu.losses.bce(trace.logits, y)[1])
+        assert callers == {threading.get_ident()}
+        assert lane_threads - callers  # lane 1 ran on the pool
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_a_failing_lane_raises_instead_of_waiting(self, monkeypatch, failing):
+        _lanes(monkeypatch, 2)
+        enc, dec, E_h, x, y = _lane_batch("none", seed=8)
+        _, trace = forward(x, enc, dec, E_h)
+        dlogits = bce(trace.logits, y)[1]
+        real = network._backward_lane
+
+        def lane(w, *args):
+            if w == failing:
+                raise RuntimeError(f"lane {w} failed")
+            real(w, *args)
+
+        monkeypatch.setattr(network, "_backward_lane", lane)
+        outcome = []
+
+        def call():
+            try:
+                backward(trace, enc, dec, dlogits)
+            except RuntimeError as exc:
+                outcome.append(str(exc))
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive(), "backward still waits on the failed lane"
+        assert outcome == [f"lane {failing} failed"]
 
 
 def _stored_attention_backward(trace, A, enc, dec, dlogits):
@@ -544,7 +659,8 @@ def _stored_attention_backward(trace, A, enc, dec, dlogits):
     dpre = dH * (1.0 - trace.H**2)
     s, d_e = enc.kernel.shape[0], enc.kernel.shape[1]
     kflat = enc.kernel.reshape(s * d_e, d_f)
-    grads["kernel"] = (trace.windows.reshape(B * N, -1).T @ dpre.reshape(-1, d_f)).reshape(s, d_e, d_f)
+    windows = _im2col(trace.x, enc.embedding, s)
+    grads["kernel"] = (windows.reshape(B * N, -1).T @ dpre.reshape(-1, d_f)).reshape(s, d_e, d_f)
     grads["bias"] = dpre.sum(axis=(0, 1))
     dwindows = np.matmul(dpre, kflat.T)
     half = s // 2
@@ -640,11 +756,14 @@ class TestAttentionStatistics:
         assert peak < 1.5 * (slab + outputs), (peak, slab + outputs)
         assert slab + outputs < whole_attention / 4
 
-    def test_forward_backward_peak_holds_no_whole_batch_temporaries(self):
+    def test_forward_backward_peak_holds_no_whole_batch_temporaries(self, monkeypatch):
         # One step holds the trace and the gradients, plus the larger of the
-        # decoder backward's per-document buffers and the encoder backward's
+        # decoder backward's per-lane buffers and the encoder backward's
         # arrays.  A (B, L, d_f) dV, a second (B, N, d_f) dH, or padded copies
         # of the embeddings or their gradients break the bound.
+        lanes = 2
+        monkeypatch.setattr(network, "_cores", lambda: lanes)
+        monkeypatch.setattr(network, "LANE_WORK_FLOOR", 0)
         B, N, d_e, d_f, s, n_labels, vocab = 32, 64, 8, 32, 3, 512, 20
         rng = np.random.default_rng(0)
         enc = init_encoder(rng, vocab, d_e, d_f, s)
@@ -652,12 +771,15 @@ class TestAttentionStatistics:
                             b=np.zeros(n_labels))
         x = rng.integers(0, vocab, size=(B, N))
         dlogits = rng.normal(size=(B, n_labels))
-        trace = 8 * (B * N * (s * d_e + d_f) + B * n_labels * (d_f + 4))  # windows, H; V, m, s, logits, yhat
+        trace = 8 * (B * N * d_f + B * n_labels * (d_f + 4))  # H; V, m, s, logits, yhat
         grads = 8 * 2 * d_f * n_labels  # W and Q; the rest are small
-        # dpre; exp(scores - m), dS; [H_b | 1]; [qhat ; -m_b], [dV_b / s_b | -c_b / s_b]; dqhat, H^T dS
-        decoder_backward = 8 * (B * N * d_f + 2 * N * n_labels + N * (d_f + 1)
-                                + 2 * (d_f + 1) * n_labels + 2 * n_labels * d_f)
-        encoder_backward = 8 * B * N * (d_f + s * d_e + 2 * d_e)  # dpre, dwindows, token gradients, their slots
+        # dpre, dqhat; per lane exp(scores - m), dS; [H_b | 1]; [qhat ; -m_b],
+        # [dV_b / s_b | -c_b / s_b]; H^T dS
+        decoder_backward = 8 * (B * N * d_f + d_f * n_labels
+                                + lanes * (2 * N * n_labels + N * (d_f + 1)
+                                           + 2 * (d_f + 1) * n_labels + n_labels * d_f))
+        # dpre, then the rebuilt windows or dwindows, token gradients, their slots
+        encoder_backward = 8 * B * N * (d_f + s * d_e + 2 * d_e)
         bound = 1.3 * (trace + grads + max(decoder_backward, encoder_backward))
         was_tracing = tracemalloc.is_tracing()
         tracemalloc.start()
