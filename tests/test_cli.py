@@ -783,6 +783,7 @@ class TestBlasThreads:
         threads = [2]
         seen = []
         self._fake_openblas(monkeypatch, threads)
+
         def build_parser():
             seen.append(threads[0])
             raise ValueError("parser not needed")
