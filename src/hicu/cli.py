@@ -221,6 +221,7 @@ def cmd_train(args) -> int:
     )
     train_set = _load_split(train_records, args.train, vocab, args.max_len)
     valid_set = _load_split(valid_records, args.valid, vocab, args.max_len)
+    del train_records, valid_records  # indexed; training holds only the splits
 
     word_embedding = None
     if args.word_emb:

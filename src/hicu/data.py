@@ -9,6 +9,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -44,7 +45,8 @@ class Vocab:
         return self.token_to_idx.get(token, UNK)
 
     def indices(self, tokens: list[str]) -> np.ndarray:
-        return np.array([self.lookup(t) for t in tokens], dtype=np.int64)
+        ids = map(self.token_to_idx.get, tokens, repeat(UNK))  # lookup, without a call per token
+        return np.fromiter(ids, dtype=np.int32, count=len(tokens))
 
     def tokens_in_order(self) -> list[str]:
         return sorted(self.token_to_idx, key=self.token_to_idx.get)
@@ -69,7 +71,7 @@ def build_vocab(corpus, min_count: int = 3) -> Vocab:
 @dataclass
 class Document:
     id: str
-    tokens: np.ndarray  # int64 indices
+    tokens: np.ndarray  # int32 indices
     labels: tuple[str, ...]
 
 
@@ -79,8 +81,8 @@ class Dataset:
     dropped: list[Document] = field(default_factory=list)  # no tokens, never scored
 
     def label_matrix(self, codes: list[str]) -> np.ndarray:
-        """0/1 targets, one row per document of ``docs``; every label, the
-        dropped documents' too, must be one of ``codes``."""
+        """0/1 uint8 targets, one row per document of ``docs``; every label,
+        the dropped documents' too, must be one of ``codes``."""
         index = {c: i for i, c in enumerate(codes)}
         docs = self.docs + self.dropped
         labels = [label for doc in docs for label in doc.labels]
@@ -90,9 +92,9 @@ class Dataset:
         if bad.size:
             k = bad[0]
             raise ValueError(f"document {docs[owner[k]].id!r}: label {labels[k]!r} not a tree leaf")
-        y = np.zeros((len(self.docs), len(codes)), dtype=np.float64)
+        y = np.zeros((len(self.docs), len(codes)), dtype=np.uint8)
         kept = owner < len(self.docs)
-        y[owner[kept], cols[kept]] = 1.0
+        y[owner[kept], cols[kept]] = 1
         return y
 
 

@@ -7,15 +7,19 @@ import numpy as np
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks of a float64 array along axis 0, each tie group assigned its average rank."""
     order = np.argsort(scores, axis=0, kind="stable")
-    ordered = np.take_along_axis(scores, order, axis=0)
-    pos = np.arange(len(scores)).reshape((-1,) + (1,) * (scores.ndim - 1))
-    starts = np.ones(ordered.shape, dtype=bool)
-    starts[1:] = ordered[1:] != ordered[:-1]
-    ends = np.roll(starts, -1, axis=0)  # the last row wraps onto starts[0], always True
-    span = np.maximum.accumulate(np.where(starts, pos, 0), axis=0)  # each group's first index
-    span += np.minimum.accumulate(np.where(ends, pos, len(pos))[::-1], axis=0)[::-1]  # + its last
-    ranks = ordered  # the sorted scores are spent; their buffer takes the ranks
-    np.put_along_axis(ranks, order, span / 2 + 1, axis=0)
+    ranks = np.take_along_axis(scores, order, axis=0)  # the sorted scores, until spent
+    pos = np.arange(len(scores), dtype=np.float64).reshape((-1,) + (1,) * (scores.ndim - 1))
+    ends = np.ones(ranks.shape, dtype=bool)  # where a tie group ends
+    np.not_equal(ranks[1:], ranks[:-1], out=ends[:-1])
+    span = np.where(ends, pos, len(pos))
+    np.minimum.accumulate(span[::-1], axis=0, out=span[::-1])  # each group's last index
+    ranks.fill(0.0)
+    np.copyto(ranks[1:], pos[1:], where=ends[:-1])
+    np.maximum.accumulate(ranks, axis=0, out=ranks)  # + its first
+    span += ranks  # whole floats, so this and the halving are exact
+    span /= 2
+    span += 1
+    np.put_along_axis(ranks, order, span, axis=0)
     return ranks
 
 
@@ -28,7 +32,8 @@ def per_label_auc(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
         raise ValueError("score and label matrices must have identical shapes")
     n_pos = labels.sum(axis=0)
     n_neg = len(labels) - n_pos
-    rank_sum = np.where(labels, _average_ranks(scores), 0.0).sum(axis=0)
+    ranks = _average_ranks(scores)
+    rank_sum = np.multiply(ranks, labels, out=ranks).sum(axis=0)  # a negative's rank reads 0.0
     with np.errstate(invalid="ignore"):  # 0/0 where a class is missing
         return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

@@ -6,7 +6,8 @@ softmax-over-tokens attention column per label from a query matrix that
 may be corrected with hyperbolic label embeddings, then applies a linear
 layer with sum pooling and a sigmoid.
 
-All arrays are float64.  Token input is always a (B, N) batch of
+All arrays are float64 but the token ids, which may be any integer type
+(``hicu.data`` gives int32).  Token input is always a (B, N) batch of
 equal-length documents; a lone document is ``x[None]``.
 
 The encoder builds the (B, N, s*d_e) windows, which one ``np.take`` fills
@@ -451,8 +452,9 @@ def backward(
         if lo < hi:
             demb[:, lo + j - half : hi + j - half] += dwindows[:, lo:hi, j]
     # scatter-add by token, as one bincount over (token, column) slots; it sums
-    # each slot in order of occurrence from 0.0, so it gives np.add.at's bits
-    slots = (trace.x.reshape(-1, 1) * d_e + np.arange(d_e)).ravel()
+    # each slot in order of occurrence from 0.0, so it gives np.add.at's bits.
+    # The ids are widened first: an int32 id times d_e may pass 2**31.
+    slots = (trace.x.astype(np.intp).reshape(-1, 1) * d_e + np.arange(d_e)).ravel()
     vocab = enc.embedding.shape[0]
     grads["embedding"] = np.bincount(slots, weights=demb.ravel(), minlength=vocab * d_e).reshape(vocab, d_e)
     return grads

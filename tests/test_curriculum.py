@@ -372,6 +372,59 @@ class TestWorkerLanes:
         assert outputs[2] == outputs[0]
 
 
+class TestTargetStorage:
+    """Targets are held as uint8 and widened only per batch by the losses."""
+
+    @pytest.mark.parametrize("loss", ["bce", "asl"])
+    def test_uint8_and_float64_targets_write_identical_outputs(
+        self, small_setup, tiny_cfg, tmp_path, monkeypatch, loss
+    ):
+        _, atree, vocab, splits = small_setup
+        cfg = replace(tiny_cfg, loss=loss)
+        uint8_matrix = Dataset.label_matrix
+        outputs = []
+        for name, label_matrix in [
+            ("uint8", uint8_matrix),
+            ("float64", lambda ds, codes: uint8_matrix(ds, codes).astype(np.float64)),
+        ]:
+            monkeypatch.setattr(Dataset, "label_matrix", label_matrix)
+            trainer = Trainer(splits["train"], splits["valid"], atree, None, cfg,
+                              vocab_size=vocab.size)
+            assert trainer.y_leaf_train.dtype == np.dtype(name)
+            trainer.run()
+            trainer.save(tmp_path / f"{name}.bin")
+            trainer.write_report(tmp_path / f"{name}.jsonl")
+            outputs.append([(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("bin", "jsonl")])
+        assert outputs[1] == outputs[0]
+
+    def test_setup_holds_one_byte_per_target_entry(self):
+        tree = synth_generate(SynthConfig(docs_per_split=(1, 1, 1))).tree
+        codes = tree.level_labels(tree.k_max)
+        assert len(codes) == 243
+        rng = np.random.default_rng(0)
+
+        def split(n):
+            return Dataset(docs=[
+                Document(str(i), np.array([2], dtype=np.int32),
+                         tuple(sorted(rng.choice(codes, size=3, replace=False))))
+                for i in range(n)])
+
+        train, valid = split(2000), split(300)
+        trainer = Trainer.__new__(Trainer)
+        entries = (len(train.docs) + len(valid.docs)) * len(codes)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            trainer._setup(train, valid, tree, None, CurriculumConfig())
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert trainer.y_leaf_train.shape == (2000, 243)
+        assert held <= 1.1 * entries, held / entries
+
+
 class TestResume:
     def test_save_load_save_is_byte_identical(self, small_setup, tiny_cfg, tmp_path):
         _, atree, vocab, splits = small_setup

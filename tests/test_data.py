@@ -74,13 +74,13 @@ class TestLoadDataset:
     def _loop_label_matrix(ds, codes):
         """The per-label loop ``label_matrix`` replaced, kept as its oracle."""
         index = {c: i for i, c in enumerate(codes)}
-        y = np.zeros((len(ds.docs), len(codes)), dtype=np.float64)
+        y = np.zeros((len(ds.docs), len(codes)), dtype=np.uint8)
         for d, doc in enumerate(ds.docs + ds.dropped):
             for label in doc.labels:
                 if label not in index:
                     raise ValueError(f"document {doc.id!r}: label {label!r} not a tree leaf")
                 if d < len(y):
-                    y[d, index[label]] = 1.0
+                    y[d, index[label]] = 1
         return y
 
     @given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "x", "y"]), max_size=5),

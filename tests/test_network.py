@@ -518,6 +518,20 @@ class TestKernels:
                          trace.V, trace.logits, dlogits) == kept
         assert _snapshot(x, E_h, *params) == before
 
+    @pytest.mark.parametrize("mode", ["none", "add", "concat"])
+    @pytest.mark.parametrize("kernel,n_tokens", SHAPES)
+    def test_int32_and_int64_ids_give_the_same_bits(self, mode, kernel, n_tokens):
+        # hicu.data indexes documents as int32; backward widens the ids before
+        # it builds its bincount slots
+        enc, dec, E_h, x, y = _setup(mode, seed=3, kernel=kernel, n_tokens=n_tokens)
+        runs = []
+        for dtype in (np.int64, np.int32):
+            yhat, trace = forward(x.astype(dtype), enc, dec, E_h)
+            grads = backward(trace, enc, dec, bce(trace.logits, y)[1])
+            runs.append(_snapshot(yhat, trace.H, trace.m, trace.s, trace.V, trace.logits,
+                                  *(grads[name] for name in sorted(grads))))
+        assert runs[1] == runs[0]
+
 
 def _lanes(monkeypatch, n):
     """Run decode and backward on n worker lanes, however small the documents."""
