@@ -2,8 +2,9 @@
 """Multi-seed comparison of flat vs curriculum training.
 
 Runs the reference experiment across several seeds and summarizes the
-rare-label effect: the mean and spread of test micro-F1 and micro-AUC for
-both modes and of the rare-quartile AUC delta (curriculum minus flat).
+rare-label effect: the mean and spread of test micro-F1, micro-AUC and
+macro-AUC for both modes and of the rare-quartile AUC delta (curriculum
+minus flat).
 
 Usage: python3 scripts/seed_sweep.py [--seeds 0,1,2,3,4] [--out DIR]
 """
@@ -26,6 +27,8 @@ def one_seed(root: Path, seed: int) -> dict:
         "hicu_micro_f1": records[0]["micro_f1"],
         "flat_micro_auc": flat["micro_auc"],
         "hicu_micro_auc": records[0]["micro_auc"],
+        "flat_macro_auc": flat["macro_auc"],
+        "hicu_macro_auc": records[0]["macro_auc"],
         "rare_delta": buckets[0]["mean_auc_delta"] if buckets else None,
     }
 
@@ -46,11 +49,13 @@ def main() -> int:
         print(f"seed {seed}: flat {res['flat_micro_f1']:.4f}  "
               f"hicu {res['hicu_micro_f1']:.4f}  "
               f"micro-AUC flat {res['flat_micro_auc']:.4f} hicu {res['hicu_micro_auc']:.4f}  "
+              f"macro-AUC flat {res['flat_macro_auc']:.4f} hicu {res['hicu_macro_auc']:.4f}  "
               f"rare-quartile AUC delta {res['rare_delta']:+.4f}")
 
     rare = np.array([r["rare_delta"] for r in results if r["rare_delta"] is not None])
     print()
-    for key, name in (("micro_f1", "micro-F1"), ("micro_auc", "micro-AUC")):
+    for key, name in (("micro_f1", "micro-F1"), ("micro_auc", "micro-AUC"),
+                      ("macro_auc", "macro-AUC")):
         for mode in ("flat", "hicu"):
             vals = np.array([r[f"{mode}_{key}"] for r in results])
             print(f"{mode} {name}: {vals.mean():.4f} +/- {vals.std():.4f}")

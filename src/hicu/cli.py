@@ -459,12 +459,14 @@ def main(argv: list[str] | None = None) -> int:
     _pin_malloc_thresholds()
     with _one_blas_thread():
         try:
-            # expand --config before the real parse so explicit flags win
-            if argv and "--config" in argv:
-                i = argv.index("--config")
-                if i + 1 < len(argv):
-                    injected = _read_config_file(argv[i + 1])
-                    argv = argv[:1] + injected + argv[1:]
+            # expand --config, in any form argparse takes (--config=FILE, a
+            # prefix), before the real parse so explicit flags win; a bare
+            # --config is left for the real parse to reject
+            pre = argparse.ArgumentParser(add_help=False)
+            pre.add_argument("--config", nargs="?")
+            config = pre.parse_known_args(argv[1:])[0].config
+            if config is not None:
+                argv = argv[:1] + _read_config_file(config) + argv[1:]
             parser = build_parser()
             args = parser.parse_args(argv)
             return args.func(args)

@@ -8,13 +8,13 @@ def _average_ranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks of a float64 array along axis 0, each tie group assigned its average rank."""
     order = np.argsort(scores, axis=0, kind="stable")
     ranks = np.take_along_axis(scores, order, axis=0)  # the sorted scores, until spent
-    pos = np.arange(len(scores), dtype=np.float64).reshape((-1,) + (1,) * (scores.ndim - 1))
     ends = np.ones(ranks.shape, dtype=bool)  # where a tie group ends
     np.not_equal(ranks[1:], ranks[:-1], out=ends[:-1])
-    span = np.where(ends, pos, len(pos))
+    np.cumsum(np.broadcast_to(1.0, ranks.shape), axis=0, out=ranks)
+    ranks -= 1.0  # each entry's 0-based position
+    span = np.where(ends, ranks, len(ranks))
     np.minimum.accumulate(span[::-1], axis=0, out=span[::-1])  # each group's last index
-    ranks.fill(0.0)
-    np.copyto(ranks[1:], pos[1:], where=ends[:-1])
+    ranks[1:] *= ends[:-1]  # the position where a group starts, 0.0 elsewhere
     np.maximum.accumulate(ranks, axis=0, out=ranks)  # + its first
     span += ranks  # whole floats, so this and the halving are exact
     span /= 2

@@ -39,21 +39,21 @@ gradient against a softmax-then-pool evaluation.
 Decode and the attention backward split a batch's documents across worker
 lanes, one per CPU the process may use and at most one per document (the
 per-row split of FlashAttention-2).  Lane w takes documents w, w+n, w+2n,
-...; lane 0 runs on the calling thread and the others on module-level
-threads that call numpy only, never a public function of the package.  Each
-lane has its own buffers and writes only its own documents' rows of m, s, V
-and dpre.  Document b's H^T dS goes into its lane's (d_f, L) buffer and is
-added into dqhat only after document b-1's add, so dqhat is summed in
-document order from 0.0 at any lane count.  The encoder and kernel-gradient
-GEMMs stay on the calling thread.  Below a document's N*L*d_f work of
-LANE_WORK_FLOOR one lane runs inline.  So the bits do not depend on the lane
-count; with one BLAS thread (the CLI pins it) they do not depend on the
-core count either.
+...; lane 0 runs on the calling thread and the others on threads started
+for the call and joined before it returns, which call numpy only, never a
+public function of the package.  Each lane has its own buffers, allocated
+by the calling thread so they come from the arena the encoder backward
+reuses, and writes only its own documents' rows of m, s, V and dpre.
+Document b's H^T dS goes into its lane's (d_f, L) buffer and is added into
+dqhat only after document b-1's add, so dqhat is summed in document order
+from 0.0 at any lane count.  The encoder and kernel-gradient GEMMs stay on
+the calling thread.  Below a document's N*L*d_f work of LANE_WORK_FLOOR one
+lane runs inline.  So the bits do not depend on the lane count; with one
+BLAS thread (the CLI pins it) they do not depend on the core count either.
 """
 from __future__ import annotations
 
 import os
-import queue
 import threading
 from dataclasses import dataclass, field
 
@@ -69,8 +69,6 @@ CORRECTION_MODES = ("none", "add", "concat")
 # went from 3.5-4.3 to 3.9-4.3 ms, and at paper-wide's leaf level (4.5M)
 # from 46-56 to 27-32 ms.
 LANE_WORK_FLOOR = 2**20
-_LANE_TASKS: queue.SimpleQueue = queue.SimpleQueue()  # (run, w, results) for the lane threads
-_LANE_THREADS: list[threading.Thread] = []  # started on first use, never stopped
 
 
 @dataclass
@@ -239,24 +237,13 @@ def _lane_count(B: int, N: int, L: int, d_f: int) -> int:
     return max(1, min(_cores(), B))
 
 
-def _lane_thread() -> None:
-    while True:
-        run, w, results = _LANE_TASKS.get()
-        try:
-            run(w)
-        except BaseException as exc:  # handed to the calling thread
-            results.put(exc)
-        else:
-            results.put(None)
-        del run  # an idle thread keeps no lane's arrays alive
-
-
 def _run_lanes(lane, n: int, done: list[threading.Event] | None, *args) -> None:
     """Run ``lane(w, n, done, *args)`` for w = 0..n-1: lane 0 on the calling
-    thread, the others on the module's lane threads.  Lane w takes documents
-    w, w+n, w+2n, ...  When a lane ends, raised or not, its documents' events
-    are set, so no lane waits forever on another; a lane's error is re-raised
-    here once every lane has stopped.
+    thread, the others on threads started for this call and joined before it
+    returns.  Lane w takes documents w, w+n, w+2n, ...  When a lane ends,
+    raised or not, its documents' events are set, so no lane waits forever on
+    another; the first lane's error is re-raised here once every lane has
+    stopped.
 
     Each lane's thread is held to its own CPU while it runs, and the calling
     thread gets its CPUs back afterwards.  Left to itself, the scheduler kept
@@ -266,30 +253,28 @@ def _run_lanes(lane, n: int, done: list[threading.Event] | None, *args) -> None:
         lane(0, 1, done, *args)
         return
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    errors: list[BaseException | None] = [None] * n
 
     def run(w):
         try:
             if cpus:
                 os.sched_setaffinity(0, {cpus[w % len(cpus)]})
             lane(w, n, done, *args)
+        except BaseException as exc:  # handed to the calling thread
+            errors[w] = exc
         finally:
             if done is not None:
                 for event in done[w::n]:
                     event.set()
 
-    _LANE_THREADS[:] = [t for t in _LANE_THREADS if t.is_alive()]  # none survive a fork
-    while len(_LANE_THREADS) < n - 1:
-        _LANE_THREADS.append(threading.Thread(target=_lane_thread, name="hicu-lane", daemon=True))
-        _LANE_THREADS[-1].start()
-    results: queue.SimpleQueue = queue.SimpleQueue()
-    for w in range(1, n):
-        _LANE_TASKS.put((run, w, results))
-    try:
-        run(0)
-    finally:
-        if cpus:
-            os.sched_setaffinity(0, cpus)
-        errors = [results.get() for _ in range(1, n)]
+    threads = [threading.Thread(target=run, args=(w,), name="hicu-lane") for w in range(1, n)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    if cpus:
+        os.sched_setaffinity(0, cpus)
+    for thread in threads:
+        thread.join()
     for exc in errors:
         if exc is not None:
             raise exc

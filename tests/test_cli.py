@@ -193,6 +193,17 @@ class TestConfigPrecedence:
         assert rc == 0
         assert len((out2 / "train.jsonl").read_text().splitlines()) == 20
 
+    @pytest.mark.parametrize("form", [("--config={}",), ("--conf={}",), ("--conf", "{}")])
+    def test_every_form_argparse_takes_reads_the_file(self, tmp_path, form):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("branching=2,2,2,2,2\ndocs=10,5,5\nseed=9\n")
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        config = [part.format(cfg) for part in form]
+        assert main(["synth", *config, "--out", str(out1)]) == 0
+        assert len((out1 / "train.jsonl").read_text().splitlines()) == 10
+        assert main(["synth", "--docs", "20,5,5", *config, "--out", str(out2)]) == 0
+        assert len((out2 / "train.jsonl").read_text().splitlines()) == 20
+
     def test_malformed_config_line_errors(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("not a pair\n")

@@ -581,7 +581,7 @@ class TestWorkerLanes:
 
     def test_worker_threads_call_no_public_function(self, monkeypatch):
         # perfbench's tracer wraps the package's public functions and assumes
-        # one thread, so only private lane bodies may run on the pool
+        # one thread, so only private lane bodies may run on the lane threads
         import hicu
 
         callers, lane_threads = set(), set()
@@ -610,7 +610,21 @@ class TestWorkerLanes:
         _, trace = hicu.network.forward(x, enc, dec, E_h)
         hicu.network.backward(trace, enc, dec, hicu.losses.bce(trace.logits, y)[1])
         assert callers == {threading.get_ident()}
-        assert lane_threads - callers  # lane 1 ran on the pool
+        assert lane_threads - callers  # lane 1 ran on a thread of its own
+
+    def test_no_lane_thread_outlives_its_call(self, monkeypatch):
+        names = []
+        for name in ("_decode_lane", "_backward_lane"):
+            def lane(*args, _real=getattr(network, name)):
+                names.append(threading.current_thread().name)
+                _real(*args)
+            monkeypatch.setattr(network, name, lane)
+        _lanes(monkeypatch, 2)
+        enc, dec, E_h, x, y = _lane_batch("none", seed=9)
+        _, trace = forward(x, enc, dec, E_h)
+        backward(trace, enc, dec, bce(trace.logits, y)[1])
+        assert names.count("hicu-lane") == 2  # one per call
+        assert not [t for t in threading.enumerate() if t.name == "hicu-lane"]
 
     @pytest.mark.parametrize("failing", [0, 1])
     def test_a_failing_lane_raises_instead_of_waiting(self, monkeypatch, failing):
