@@ -60,7 +60,6 @@ from .network import (
     backward,
     corrected_queries,
     decode,
-    encode,
     forward,
     init_encoder,
     init_fc,
@@ -71,7 +70,6 @@ from .poincare import (
     embedding_for_level,
     mean_edge_distance,
     poincare_distance,
-    poincare_distance_grad,
     project_to_ball,
     riemannian_scale,
     train_poincare,

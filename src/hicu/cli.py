@@ -366,8 +366,23 @@ _ERROR_CODES = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="hicu")
+class _OptionNames(argparse.ArgumentParser):
+    """A parser that only matches option names and takes their values: no
+    option is required or checked, a command is optional and there is no
+    help option.  ``main`` finds ``--config`` with it before the real parse."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**{**kwargs, "add_help": False})
+
+    def add_argument(self, *args, **kwargs):
+        return super().add_argument(*args, **{**kwargs, "required": False, "type": None, "choices": None})
+
+    def add_subparsers(self, **kwargs):
+        return super().add_subparsers(**{**kwargs, "required": False})
+
+
+def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser = parser_class(prog="hicu")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -459,15 +474,14 @@ def main(argv: list[str] | None = None) -> int:
     _pin_malloc_thresholds()
     with _one_blas_thread():
         try:
-            # expand --config, in any form argparse takes (--config=FILE, a
-            # prefix), before the real parse so explicit flags win; a bare
-            # --config is left for the real parse to reject
-            pre = argparse.ArgumentParser(add_help=False)
-            pre.add_argument("--config", nargs="?")
-            config = pre.parse_known_args(argv[1:])[0].config
+            # expand --config before the real parse so explicit flags win.  The
+            # pre-parse knows every option of the command, so it takes each
+            # form argparse takes (--config=FILE, a prefix) and rejects an
+            # ambiguous prefix as a usage error before any file is opened
+            parser = build_parser()
+            config = getattr(build_parser(_OptionNames).parse_known_args(argv)[0], "config", None)
             if config is not None:
                 argv = argv[:1] + _read_config_file(config) + argv[1:]
-            parser = build_parser()
             args = parser.parse_args(argv)
             return args.func(args)
         except SystemExit:

@@ -93,7 +93,6 @@ class CurriculumConfig:
 class ModelState:
     encoder: EncoderParams
     decoder: DecoderParams
-    level: int
     codes: list[str]
 
 
@@ -186,16 +185,15 @@ class Trainer:
         tree: LabelTree,
         emb: PoincareEmbedding | None,
         cfg: CurriculumConfig,
+        *,
+        vocab_size: int,
         word_embedding: np.ndarray | None = None,
-        vocab_size: int | None = None,
     ):
-        if word_embedding is None and vocab_size is None:
-            raise ValueError("either a word embedding matrix or vocab_size is required")
         self._setup(train, valid, tree, emb, cfg)
         # the fresh draws; their order fixes every seeded run's bits
         self.encoder = init_encoder(
             self.rng,
-            vocab_size=vocab_size if word_embedding is None else word_embedding.shape[0],
+            vocab_size=vocab_size,
             d_e=cfg.d_e,
             d_f=cfg.d_f,
             kernel_size=cfg.kernel_size,
@@ -361,7 +359,7 @@ class Trainer:
     def best_state(self) -> ModelState:
         params = self.best_params if self.best_params is not None else self.params
         enc, dec = _model_from_params(params, self.decoder.mode)
-        return ModelState(encoder=enc, decoder=dec, level=self.level, codes=list(self.codes))
+        return ModelState(encoder=enc, decoder=dec, codes=list(self.codes))
 
     # -- checkpointing -------------------------------------------------
 
@@ -460,7 +458,7 @@ def load_model(path) -> tuple[ModelState, np.ndarray | None, dict]:
     """
     meta, cfg, groups = _read_checkpoint(path)
     enc, dec = _model_from_params(groups["best/"] or groups["param/"], cfg.correction)
-    state = ModelState(encoder=enc, decoder=dec, level=meta["level"], codes=list(meta["codes"]))
+    state = ModelState(encoder=enc, decoder=dec, codes=list(meta["codes"]))
     return state, groups["aux/"].get("E_h"), meta
 
 

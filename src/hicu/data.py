@@ -41,11 +41,8 @@ class Vocab:
     def size(self) -> int:
         return len(self.token_to_idx) + 2  # PAD and UNK are reserved
 
-    def lookup(self, token: str) -> int:
-        return self.token_to_idx.get(token, UNK)
-
     def indices(self, tokens: list[str]) -> np.ndarray:
-        ids = map(self.token_to_idx.get, tokens, repeat(UNK))  # lookup, without a call per token
+        ids = map(self.token_to_idx.get, tokens, repeat(UNK))  # unknown tokens map to UNK
         return np.fromiter(ids, dtype=np.int32, count=len(tokens))
 
     def tokens_in_order(self) -> list[str]:

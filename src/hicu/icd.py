@@ -320,11 +320,24 @@ class LabelTree:
 
     @classmethod
     def from_json(cls, text: str) -> "LabelTree":
+        """The tree of ``to_json``'s text: each node once, every parent entry an
+        index into ``nodes``, and -1 on the root alone."""
         payload = json.loads(text)
         nodes = [Node(lvl, label) for lvl, label in payload["nodes"]]
-        parent = {}
-        for node, pidx in zip(nodes, payload["parents"]):
-            if pidx >= 0:
+        parents = payload["parents"]
+        if len(parents) != len(nodes):
+            raise CodeError(f"tree file lists {len(nodes)} nodes but {len(parents)} parents")
+        parent, seen = {}, set()
+        for node, pidx in zip(nodes, parents):
+            if node in seen:
+                raise CodeError(f"node {node} listed twice")
+            seen.add(node)
+            if pidx == -1:
+                if node != ROOT:
+                    raise CodeError(f"node {node} has no parent but is not the root")
+            elif type(pidx) is not int or not 0 <= pidx < len(nodes):
+                raise CodeError(f"node {node} has parent entry {pidx!r}, not an index in [0, {len(nodes)})")
+            else:
                 parent[node] = nodes[pidx]
         return cls(parent, k_max=payload["k_max"])
 

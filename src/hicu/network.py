@@ -140,6 +140,9 @@ def init_encoder(
     if embedding is None:
         embedding = rng.uniform(-0.1, 0.1, size=(vocab_size, d_e))
         embedding[0] = 0.0  # PAD row
+    elif np.shape(embedding) != (vocab_size, d_e):
+        raise ValueError(f"embedding has shape {np.shape(embedding)}, expected (vocab_size, d_e) = "
+                         f"{(vocab_size, d_e)}")
     else:
         embedding = np.array(embedding, dtype=np.float64)  # a copy: training updates it in place
     kernel = xavier_uniform(
@@ -176,7 +179,7 @@ def _im2col(x: np.ndarray, embedding: np.ndarray, s: int) -> np.ndarray:
 
 
 def _encode(x: np.ndarray, enc: EncoderParams) -> np.ndarray:
-    """H of a (B, N) batch."""
+    """H = tanh(conv1d_same(embed(x))) of a (B, N) batch; returns (B, N, d_f)."""
     if np.ndim(x) != 2:
         raise ValueError("token input must be a (B, N) batch")
     if x.size and (int(x.min()) < 0 or int(x.max()) >= enc.embedding.shape[0]):
@@ -186,11 +189,6 @@ def _encode(x: np.ndarray, enc: EncoderParams) -> np.ndarray:
     H = windows @ enc.kernel.reshape(s * enc.kernel.shape[1], enc.d_f)
     H += enc.bias
     return np.tanh(H, out=H)
-
-
-def encode(x: np.ndarray, enc: EncoderParams) -> np.ndarray:
-    """H = tanh(conv1d_same(embed(x))) of a (B, N) batch; returns (B, N, d_f)."""
-    return _encode(x, enc)
 
 
 def corrected_queries(
@@ -317,12 +315,11 @@ def decode(
     return yhat, {"qhat": qhat, "m": m, "s": s, "V": V, "logits": logits}
 
 
-def _attention_slab(trace: ForwardTrace, b: int, out: np.ndarray | None = None) -> np.ndarray:
+def _attention_slab(trace: ForwardTrace, b: int) -> np.ndarray:
     """Document b's (N, L) attention exp(H qhat - m) / s, rebuilt from the
     trace's softmax statistics with decode's score and exp operations, then
-    divided, so it has the bits of a softmax over the whole batch's scores.
-    Written into ``out`` when given."""
-    out = np.matmul(trace.H[b], trace.qhat, out=out)
+    divided, so it has the bits of a softmax over the whole batch's scores."""
+    out = trace.H[b] @ trace.qhat
     out -= trace.m[b]
     np.exp(out, out=out)
     out /= trace.s[b]

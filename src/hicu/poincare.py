@@ -73,14 +73,6 @@ def poincare_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(_distance_and_grads(u, v)[0])
 
 
-def poincare_distance_grad(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Euclidean gradients of the distance with respect to both endpoints
-    (broadcast over leading axes)."""
-    _, du, dv = _distance_and_grads(np.asarray(u, dtype=np.float64),
-                                    np.asarray(v, dtype=np.float64))
-    return du, dv
-
-
 def riemannian_scale(euclid_grad: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Rescale a Euclidean gradient by the inverse Poincare metric at theta
     (each row of a batch at its own point)."""
@@ -128,22 +120,6 @@ def _batch_loss_and_grads(
     slots = (where.reshape(-1, 1) * d_h + np.arange(d_h)).ravel()
     grads = np.bincount(slots, weights=rows.ravel(), minlength=len(touched) * d_h)
     return losses, touched, grads.reshape(-1, d_h)
-
-
-def edge_loss_and_grads(
-    vectors: np.ndarray, u: int, v: int, negatives: list[int]
-) -> tuple[float, dict[int, np.ndarray]]:
-    """Negative-sampling softmax loss for one edge and its Euclidean grads.
-
-    loss = -log( exp(-d(u,v)) / sum_{c in {v} + negatives} exp(-d(u,c)) ).
-    With no negatives available the loss degrades to the plain distance so
-    the edge is still attractive.  This is the one-edge case of the batch
-    kernel that ``train_poincare`` runs.
-    """
-    cands = np.array([[v, *negatives]], dtype=np.int64)
-    losses, touched, grads = _batch_loss_and_grads(
-        vectors, np.array([u]), cands, np.ones(cands.shape, dtype=bool))
-    return float(losses[0]), {int(i): g for i, g in zip(touched, grads)}
 
 
 def _rsgd_step(vectors: np.ndarray, u: np.ndarray, cands: np.ndarray,

@@ -83,6 +83,22 @@ class TestEmbed:
         assert header[1] == "6"
         assert "mean edge distance" in capsys.readouterr().out
 
+    def test_leaf_without_a_parent_is_a_code_error(self, corpus_dir, tmp_path, capsys):
+        # a -1 parent entry on a leaf must not drop the leaf without a word
+        payload = json.loads((corpus_dir / "tree.json").read_text())
+        leaf = next(i for i, (level, _) in enumerate(payload["nodes"]) if level == 5)
+        payload["parents"][leaf] = -1
+        bad = tmp_path / "tree.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "emb.txt"
+        rc = main(["embed", "--tree", str(bad), "--out", str(out), "--hyp-epochs", "1", "--hyp-burn-in", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("HICU_ERROR code=code_error")
+        label = payload["nodes"][leaf][1]
+        assert f"node Node(level=5, label='{label}') has no parent but is not the root" in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_writes_checkpoint_and_report(self, trained_dir):
@@ -203,6 +219,17 @@ class TestConfigPrecedence:
         assert len((out1 / "train.jsonl").read_text().splitlines()) == 10
         assert main(["synth", "--docs", "20,5,5", *config, "--out", str(out2)]) == 0
         assert len((out2 / "train.jsonl").read_text().splitlines()) == 20
+
+    def test_ambiguous_prefix_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        # --co could be --config or --correction of train: argparse's usage
+        # error, before any config file is read
+        read = []
+        monkeypatch.setattr(cli, "_read_config_file", lambda path: read.append(path) or [])
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--co", str(tmp_path / "missing.cfg")])
+        assert exc.value.code == 2
+        assert "ambiguous option: --co could match --config, --correction" in capsys.readouterr().err
+        assert read == []
 
     def test_malformed_config_line_errors(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

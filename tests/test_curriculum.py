@@ -210,13 +210,21 @@ class TestTrainerMechanics:
         path.write_text(f"1 {tiny_cfg.d_e}\n{token} " + " ".join(["0.5"] * tiny_cfg.d_e) + "\n")
         word_embedding = load_embeddings(path, vocab, tiny_cfg.d_e, seed=0)
         trainer = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg,
-                          word_embedding=word_embedding)
+                          vocab_size=vocab.size, word_embedding=word_embedding)
         assert np.array_equal(trainer.encoder.embedding, word_embedding)
         assert trainer.params["embedding"] is trainer.encoder.embedding
         trainer.step_epoch()
         assert not np.array_equal(trainer.encoder.embedding, word_embedding)
         # the caller's matrix is copied, not trained in place
         assert np.array_equal(word_embedding, load_embeddings(path, vocab, tiny_cfg.d_e, seed=0))
+
+    @pytest.mark.parametrize("rows", [-1, 1])
+    def test_word_embedding_for_another_vocabulary_rejected(self, small_setup, tiny_cfg, rows):
+        _, atree, vocab, splits = small_setup
+        word_embedding = np.zeros((vocab.size + rows, tiny_cfg.d_e))
+        with pytest.raises(ValueError, match=r"embedding has shape \(\d+, \d+\), expected"):
+            Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg,
+                    vocab_size=vocab.size, word_embedding=word_embedding)
 
     def test_undefined_auc_still_reports_p_at_k(self):
         rng = np.random.default_rng(0)
@@ -573,7 +581,7 @@ class TestLearnability:
             Y = np.zeros((len(records), len(codes)))
             for i, rec in enumerate(records):
                 for tok in tokenize(rec["text"]):
-                    X[i, vocab.lookup(tok)] += 1.0
+                    X[i, vocab.indices([tok])[0]] += 1.0
                 for lab in rec["labels"]:
                     Y[i, cindex[lab]] = 1.0
             return (X > 0).astype(np.float64), Y

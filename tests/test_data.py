@@ -42,7 +42,7 @@ class TestVocab:
         vocab = build_vocab(corpus, min_count=2)
         # a and b both appear 3 times: frequency desc, then lexicographic
         assert vocab.token_to_idx == {"a": 2, "b": 3, "c": 4}
-        assert vocab.lookup("z") == UNK
+        assert vocab.indices(["z"])[0] == UNK
         assert vocab.size == 5
 
     def test_empty_corpus_rejected(self):
@@ -167,9 +167,9 @@ class TestLoadEmbeddings:
         path.write_text("1 3\nalpha 0.5 -0.5 0.25\n")
         out = load_embeddings(path, vocab, 3, seed=0)
         assert out.shape == (vocab.size, 3)
-        assert np.array_equal(out[vocab.lookup("alpha")], [0.5, -0.5, 0.25])
+        assert np.array_equal(out[vocab.indices(["alpha"])[0]], [0.5, -0.5, 0.25])
         assert np.all(out[PAD] == 0.0)
-        beta = out[vocab.lookup("beta")]
+        beta = out[vocab.indices(["beta"])[0]]
         assert np.all(np.abs(beta) <= 0.1) and np.any(beta != 0.0)
         again = load_embeddings(path, vocab, 3, seed=0)
         assert np.array_equal(out, again)

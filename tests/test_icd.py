@@ -176,6 +176,27 @@ class TestLabelTree:
         with pytest.raises(CodeError, match="node Node\\(level=3, label='b'\\) is not one level"):
             LabelTree.from_json(text)
 
+    @pytest.mark.parametrize("nodes,parents,message", [
+        ([[0, "<root>"], [1, "a"]], [-1], "tree file lists 2 nodes but 1 parents"),
+        ([[0, "<root>"], [1, "a"]], [-1, 0, 0], "tree file lists 2 nodes but 3 parents"),
+        ([[0, "<root>"], [1, "a"]], [-1, 7],
+         r"node Node\(level=1, label='a'\) has parent entry 7, not an index in \[0, 2\)"),
+        ([[0, "<root>"], [1, "a"], [1, "b"]], [-1, 0, -2],
+         r"node Node\(level=1, label='b'\) has parent entry -2, not an index in \[0, 3\)"),
+        ([[0, "<root>"], [1, "a"]], [-1, "0"],
+         r"node Node\(level=1, label='a'\) has parent entry '0', not an index in \[0, 2\)"),
+        ([[0, "<root>"], [1, "a"], [1, "b"]], [-1, 0, -1],
+         r"node Node\(level=1, label='b'\) has no parent but is not the root"),
+        ([[0, "<root>"], [1, "a"], [1, "a"]], [-1, 0, 0], r"node Node\(level=1, label='a'\) listed twice"),
+        ([[0, "<root>"], [1, "a"], [0, "<root>"]], [-1, 0, -1],
+         r"node Node\(level=0, label='<root>'\) listed twice"),
+    ], ids=["too_few", "too_many", "past_the_end", "negative", "not_an_int", "no_parent", "twice",
+         "root_twice"])
+    def test_malformed_parents_rejected(self, nodes, parents, message):
+        text = json.dumps({"k_max": 1, "nodes": nodes, "parents": parents})
+        with pytest.raises(CodeError, match=message):
+            LabelTree.from_json(text)
+
     def test_conflicting_parent_detected(self, monkeypatch):
         # force the lookup to anchor the same integer code under two parents
         table = RangeTable([RangeRow(DIAGNOSIS, "390", "459", "401", "405")])

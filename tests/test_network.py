@@ -1,4 +1,5 @@
 import inspect
+import os
 import sys
 import threading
 import tracemalloc
@@ -17,13 +18,13 @@ from hicu.network import (
     DecoderParams,
     EncoderParams,
     _attention_slab,
+    _encode,
     _im2col,
     adam_step,
     backward,
     corrected_queries,
     decode,
     decoder_param_dict,
-    encode,
     encoder_param_dict,
     forward,
     init_encoder,
@@ -66,7 +67,7 @@ class TestForward:
         with pytest.raises(ValueError, match=r"\(B, N\) batch"):
             forward(x[0], enc, dec, E_h)
         with pytest.raises(ValueError, match=r"\(B, N\) batch"):
-            encode(x[0], enc)
+            _encode(x[0], enc)
         _, trace = forward(x[:1], enc, dec, E_h)
         _, dlogits = bce(trace.logits, y[:1])
         with pytest.raises(ValueError, match="dlogits shape"):
@@ -74,7 +75,7 @@ class TestForward:
 
     def test_encode_shape_and_range(self):
         enc, dec, E_h, x, _ = _setup()
-        H = encode(x, enc)
+        H = _encode(x, enc)
         assert H.shape == (2, 7, D_F)
         assert np.all(np.abs(H) <= 1.0)
 
@@ -83,10 +84,10 @@ class TestForward:
         bad = x.copy()
         bad[0, 0] = VOCAB + 5
         with pytest.raises(ValueError):
-            encode(bad, enc)
+            _encode(bad, enc)
         bad[0, 0] = -1  # the window gather clips indices, so negatives must not reach it
         with pytest.raises(ValueError, match="out of vocabulary range"):
-            encode(bad, enc)
+            _encode(bad, enc)
 
     def test_sum_pooling_equals_explicit_z_sum(self):
         enc, dec, E_h, x, _ = _setup()
@@ -98,7 +99,7 @@ class TestForward:
     def test_conv_same_padding_matches_naive(self):
         for kernel, n_tokens in SHAPES:
             enc, dec, E_h, x, _ = _setup(kernel=kernel, n_tokens=n_tokens)
-            H = encode(x, enc)
+            H = _encode(x, enc)
             half = kernel // 2
             for b in range(len(x)):
                 padded = np.zeros((n_tokens + 2 * half, D_E))
@@ -274,6 +275,16 @@ def test_even_kernel_rejected():
         init_encoder(rng, VOCAB, D_E, D_F, kernel_size=4)
 
 
+@pytest.mark.parametrize("shape", [(10, 6), (5, 4)])
+def test_embedding_of_another_shape_rejected(shape):
+    # the table must have one row per vocabulary entry and d_e columns
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=rf"shape \({shape[0]}, {shape[1]}\), expected .* \(10, 4\)"):
+        init_encoder(rng, vocab_size=10, d_e=4, d_f=D_F, kernel_size=S, embedding=np.zeros(shape))
+    enc = init_encoder(rng, vocab_size=10, d_e=4, d_f=D_F, kernel_size=S, embedding=np.ones((10, 4)))
+    assert enc.embedding.shape == (10, 4)
+
+
 def _oracle_grads(x, enc, dec, E_h, dY):
     """Forward and backward recomputed one document and one label at a time,
     with einsum contractions and the explicit softmax Jacobian."""
@@ -339,7 +350,7 @@ def _oracle_grads(x, enc, dec, E_h, dY):
 def _batched_softmax_forward(x, enc, dec, E_h):
     """yhat, A, V and logits from one (B, N, L) score array: batched matmuls
     and the softmax's max, exp and sum taken along the token axis of the batch."""
-    H = encode(x, enc)
+    H = _encode(x, enc)
     qhat = corrected_queries(dec.Q, E_h, dec.mode, dec.fc_w, dec.fc_b)
     A = H @ qhat
     A -= A.max(axis=1, keepdims=True)
@@ -364,7 +375,7 @@ def _magnitudes(x, enc, dec, E_h, dY=None):
     emb_pad[:, half : half + N] = np.abs(enc.embedding[x])
     pre = np.abs(enc.bias) + sum(emb_pad[:, j : j + N] @ np.abs(enc.kernel[j]) for j in range(s))
     yhat, A, _, _ = _batched_softmax_forward(x, enc, dec, E_h)
-    H = encode(x, enc)
+    H = _encode(x, enc)
     Hm = np.abs(H) + (1.0 - H**2) * pre  # tanh passes on its argument's error
     Qm, Em = np.abs(dec.Q), None if E_h is None else np.abs(E_h)
     if dec.mode == "add":
@@ -626,6 +637,29 @@ class TestWorkerLanes:
         assert names.count("hicu-lane") == 2  # one per call
         assert not [t for t in threading.enumerate() if t.name == "hicu-lane"]
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs CPU affinity calls and two CPUs")
+    def test_each_lane_runs_on_a_cpu_of_its_own(self, monkeypatch):
+        seen = []
+        for name in ("_decode_lane", "_backward_lane"):
+            def lane(w, *args, _name=name, _real=getattr(network, name)):
+                seen.append((_name, w, frozenset(os.sched_getaffinity(0))))
+                _real(w, *args)
+            monkeypatch.setattr(network, name, lane)
+        _lanes(monkeypatch, 2)
+        enc, dec, E_h, x, y = _lane_batch("none", seed=5)
+        before = os.sched_getaffinity(0)
+        _, trace = forward(x, enc, dec, E_h)
+        assert os.sched_getaffinity(0) == before
+        backward(trace, enc, dec, bce(trace.logits, y)[1])
+        assert os.sched_getaffinity(0) == before
+        assert sorted((name, w) for name, w, _ in seen) == [
+            ("_backward_lane", 0), ("_backward_lane", 1), ("_decode_lane", 0), ("_decode_lane", 1)]
+        for name in ("_decode_lane", "_backward_lane"):
+            cpus = {w: cpu for lane, w, cpu in seen if lane == name}
+            assert len(cpus[0]) == len(cpus[1]) == 1, cpus
+            assert cpus[0] != cpus[1], cpus
+
     @pytest.mark.parametrize("failing", [0, 1])
     def test_a_failing_lane_raises_instead_of_waiting(self, monkeypatch, failing):
         _lanes(monkeypatch, 2)
@@ -745,7 +779,7 @@ class TestAttentionStatistics:
         for kernel, n_tokens in SHAPES:
             enc, dec, E_h, x, y = _setup(mode, seed=5, kernel=kernel, n_tokens=n_tokens)
             qhat = corrected_queries(dec.Q, E_h, dec.mode, dec.fc_w, dec.fc_b)
-            c = 400.0 / np.abs(encode(x, enc) @ qhat).max()
+            c = 400.0 / np.abs(_encode(x, enc) @ qhat).max()
             if mode == "none":
                 dec.Q *= c
             else:
@@ -753,7 +787,7 @@ class TestAttentionStatistics:
                 dec.fc_b *= c
                 if mode == "add":
                     dec.Q *= c
-            scores = encode(x, enc) @ corrected_queries(dec.Q, E_h, dec.mode, dec.fc_w, dec.fc_b)
+            scores = _encode(x, enc) @ corrected_queries(dec.Q, E_h, dec.mode, dec.fc_w, dec.fc_b)
             assert np.isclose(np.abs(scores).max(), 400.0)
             _, trace = forward(x, enc, dec, E_h)
             _, dlogits = bce(trace.logits, y)
@@ -827,7 +861,7 @@ class TestAttentionStatistics:
     def test_inspect_attention_reads_the_batched_softmax_column(self, mode):
         enc, dec, E_h, x, _ = _setup(mode, seed=3)
         codes = [f"c{j}" for j in range(L)]
-        state = ModelState(encoder=enc, decoder=dec, level=1, codes=codes)
+        state = ModelState(encoder=enc, decoder=dec, codes=codes)
         doc = Document("d", x[1], ())
         tokens = [f"t{i}" for i in range(x.shape[1])]
         A = _batched_softmax_forward(x[1:2], enc, dec, E_h)[1][0]

@@ -8,14 +8,14 @@ from hicu.poincare import (
     BALL_EPS,
     EmbedConfig,
     PoincareEmbedding,
-    edge_loss_and_grads,
     embedding_for_level,
     mean_edge_distance,
     poincare_distance,
-    poincare_distance_grad,
     project_to_ball,
     riemannian_scale,
     train_poincare,
+    _batch_loss_and_grads,
+    _distance_and_grads,
     _exclusion_offsets,
     _non_neighbours,
 )
@@ -74,7 +74,7 @@ class TestDistanceGrad:
             v = _ball_point(rng.uniform(-0.7, 0.7, size=4))
             if np.linalg.norm(u - v) < 0.05:
                 continue
-            du, dv = poincare_distance_grad(u, v)
+            du, dv = _distance_and_grads(u, v)[1:]
             fd_u = fd_gradient(lambda: poincare_distance(u, v), u, range(4))
             fd_v = fd_gradient(lambda: poincare_distance(u, v), v, range(4))
             for i in range(4):
@@ -100,10 +100,13 @@ class TestRiemannianUpdate:
 
 
 class TestEdgeLoss:
+    # one-row calls of the batch kernel: edge (0, 1) and its negatives
     def test_negative_sampling_softmax_value(self):
         rng = np.random.default_rng(1)
         vectors = rng.uniform(-0.3, 0.3, size=(5, 3))
-        loss, _ = edge_loss_and_grads(vectors, 0, 1, [2, 3, 4])
+        cands = np.array([[1, 2, 3, 4]])
+        losses, _, _ = _batch_loss_and_grads(vectors, np.array([0]), cands, np.ones(cands.shape, dtype=bool))
+        loss = losses[0]
         dists = [poincare_distance(vectors[0], vectors[c]) for c in (1, 2, 3, 4)]
         direct = -np.log(np.exp(-dists[0]) / np.sum(np.exp([-d for d in dists])))
         assert rel_err(loss, direct) < 1e-12
@@ -111,10 +114,12 @@ class TestEdgeLoss:
     def test_grads_match_finite_differences(self):
         rng = np.random.default_rng(2)
         vectors = rng.uniform(-0.4, 0.4, size=(6, 3))
-        _, grads = edge_loss_and_grads(vectors, 0, 1, [2, 3])
-        for idx, grad in grads.items():
+        u, cands = np.array([0]), np.array([[1, 2, 3]])
+        mask = np.ones(cands.shape, dtype=bool)
+        _, touched, grads = _batch_loss_and_grads(vectors, u, cands, mask)
+        for idx, grad in zip(touched, grads):
             fd = fd_gradient(
-                lambda: edge_loss_and_grads(vectors, 0, 1, [2, 3])[0],
+                lambda: _batch_loss_and_grads(vectors, u, cands, mask)[0][0],
                 vectors[idx],
                 range(3),
             )
@@ -124,9 +129,10 @@ class TestEdgeLoss:
     def test_no_negatives_degrades_to_distance(self):
         rng = np.random.default_rng(3)
         vectors = rng.uniform(-0.3, 0.3, size=(2, 3))
-        loss, grads = edge_loss_and_grads(vectors, 0, 1, [])
-        assert loss == pytest.approx(poincare_distance(vectors[0], vectors[1]), abs=1e-12)
-        assert set(grads) == {0, 1}
+        losses, touched, _ = _batch_loss_and_grads(vectors, np.array([0]), np.array([[1]]),
+                                                   np.ones((1, 1), dtype=bool))
+        assert losses[0] == pytest.approx(poincare_distance(vectors[0], vectors[1]), abs=1e-12)
+        assert set(touched.tolist()) == {0, 1}
 
 
 def _toy_tree():
