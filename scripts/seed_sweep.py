@@ -4,11 +4,15 @@
 Runs the reference experiment across several seeds and summarizes the
 rare-label effect: the mean and spread of test micro-F1, micro-AUC and
 macro-AUC for both modes and of the rare-quartile AUC delta (curriculum
-minus flat).
+minus flat).  ``--json PATH`` also writes the per-seed records (micro/macro
+F1 and AUC of both modes, the rare-quartile delta) with the environment
+record of ``perfbench/worker.py``, so a multi-seed comparison can be
+committed and checked.
 
-Usage: python3 scripts/seed_sweep.py [--seeds 0,1,2,3,4] [--out DIR]
+Usage: PYTHONPATH=src python3 scripts/seed_sweep.py [--seeds 0,1,2,3,4] [--out DIR] [--json PATH]
 """
 import argparse
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -16,6 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from run_reference_experiment import run_pipeline
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from worker import environment  # noqa: E402
 
 
 def one_seed(root: Path, seed: int) -> dict:
@@ -25,6 +32,8 @@ def one_seed(root: Path, seed: int) -> dict:
         "seed": seed,
         "flat_micro_f1": flat["micro_f1"],
         "hicu_micro_f1": records[0]["micro_f1"],
+        "flat_macro_f1": flat["macro_f1"],
+        "hicu_macro_f1": records[0]["macro_f1"],
         "flat_micro_auc": flat["micro_auc"],
         "hicu_micro_auc": records[0]["micro_auc"],
         "flat_macro_auc": flat["macro_auc"],
@@ -37,6 +46,7 @@ def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--seeds", default="0,1,2,3,4")
     parser.add_argument("--out", default=None)
+    parser.add_argument("--json", help="write the environment and per-seed records here")
     args = parser.parse_args()
     seeds = [int(s) for s in args.seeds.split(",")]
 
@@ -63,6 +73,10 @@ def main() -> int:
         wins = int((rare > 0).sum())
         print(f"rare-quartile AUC delta: {rare.mean():+.4f} +/- {rare.std():.4f} "
               f"(positive in {wins}/{len(rare)} seeds)")
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump({"environment": environment(), "seeds": results}, fh, indent=1, sort_keys=True)
+            fh.write("\n")
     return 0
 
 

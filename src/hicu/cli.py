@@ -263,12 +263,12 @@ def cmd_train(args) -> int:
 
 
 def _load_model(path):
-    state, E_h, meta = curriculum.load_model(path)
+    state, meta = curriculum.load_model(path)
     vocab = data.Vocab(
         {tok: i + 2 for i, tok in enumerate(meta["vocab_tokens"])},
         min_count=meta["min_count"],
     )
-    return state, vocab, E_h, meta
+    return state, vocab, meta
 
 
 def _bucket_table(codes, train_counts, model_auc, base_auc, n_buckets=4):
@@ -297,7 +297,7 @@ def _bucket_table(codes, train_counts, model_auc, base_auc, n_buckets=4):
 
 
 def cmd_eval(args) -> int:
-    state, vocab, E_h, meta = _load_model(args.checkpoint)
+    state, vocab, meta = _load_model(args.checkpoint)
     records = data.read_jsonl(args.test)
     if "top_k_labels" in meta:
         # the model was trained on the top-k codes only; score the test split the same way
@@ -317,7 +317,7 @@ def cmd_eval(args) -> int:
         if not np.isfinite(base_scores).all():
             raise ValueError(f"baseline score matrix {args.baseline} has non-finite entries")
 
-    scores = curriculum.score_dataset(state.encoder, state.decoder, E_h, test_set.docs)
+    scores = curriculum.score_dataset(state.encoder, state.decoder, docs=test_set.docs)
     os.makedirs(args.out, exist_ok=True)
     np.save(os.path.join(args.out, "scores.npy"), scores)
     out_records = [{"event": "metrics", **metrics.evaluate(scores, y, ks=ks)}]
@@ -340,16 +340,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    state, vocab, E_h, meta = _load_model(args.checkpoint)
+    state, vocab, meta = _load_model(args.checkpoint)
     records = data.read_jsonl(args.data)
     rec = next((r for r in records if r["id"] == args.doc_id), None)
     if rec is None:
         raise ValueError(f"document {args.doc_id!r} not found in {args.data}")
     tokens = data.tokenize(rec["text"])[: meta["max_len"]]
     doc = data.Document(id=rec["id"], tokens=vocab.indices(tokens), labels=())
-    for token, weight in curriculum.inspect_attention(
-        state, E_h, doc, tokens, args.label, args.top_n
-    ):
+    for token, weight in curriculum.inspect_attention(state, doc, tokens, args.label, args.top_n):
         print(f"{token}\t{weight:.6f}")
     return 0
 
@@ -385,9 +383,10 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     parser = parser_class(prog="hicu")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=False):
         p.add_argument("--config", help="key=value config file (flags override)")
-        p.add_argument("--seed", type=int, default=_seed_default())
+        if seed:
+            p.add_argument("--seed", type=int, default=_seed_default())
 
     p = sub.add_parser("build-tree", help="build and serialize the label tree")
     common(p)
@@ -397,7 +396,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.set_defaults(func=cmd_build_tree)
 
     p = sub.add_parser("embed", help="train hyperbolic label embeddings")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--tree", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--hyp-dim", type=int, default=50)
@@ -408,7 +407,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--out", required=True)
     p.add_argument("--branching", default="3,3,3,3,3")
     p.add_argument("--zipf", type=float, default=1.5)
@@ -419,7 +418,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="run curriculum or flat training")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--ranges", required=True)
     p.add_argument("--train", required=True)
     p.add_argument("--valid", required=True)

@@ -111,11 +111,12 @@ def init_level_decoder(
     k: int,
     cfg: CurriculumConfig,
     rng: np.random.Generator,
-    d_h: int = 0,
+    E_h: np.ndarray | None = None,
 ) -> DecoderParams:
     """Decoder for level k: queries random at the first trained level, else
     transferred from their ancestors' columns in ``prev``, the decoder trained
-    at ``prev_level``; the output layer starts fresh at every level."""
+    at ``prev_level``; the output layer starts fresh at every level.  A
+    corrected decoder holds ``E_h``, level k's hyperbolic rows."""
     n_labels = len(tree.level_labels(k))
     d_f = cfg.d_f
     if prev is None:
@@ -132,16 +133,11 @@ def init_level_decoder(
         if prev is not None:
             fc_w, fc_b = prev.fc_w, prev.fc_b  # shared transform, trained continuously
         else:
-            fc_w, fc_b = init_fc(rng, d_f, d_h, cfg.correction)
-    return DecoderParams(Q=q, W=w, b=b, mode=cfg.correction, fc_w=fc_w, fc_b=fc_b)
+            fc_w, fc_b = init_fc(rng, d_f, E_h.shape[1], cfg.correction)
+    return DecoderParams(Q=q, W=w, b=b, mode=cfg.correction, fc_w=fc_w, fc_b=fc_b, E_h=E_h)
 
 
-def score_dataset(
-    enc: EncoderParams,
-    dec: DecoderParams,
-    E_h: np.ndarray | None,
-    docs: list[Document],
-) -> np.ndarray:
+def score_dataset(enc: EncoderParams, dec: DecoderParams, docs: list[Document]) -> np.ndarray:
     """Sigmoid scores for every document, batched over equal lengths."""
     scores = np.empty((len(docs), dec.n_labels))
     groups: dict[int, list[int]] = {}
@@ -151,14 +147,15 @@ def score_dataset(
         for lo in range(0, len(idxs), SCORE_BATCH_SIZE):
             chunk = idxs[lo : lo + SCORE_BATCH_SIZE]
             x = np.stack([docs[i].tokens for i in chunk])
-            scores[chunk] = forward(x, enc, dec, E_h)[0]
+            scores[chunk] = forward(x, enc, dec)[0]
     return scores
 
 
 def _model_from_params(
-    params: dict[str, np.ndarray], mode: str
+    params: dict[str, np.ndarray], mode: str, E_h: np.ndarray | None
 ) -> tuple[EncoderParams, DecoderParams]:
-    """Encoder and decoder holding copies of a name -> array parameter dict."""
+    """Encoder and decoder holding copies of a name -> array parameter dict;
+    the decoder holds the hyperbolic rows ``E_h`` of a correction."""
     enc = EncoderParams(
         embedding=np.array(params["embedding"]),
         kernel=np.array(params["kernel"]),
@@ -171,6 +168,7 @@ def _model_from_params(
         mode=mode,
         fc_w=np.array(params["fc_w"]) if "fc_w" in params else None,
         fc_b=np.array(params["fc_b"]) if "fc_b" in params else None,
+        E_h=E_h,
     )
     return enc, dec
 
@@ -199,7 +197,8 @@ class Trainer:
             kernel_size=cfg.kernel_size,
             embedding=word_embedding,
         )
-        self.decoder = init_level_decoder(None, None, tree, self.levels[0], cfg, self.rng, self.d_h)
+        self.decoder = init_level_decoder(None, None, tree, self.levels[0], cfg, self.rng,
+                                          self._level_rows(self.levels[0]))
         self._enter_level()
 
     # -- setup helpers -------------------------------------------------
@@ -218,7 +217,6 @@ class Trainer:
         self.valid = valid
         self.y_leaf_train = train.label_matrix(self.codes)
         self.y_leaf_valid = valid.label_matrix(self.codes)
-        self.d_h = emb.d_h if emb is not None else 0
         # a zero-epoch level is never visited; validate() keeps the final level
         self.levels = [k for k, e in enumerate(cfg.epochs_per_level, start=1) if e > 0]
         self.records: list[dict] = []
@@ -238,13 +236,12 @@ class Trainer:
     def at_final_level(self) -> bool:
         return self.level_pos == len(self.levels) - 1
 
+    def _level_rows(self, k: int) -> np.ndarray | None:
+        """Level k's hyperbolic rows for a corrected decoder, else None."""
+        return None if self.cfg.correction == "none" else embedding_for_level(self.emb, self.tree, k)
+
     def _enter_level(self) -> None:
         k = self.level
-        self.E_h = (
-            embedding_for_level(self.emb, self.tree, k)
-            if self.cfg.correction != "none"
-            else None
-        )
         self.y_train = self.tree.ancestor_targets(self.y_leaf_train, k)
         self.y_valid = self.tree.ancestor_targets(self.y_leaf_valid, k)
         self.params = {**encoder_param_dict(self.encoder), **decoder_param_dict(self.decoder)}
@@ -255,7 +252,8 @@ class Trainer:
         self.level_pos += 1
         self.epoch_in_level = 0
         self.decoder = init_level_decoder(
-            self.decoder, trained, self.tree, self.level, self.cfg, self.rng, self.d_h
+            self.decoder, trained, self.tree, self.level, self.cfg, self.rng,
+            self._level_rows(self.level),
         )
         self._enter_level()
 
@@ -277,8 +275,8 @@ class Trainer:
             spans = [slice(0, n)]
         else:
             spans = [slice(i, i + 1) for i in range(n)]
-        traces = [forward(np.stack([d.tokens for d in docs[span]]),
-                          self.encoder, self.decoder, self.E_h)[1] for span in spans]
+        traces = [forward(np.stack([d.tokens for d in docs[span]]), self.encoder, self.decoder)[1]
+                  for span in spans]
         loss, dlogits = self._loss(np.concatenate([t.logits for t in traces]), self.y_train[idxs])
         dlogits /= n
         grads = None
@@ -312,7 +310,7 @@ class Trainer:
             "epoch": self.epoch_in_level,
             "train_loss": train_loss,
         }
-        scores = score_dataset(self.encoder, self.decoder, self.E_h, self.valid.docs)
+        scores = score_dataset(self.encoder, self.decoder, docs=self.valid.docs)
         if self.at_final_level:
             result = evaluate(scores, self.y_valid, ks=self.cfg.p_at)
             record.update({f"valid_{key}": v for key, v in result.items()})
@@ -358,7 +356,7 @@ class Trainer:
 
     def best_state(self) -> ModelState:
         params = self.best_params if self.best_params is not None else self.params
-        enc, dec = _model_from_params(params, self.decoder.mode)
+        enc, dec = _model_from_params(params, self.decoder.mode, self.decoder.E_h)
         return ModelState(encoder=enc, decoder=dec, codes=list(self.codes))
 
     # -- checkpointing -------------------------------------------------
@@ -383,8 +381,8 @@ class Trainer:
         groups = {"param/": self.params, "adam_m/": self.adam.m, "adam_v/": self.adam.v,
                   "best/": self.best_params or {}}
         arrays = {prefix + n: a for prefix, group in groups.items() for n, a in group.items()}
-        if self.E_h is not None:
-            arrays["aux/E_h"] = self.E_h
+        if self.decoder.E_h is not None:
+            arrays["aux/E_h"] = self.decoder.E_h
         return meta, arrays
 
     def save(self, path) -> None:
@@ -408,8 +406,9 @@ class Trainer:
         self = cls.__new__(cls)
         self._setup(train, valid, tree, emb, cfg)
         self.rng.bit_generator.state = meta["rng_state"]
-        self.encoder, self.decoder = _model_from_params(groups["param/"], cfg.correction)
         self.level_pos = meta["level_pos"]
+        self.encoder, self.decoder = _model_from_params(groups["param/"], cfg.correction,
+                                                        self._level_rows(self.level))
         self.epoch_in_level = meta["epoch_in_level"]
         self.finished = meta["finished"]
         self.best_metric = meta["best_metric"]
@@ -451,20 +450,21 @@ def _check_keys(path, what: str, stored: dict, cls) -> None:
                          f"(unknown keys {unknown}, missing keys {missing})")
 
 
-def load_model(path) -> tuple[ModelState, np.ndarray | None, dict]:
-    """Best model of a trainer checkpoint, its ``aux/E_h`` rows and its metadata.
+def load_model(path) -> tuple[ModelState, dict]:
+    """Best model of a trainer checkpoint, its decoder holding the ``aux/E_h``
+    rows, and the checkpoint's metadata.
 
     Falls back to the current parameters when no best ones were recorded.
     """
     meta, cfg, groups = _read_checkpoint(path)
-    enc, dec = _model_from_params(groups["best/"] or groups["param/"], cfg.correction)
+    enc, dec = _model_from_params(groups["best/"] or groups["param/"], cfg.correction,
+                                  groups["aux/"].get("E_h"))
     state = ModelState(encoder=enc, decoder=dec, codes=list(meta["codes"]))
-    return state, groups["aux/"].get("E_h"), meta
+    return state, meta
 
 
 def inspect_attention(
     state: ModelState,
-    E_h: np.ndarray | None,
     doc: Document,
     token_strings: list[str],
     label: str,
@@ -472,7 +472,6 @@ def inspect_attention(
 ) -> list[tuple[str, float]]:
     """Top-weighted input tokens for one label's attention column.
 
-    ``E_h`` holds the final-level hyperbolic rows of a corrected model.
     Ties are broken by token position.
     """
     if label not in state.codes:
@@ -481,7 +480,7 @@ def inspect_attention(
         raise ValueError("token strings must align with the token index sequence")
     if len(doc.tokens) == 0:
         raise ValueError(f"document {doc.id!r} has no tokens")
-    _, trace = forward(doc.tokens[None], state.encoder, state.decoder, E_h)
+    _, trace = forward(doc.tokens[None], state.encoder, state.decoder)
     col = _attention_slab(trace, 0)[:, state.codes.index(label)]
     order = np.argsort(-col, kind="stable")
     return [(token_strings[i], float(col[i])) for i in order[:top_n]]

@@ -320,10 +320,15 @@ class LabelTree:
 
     @classmethod
     def from_json(cls, text: str) -> "LabelTree":
-        """The tree of ``to_json``'s text: each node once, every parent entry an
-        index into ``nodes``, and -1 on the root alone."""
+        """The tree of ``to_json``'s text: each node an ``[int level, str label]``
+        pair listed once, every parent entry an index into ``nodes``, and -1 on
+        the root alone."""
         payload = json.loads(text)
-        nodes = [Node(lvl, label) for lvl, label in payload["nodes"]]
+        nodes = []
+        for i, entry in enumerate(payload["nodes"]):
+            if type(entry) is not list or [type(v) for v in entry] != [int, str]:  # a bool is no level
+                raise CodeError(f"tree file node entry {i} is {entry!r}, not an [int level, str label] pair")
+            nodes.append(Node(*entry))
         parents = payload["parents"]
         if len(parents) != len(nodes):
             raise CodeError(f"tree file lists {len(nodes)} nodes but {len(parents)} parents")

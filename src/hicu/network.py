@@ -3,8 +3,8 @@
 The encoder is a single same-padded 1-D convolution with tanh over word
 embeddings, producing H of shape (N, d_f).  The decoder computes one
 softmax-over-tokens attention column per label from a query matrix that
-may be corrected with hyperbolic label embeddings, then applies a linear
-layer with sum pooling and a sigmoid.
+may be corrected with the hyperbolic label rows the decoder holds, then
+applies a linear layer with sum pooling and a sigmoid.
 
 All arrays are float64 but the token ids, which may be any integer type
 (``hicu.data`` gives int32).  Token input is always a (B, N) batch of
@@ -97,15 +97,25 @@ class DecoderParams:
     mode: str = "none"
     fc_w: np.ndarray | None = None  # add: (d_f, d_h); concat: (d_f, d_f + d_h)
     fc_b: np.ndarray | None = None  # (d_f,)
+    E_h: np.ndarray | None = None  # (L, d_h) hyperbolic label rows of a correction; not trained
 
     def __post_init__(self):
         if self.mode not in CORRECTION_MODES:
             raise ValueError(f"unknown correction mode {self.mode!r}")
-        L = self.Q.shape[1]
+        d_f, L = self.Q.shape
         if self.W.shape[1] != L or self.b.shape[0] != L:
             raise ValueError("Q, W and b must agree on the label count")
-        if self.mode != "none" and (self.fc_w is None or self.fc_b is None):
+        if self.mode == "none":
+            return
+        if self.fc_w is None or self.fc_b is None:
             raise ValueError(f"correction mode {self.mode!r} requires a transform")
+        if self.E_h is None:
+            raise ValueError(f"correction mode {self.mode!r} requires hyperbolic rows")
+        if self.E_h.shape[0] != L:
+            raise ValueError("hyperbolic row count must match the label count")
+        d_in = self.E_h.shape[1] + (d_f if self.mode == "concat" else 0)
+        if self.fc_w.shape != (d_f, d_in):
+            raise ValueError(f"transform shape mismatch for mode {self.mode}")
 
     @property
     def n_labels(self) -> int:
@@ -121,7 +131,6 @@ class ForwardTrace:
     s: np.ndarray  # (B, L) per-label sum of exp(scores - m) over tokens
     V: np.ndarray  # (B, L, d_f)
     logits: np.ndarray  # (B, L)
-    E_h: np.ndarray | None
 
 
 def xavier_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
@@ -191,32 +200,19 @@ def _encode(x: np.ndarray, enc: EncoderParams) -> np.ndarray:
     return np.tanh(H, out=H)
 
 
-def corrected_queries(
-    Q: np.ndarray, E_h: np.ndarray | None, mode: str,
-    fc_w: np.ndarray | None = None, fc_b: np.ndarray | None = None,
-) -> np.ndarray:
-    """Apply the hyperbolic correction to the query matrix.
+def corrected_queries(dec: DecoderParams) -> np.ndarray:
+    """The decoder's query matrix, corrected with its hyperbolic rows E_h.
 
     add:    qhat_c = q_c + fc(e_c)
     concat: qhat_c = fc(q_c ++ e_c)
     """
-    if mode == "none":
-        return Q
-    if E_h is None:
-        raise ValueError(f"correction mode {mode!r} requires hyperbolic rows")
-    if E_h.shape[0] != Q.shape[1]:
-        raise ValueError("hyperbolic row count must match the label count")
-    if mode == "add":
-        if fc_w.shape != (Q.shape[0], E_h.shape[1]):
-            raise ValueError("transform shape mismatch for mode add")
-        return Q + fc_w @ E_h.T + fc_b[:, None]
-    if mode == "concat":
-        d_f = Q.shape[0]
-        if fc_w.shape != (d_f, d_f + E_h.shape[1]):
-            raise ValueError("transform shape mismatch for mode concat")
-        wq, we = fc_w[:, :d_f], fc_w[:, d_f:]
-        return wq @ Q + we @ E_h.T + fc_b[:, None]
-    raise ValueError(f"unknown correction mode {mode!r}")
+    if dec.mode == "none":
+        return dec.Q
+    if dec.mode == "add":
+        return dec.Q + dec.fc_w @ dec.E_h.T + dec.fc_b[:, None]
+    d_f = dec.Q.shape[0]
+    wq, we = dec.fc_w[:, :d_f], dec.fc_w[:, d_f:]
+    return wq @ dec.Q + we @ dec.E_h.T + dec.fc_b[:, None]
 
 
 def _cores() -> int:
@@ -291,9 +287,7 @@ def _decode_lane(w, n, done, H, qhat, m, s, V, slabs) -> None:
         Vb /= sb[:, None]  # the softmax division, on (L, d_f) instead of the slab
 
 
-def decode(
-    H: np.ndarray, dec: DecoderParams, E_h: np.ndarray | None = None
-) -> tuple[np.ndarray, dict]:
+def decode(H: np.ndarray, dec: DecoderParams) -> tuple[np.ndarray, dict]:
     """Per-label attention, linear layer and sum pooling of a (B, N, d_f) H.
 
     Returns (yhat, partial trace); the trace holds qhat, the softmax
@@ -301,7 +295,7 @@ def decode(
     axis so each label's attention column sums to 1; its division is
     applied to the pooled V.
     """
-    qhat = corrected_queries(dec.Q, E_h, dec.mode, dec.fc_w, dec.fc_b)
+    qhat = corrected_queries(dec)
     B, N, d_f = H.shape
     L = qhat.shape[1]
     m = np.empty((B, L))
@@ -326,15 +320,12 @@ def _attention_slab(trace: ForwardTrace, b: int) -> np.ndarray:
     return out
 
 
-def forward(
-    x: np.ndarray, enc: EncoderParams, dec: DecoderParams,
-    E_h: np.ndarray | None = None,
-) -> tuple[np.ndarray, ForwardTrace]:
+def forward(x: np.ndarray, enc: EncoderParams, dec: DecoderParams) -> tuple[np.ndarray, ForwardTrace]:
     """Full forward pass of a (B, N) batch; returns (B, L) sigmoid outputs
     and a trace for backward."""
     H = _encode(x, enc)
-    yhat, partial = decode(H, dec, E_h)
-    trace = ForwardTrace(x=x, H=H, E_h=E_h, **partial)
+    yhat, partial = decode(H, dec)
+    trace = ForwardTrace(x=x, H=H, **partial)
     return yhat, trace
 
 
@@ -409,10 +400,10 @@ def backward(
 
     grads: dict[str, np.ndarray] = {"W": dW, "b": db, "Q": dqhat}
     if dec.mode == "add":
-        grads["fc_w"] = dqhat @ trace.E_h
+        grads["fc_w"] = dqhat @ dec.E_h
     elif dec.mode == "concat":
         grads["Q"] = dec.fc_w[:, :d_f].T @ dqhat
-        grads["fc_w"] = np.concatenate([dqhat @ dec.Q.T, dqhat @ trace.E_h], axis=1)
+        grads["fc_w"] = np.concatenate([dqhat @ dec.Q.T, dqhat @ dec.E_h], axis=1)
     if dec.mode != "none":
         grads["fc_b"] = dqhat.sum(axis=1)
 

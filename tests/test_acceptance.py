@@ -113,23 +113,21 @@ def test_criterion_1_gradients_match_finite_differences():
                 fc_w = fc_b = None
                 if mode != "none":
                     fc_w, fc_b = init_fc(rng, D_F, D_H, mode)
-                dec = DecoderParams(
-                    Q=rng.normal(size=(D_F, L)) * 0.4,
-                    W=rng.normal(size=(D_F, L)) * 0.4,
-                    b=rng.normal(size=L) * 0.1,
-                    mode=mode, fc_w=fc_w, fc_b=fc_b,
-                )
+                Q = rng.normal(size=(D_F, L)) * 0.4
+                W = rng.normal(size=(D_F, L)) * 0.4
+                b = rng.normal(size=L) * 0.1
                 E_h = rng.uniform(-0.5, 0.5, size=(L, D_H)) if mode != "none" else None
+                dec = DecoderParams(Q=Q, W=W, b=b, mode=mode, fc_w=fc_w, fc_b=fc_b, E_h=E_h)
                 x = rng.integers(1, VOCAB, size=(2, 7))
                 y = (rng.random((2, L)) < 0.4).astype(float)
 
                 def total_loss():
-                    _, trace = forward(x, enc, dec, E_h)
+                    _, trace = forward(x, enc, dec)
                     if loss_name == "asl":
                         return asl(trace.logits, y, loss_cfg)[0]
                     return bce(trace.logits, y)[0]
 
-                _, trace = forward(x, enc, dec, E_h)
+                _, trace = forward(x, enc, dec)
                 if loss_name == "asl":
                     _, dlogits = asl(trace.logits, y, loss_cfg)
                 else:

@@ -83,6 +83,18 @@ class TestEmbed:
         assert header[1] == "6"
         assert "mean edge distance" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("entry", [[1, "a", "b"], 5])
+    def test_malformed_node_entry_is_a_code_error(self, tmp_path, capsys, entry):
+        bad = tmp_path / "tree.json"
+        bad.write_text(json.dumps({"k_max": 1, "nodes": [[0, "<root>"], entry], "parents": [-1, 0]}))
+        out = tmp_path / "emb.txt"
+        rc = main(["embed", "--tree", str(bad), "--out", str(out), "--hyp-epochs", "1", "--hyp-burn-in", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("HICU_ERROR code=code_error")
+        assert f"tree file node entry 1 is {entry!r}, not an [int level, str label] pair" in err
+        assert not out.exists()
+
     def test_leaf_without_a_parent_is_a_code_error(self, corpus_dir, tmp_path, capsys):
         # a -1 parent entry on a leaf must not drop the leaf without a word
         payload = json.loads((corpus_dir / "tree.json").read_text())
@@ -355,7 +367,7 @@ def _best_model(meta, arrays):
     p = {n[len("best/"):]: a for n, a in arrays.items() if n.startswith("best/")}
     enc = EncoderParams(embedding=p["embedding"], kernel=p["kernel"], bias=p["bias"])
     dec = DecoderParams(Q=p["Q"], W=p["W"], b=p["b"], mode=meta["config"]["correction"],
-                        fc_w=p.get("fc_w"), fc_b=p.get("fc_b"))
+                        fc_w=p.get("fc_w"), fc_b=p.get("fc_b"), E_h=arrays.get("aux/E_h"))
     return enc, dec
 
 
@@ -523,6 +535,26 @@ def test_removed_train_flags_are_usage_errors(corpus_dir, tmp_path, flag):
     with pytest.raises(SystemExit) as exc:
         main(_train_argv(corpus_dir, tmp_path, flag))
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["build-tree", "eval", "inspect"])
+def test_seed_is_a_usage_error_where_nothing_draws(corpus_dir, trained_dir, tmp_path, capsys, command):
+    # only synth, embed and train draw random numbers, so only they take --seed
+    argv = {
+        "build-tree": ["--train", str(corpus_dir / "train.jsonl"), "--ranges", str(corpus_dir / "ranges.tsv"),
+                       "--out", str(tmp_path / "tree.json")],
+        "eval": ["--checkpoint", str(trained_dir / "checkpoint.bin"), "--test", str(corpus_dir / "test.jsonl"),
+                 "--out", str(tmp_path / "eval")],
+        "inspect": ["--checkpoint", str(trained_dir / "checkpoint.bin"), "--data", str(corpus_dir / "test.jsonl"),
+                    "--doc-id", "d0", "--label", "x"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv, "--seed", "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --seed 0" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("where", ["metadata", "arrays"])
@@ -698,7 +730,7 @@ class TestCorrectedRoundTrip:
         meta, arrays = read_container(corrected / "model" / "checkpoint.bin")
         enc, dec = _best_model(meta, arrays)
         test = load_dataset(read_jsonl(corpus_dir / "test.jsonl"), _vocab(meta), meta["max_len"])
-        expected = score_dataset(enc, dec, arrays["aux/E_h"], test.docs)
+        expected = score_dataset(enc, dec, test.docs)
         assert np.array_equal(np.load(corrected / "eval" / "scores.npy"), expected)
 
     def test_inspect_runs_on_a_corrected_model(self, corpus_dir, corrected, capsys):
@@ -762,7 +794,7 @@ class TestCliSharesTheLibraryPath:
         assert rc == 0
         tokens = tokenize(rec["text"])
         doc = Document(id=rec["id"], tokens=vocab.indices(tokens), labels=())
-        top = inspect_attention(trainer.best_state(), None, doc, tokens, label, top_n=5)
+        top = inspect_attention(trainer.best_state(), doc, tokens, label, top_n=5)
         assert capsys.readouterr().out.splitlines() == [f"{t}\t{w:.6f}" for t, w in top]
 
 
@@ -866,6 +898,6 @@ class TestBlasThreads:
                 "--out", str(tmp_path / threads), "--mode", "flat", "--epochs-per-level", "1,1,1,1,1",
                 "--d-e", "32", "--d-f", "32", "--lr", "0.002", "--seed", "0",
             ], env=env, check=True, capture_output=True, timeout=300)
-        state, _, _ = load_model(tmp_path / "1" / "checkpoint.bin")
+        state, _ = load_model(tmp_path / "1" / "checkpoint.bin")
         assert 256 * state.decoder.n_labels * 32 >= network.LANE_WORK_FLOOR
         assert (tmp_path / "1" / "checkpoint.bin").read_bytes() == (tmp_path / "2" / "checkpoint.bin").read_bytes()

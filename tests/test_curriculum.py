@@ -275,7 +275,7 @@ class TestBatchStep:
         idxs = np.concatenate(sub_batches)
         n = len(idxs)
         traces = [forward(np.stack([trainer.train.docs[i].tokens for i in sub]),
-                          trainer.encoder, trainer.decoder, None)[1] for sub in sub_batches]
+                          trainer.encoder, trainer.decoder)[1] for sub in sub_batches]
         loss, dlogits = bce(np.concatenate([t.logits for t in traces]), trainer.y_train[idxs])
         grads, lo = None, 0
         for sub, trace in zip(sub_batches, traces):
@@ -353,11 +353,12 @@ class TestCorrectionModes:
             if trainer.finished:
                 break
             trainer.step_epoch()
-        state, E_h, _ = load_model(path)
+        state, _ = load_model(path)
         best = trainer.best_state()
         docs = splits["valid"].docs
-        assert np.array_equal(score_dataset(state.encoder, state.decoder, E_h, docs),
-                              score_dataset(best.encoder, best.decoder, trainer.E_h, docs))
+        assert np.array_equal(state.decoder.E_h, trainer.decoder.E_h)
+        assert np.array_equal(score_dataset(state.encoder, state.decoder, docs),
+                              score_dataset(best.encoder, best.decoder, docs))
 
 
 class TestWorkerLanes:
@@ -620,7 +621,7 @@ class TestInspection:
         rec = next(r for r in corpus.splits["train"] if r["id"] == doc.id)
         token_strings = tokenize(rec["text"])[: len(doc.tokens)]
         label = doc.labels[0]
-        top = inspect_attention(state, None, doc, token_strings, label, top_n=5)
+        top = inspect_attention(state, doc, token_strings, label, top_n=5)
         assert len(top) == 5
         weights = [w for _, w in top]
         assert weights == sorted(weights, reverse=True)
@@ -637,7 +638,7 @@ class TestInspection:
         state = trainer.best_state()
         doc = splits["train"].docs[0]
         with pytest.raises(ValueError):
-            inspect_attention(state, None, doc, ["x"] * len(doc.tokens), "nope")
+            inspect_attention(state, doc, ["x"] * len(doc.tokens), "nope")
 
 
 class TestScoreDataset:
@@ -653,9 +654,9 @@ class TestScoreDataset:
         trainer.run()
         state = trainer.best_state()
         docs = splits["valid"].docs[:10]
-        scores = score_dataset(state.encoder, state.decoder, None, docs)
+        scores = score_dataset(state.encoder, state.decoder, docs)
         for i, doc in enumerate(docs):
-            yhat, _ = forward(doc.tokens[None], state.encoder, state.decoder, None)
+            yhat, _ = forward(doc.tokens[None], state.encoder, state.decoder)
             assert np.allclose(scores[i], yhat[0], atol=1e-12)
 
     @staticmethod
@@ -672,9 +673,9 @@ class TestScoreDataset:
         lengths = [11] * (SCORE_BATCH_SIZE + 5) + [4, 7, 4, 1, 7, 7, 4]
         lengths = [lengths[i] for i in rng.permutation(len(lengths))]
         docs = [Document(str(i), rng.integers(1, 20, size=n), ()) for i, n in enumerate(lengths)]
-        scores = score_dataset(enc, dec, None, docs)
+        scores = score_dataset(enc, dec, docs)
         for i, doc in enumerate(docs):
-            yhat, _ = forward(doc.tokens[None], enc, dec, None)
+            yhat, _ = forward(doc.tokens[None], enc, dec)
             assert np.array_equal(scores[i], yhat[0]), i
 
     def test_scoring_frees_each_trace_before_the_next_forward(self):
@@ -688,7 +689,7 @@ class TestScoreDataset:
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            score_dataset(enc, dec, None, docs)
+            score_dataset(enc, dec, docs)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if not was_tracing:

@@ -197,6 +197,14 @@ class TestLabelTree:
         with pytest.raises(CodeError, match=message):
             LabelTree.from_json(text)
 
+    @pytest.mark.parametrize("entry", [[1, "a", "b"], 5, [1], "a", [True, "a"], [1.0, "a"], [1, 2]],
+                             ids=["three_values", "int", "one_value", "str", "bool_level",
+                                  "float_level", "int_label"])
+    def test_malformed_node_entry_rejected(self, entry):
+        text = json.dumps({"k_max": 1, "nodes": [[0, "<root>"], entry], "parents": [-1, 0]})
+        with pytest.raises(CodeError, match=r"tree file node entry 1 is .*, not an \[int level, str label\] pair"):
+            LabelTree.from_json(text)
+
     def test_conflicting_parent_detected(self, monkeypatch):
         # force the lookup to anchor the same integer code under two parents
         table = RangeTable([RangeRow(DIAGNOSIS, "390", "459", "401", "405")])

@@ -251,6 +251,24 @@ class TestEvaluate:
         assert "p_at_15" not in d  # k beyond the label count is skipped
         assert 0.0 <= d["micro_auc"] <= 1.0
 
+    @given(st.integers(1, 30), st.integers(1, 12), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_document_order_changes_no_metric_beyond_roundoff(self, n_docs, n_labels, data):
+        # tied scores; the AUCs, F1s and skipped count come out bit for bit,
+        # and each p_at_k to roundoff, since it sums per-document fractions in
+        # document order
+        scores = data.draw(arrays(np.float64, (n_docs, n_labels), elements=_TIE_VALUES))
+        labels = data.draw(arrays(np.uint8, (n_docs, n_labels), elements=st.integers(0, 1)))
+        perm = np.array(data.draw(st.permutations(range(n_docs))))
+        want = evaluate(scores, labels, ks=(1, 3, 5))
+        got = evaluate(scores[perm], labels[perm], ks=(1, 3, 5))
+        assert sorted(got) == sorted(want)
+        for key, value in want.items():
+            if key.startswith("p_at_"):
+                assert got[key] == pytest.approx(value, rel=1e-12, abs=0), key
+            else:
+                assert got[key] == value, key
+
     def test_shape_mismatch_still_raises(self):
         # single-class labels make the AUC undefined; the mismatch must not be read as that
         with pytest.raises(ValueError, match="identical shapes"):

@@ -48,39 +48,39 @@ def _setup(mode="none", seed=0, kernel=S, n_tokens=7):
     fc_w = fc_b = None
     if mode != "none":
         fc_w, fc_b = init_fc(rng, D_F, D_H, mode)
-    dec = DecoderParams(Q=Q, W=W, b=b, mode=mode, fc_w=fc_w, fc_b=fc_b)
     E_h = rng.uniform(-0.5, 0.5, size=(L, D_H)) if mode != "none" else None
+    dec = DecoderParams(Q=Q, W=W, b=b, mode=mode, fc_w=fc_w, fc_b=fc_b, E_h=E_h)
     x = rng.integers(1, VOCAB, size=(2, n_tokens))
     y = (rng.random((2, L)) < 0.4).astype(float)
-    return enc, dec, E_h, x, y
+    return enc, dec, x, y
 
 
 class TestForward:
     def test_attention_columns_sum_to_one(self):
-        enc, dec, E_h, x, _ = _setup()
-        _, trace = forward(x, enc, dec, E_h)
+        enc, dec, x, _ = _setup()
+        _, trace = forward(x, enc, dec)
         sums = np.stack([_attention_slab(trace, b) for b in range(len(x))]).sum(axis=1)
         assert np.allclose(sums, 1.0, atol=1e-12)
 
     def test_single_document_input_rejected(self):
-        enc, dec, E_h, x, y = _setup()
+        enc, dec, x, y = _setup()
         with pytest.raises(ValueError, match=r"\(B, N\) batch"):
-            forward(x[0], enc, dec, E_h)
+            forward(x[0], enc, dec)
         with pytest.raises(ValueError, match=r"\(B, N\) batch"):
             _encode(x[0], enc)
-        _, trace = forward(x[:1], enc, dec, E_h)
+        _, trace = forward(x[:1], enc, dec)
         _, dlogits = bce(trace.logits, y[:1])
         with pytest.raises(ValueError, match="dlogits shape"):
             backward(trace, enc, dec, dlogits[0])
 
     def test_encode_shape_and_range(self):
-        enc, dec, E_h, x, _ = _setup()
+        enc, dec, x, _ = _setup()
         H = _encode(x, enc)
         assert H.shape == (2, 7, D_F)
         assert np.all(np.abs(H) <= 1.0)
 
     def test_oov_index_rejected(self):
-        enc, dec, E_h, x, _ = _setup()
+        enc, dec, x, _ = _setup()
         bad = x.copy()
         bad[0, 0] = VOCAB + 5
         with pytest.raises(ValueError):
@@ -90,15 +90,15 @@ class TestForward:
             _encode(bad, enc)
 
     def test_sum_pooling_equals_explicit_z_sum(self):
-        enc, dec, E_h, x, _ = _setup()
-        _, trace = forward(x, enc, dec, E_h)
+        enc, dec, x, _ = _setup()
+        _, trace = forward(x, enc, dec)
         Z = trace.V @ dec.W  # (B, L, L)
         explicit = Z.sum(axis=2) + dec.b
         assert np.allclose(trace.logits, explicit, atol=1e-12)
 
     def test_conv_same_padding_matches_naive(self):
         for kernel, n_tokens in SHAPES:
-            enc, dec, E_h, x, _ = _setup(kernel=kernel, n_tokens=n_tokens)
+            enc, dec, x, _ = _setup(kernel=kernel, n_tokens=n_tokens)
             H = _encode(x, enc)
             half = kernel // 2
             for b in range(len(x)):
@@ -112,28 +112,46 @@ class TestForward:
 
 class TestCorrection:
     def test_none_returns_queries(self):
-        enc, dec, E_h, x, _ = _setup()
-        assert corrected_queries(dec.Q, None, "none") is dec.Q
+        enc, dec, x, _ = _setup()
+        assert corrected_queries(dec) is dec.Q
 
     def test_add_formula(self):
-        enc, dec, E_h, x, _ = _setup("add")
-        got = corrected_queries(dec.Q, E_h, "add", dec.fc_w, dec.fc_b)
+        enc, dec, x, _ = _setup("add")
+        got = corrected_queries(dec)
         for c in range(L):
-            want = dec.Q[:, c] + dec.fc_w @ E_h[c] + dec.fc_b
+            want = dec.Q[:, c] + dec.fc_w @ dec.E_h[c] + dec.fc_b
             assert np.allclose(got[:, c], want, atol=1e-12)
 
     def test_concat_formula(self):
-        enc, dec, E_h, x, _ = _setup("concat")
-        got = corrected_queries(dec.Q, E_h, "concat", dec.fc_w, dec.fc_b)
+        enc, dec, x, _ = _setup("concat")
+        got = corrected_queries(dec)
         for c in range(L):
-            stacked = np.concatenate([dec.Q[:, c], E_h[c]])
+            stacked = np.concatenate([dec.Q[:, c], dec.E_h[c]])
             want = dec.fc_w @ stacked + dec.fc_b
             assert np.allclose(got[:, c], want, atol=1e-12)
 
+    # a corrected decoder is checked once, when it is built, not on every forward call
     def test_missing_rows_rejected(self):
-        enc, dec, E_h, x, _ = _setup("add")
-        with pytest.raises(ValueError):
-            corrected_queries(dec.Q, None, "add", dec.fc_w, dec.fc_b)
+        enc, dec, x, _ = _setup("add")
+        with pytest.raises(ValueError, match="requires hyperbolic rows"):
+            DecoderParams(Q=dec.Q, W=dec.W, b=dec.b, mode="add", fc_w=dec.fc_w, fc_b=dec.fc_b)
+
+    @pytest.mark.parametrize("mode", ["add", "concat"])
+    @pytest.mark.parametrize("rows", [L - 1, L + 1])
+    def test_row_count_other_than_the_label_count_rejected(self, mode, rows):
+        enc, dec, x, _ = _setup(mode)
+        with pytest.raises(ValueError, match="row count must match the label count"):
+            DecoderParams(Q=dec.Q, W=dec.W, b=dec.b, mode=mode, fc_w=dec.fc_w, fc_b=dec.fc_b,
+                          E_h=np.zeros((rows, D_H)))
+
+    @pytest.mark.parametrize("mode, other", [("add", "concat"), ("concat", "add")])
+    def test_transform_of_the_wrong_shape_rejected(self, mode, other):
+        # each mode's fc_w has the other's shape, or a row count other than d_f
+        enc, dec, x, _ = _setup(mode)
+        wrong_fc_w, _ = init_fc(np.random.default_rng(0), D_F, D_H, other)
+        for fc_w in (wrong_fc_w, dec.fc_w[:-1]):
+            with pytest.raises(ValueError, match=f"transform shape mismatch for mode {mode}"):
+                DecoderParams(Q=dec.Q, W=dec.W, b=dec.b, mode=mode, fc_w=fc_w, fc_b=dec.fc_b, E_h=dec.E_h)
 
     def test_transform_required(self):
         with pytest.raises(ValueError):
@@ -141,16 +159,16 @@ class TestCorrection:
 
 
 def _check_all_grads(mode, loss_name, seed, per_param_counts):
-    enc, dec, E_h, x, y = _setup(mode, seed=seed)
+    enc, dec, x, y = _setup(mode, seed=seed)
     loss_cfg = AslConfig(gamma_pos=0.5, gamma_neg=2.0, margin=0.05)
 
     def total_loss():
-        _, trace = forward(x, enc, dec, E_h)
+        _, trace = forward(x, enc, dec)
         if loss_name == "asl":
             return asl(trace.logits, y, loss_cfg)[0]
         return bce(trace.logits, y)[0]
 
-    _, trace = forward(x, enc, dec, E_h)
+    _, trace = forward(x, enc, dec)
     if loss_name == "asl":
         _, dlogits = asl(trace.logits, y, loss_cfg)
     else:
@@ -183,15 +201,15 @@ class TestBackward:
         assert all(c >= 20 for c in counts.values()), counts
 
     def test_w_gradient_constant_across_columns(self):
-        enc, dec, E_h, x, y = _setup()
-        _, trace = forward(x, enc, dec, E_h)
+        enc, dec, x, y = _setup()
+        _, trace = forward(x, enc, dec)
         _, dlogits = bce(trace.logits, y)
         grads = backward(trace, enc, dec, dlogits)
         assert np.allclose(grads["W"], grads["W"][:, :1], atol=1e-15)
 
     def test_dlogits_shape_mismatch_rejected(self):
-        enc, dec, E_h, x, y = _setup()
-        _, trace = forward(x, enc, dec, E_h)
+        enc, dec, x, y = _setup()
+        _, trace = forward(x, enc, dec)
         with pytest.raises(ValueError):
             backward(trace, enc, dec, np.zeros((3, L)))
 
@@ -285,9 +303,10 @@ def test_embedding_of_another_shape_rejected(shape):
     assert enc.embedding.shape == (10, 4)
 
 
-def _oracle_grads(x, enc, dec, E_h, dY):
+def _oracle_grads(x, enc, dec, dY):
     """Forward and backward recomputed one document and one label at a time,
     with einsum contractions and the explicit softmax Jacobian."""
+    E_h = dec.E_h
     s, d_e, d_f = enc.kernel.shape
     half = s // 2
     B, N = x.shape
@@ -347,11 +366,11 @@ def _oracle_grads(x, enc, dec, E_h, dY):
     return g
 
 
-def _batched_softmax_forward(x, enc, dec, E_h):
+def _batched_softmax_forward(x, enc, dec):
     """yhat, A, V and logits from one (B, N, L) score array: batched matmuls
     and the softmax's max, exp and sum taken along the token axis of the batch."""
     H = _encode(x, enc)
-    qhat = corrected_queries(dec.Q, E_h, dec.mode, dec.fc_w, dec.fc_b)
+    qhat = corrected_queries(dec)
     A = H @ qhat
     A -= A.max(axis=1, keepdims=True)
     np.exp(A, out=A)
@@ -361,7 +380,7 @@ def _batched_softmax_forward(x, enc, dec, E_h):
     return sigmoid(logits), A, V, logits
 
 
-def _magnitudes(x, enc, dec, E_h, dY=None):
+def _magnitudes(x, enc, dec, dY=None):
     """The forward outputs and, given dY, the gradients recomputed over
     absolute values: every product of magnitudes, every difference taken as
     a sum, and the attention the exact (nonnegative) softmax.  An entry's
@@ -374,10 +393,10 @@ def _magnitudes(x, enc, dec, E_h, dY=None):
     emb_pad = np.zeros((B, N + 2 * half, d_e))
     emb_pad[:, half : half + N] = np.abs(enc.embedding[x])
     pre = np.abs(enc.bias) + sum(emb_pad[:, j : j + N] @ np.abs(enc.kernel[j]) for j in range(s))
-    yhat, A, _, _ = _batched_softmax_forward(x, enc, dec, E_h)
+    yhat, A, _, _ = _batched_softmax_forward(x, enc, dec)
     H = _encode(x, enc)
     Hm = np.abs(H) + (1.0 - H**2) * pre  # tanh passes on its argument's error
-    Qm, Em = np.abs(dec.Q), None if E_h is None else np.abs(E_h)
+    Qm, Em = np.abs(dec.Q), None if dec.E_h is None else np.abs(dec.E_h)
     if dec.mode == "add":
         qm = Qm + np.abs(dec.fc_w) @ Em.T + np.abs(dec.fc_b)[:, None]
     elif dec.mode == "concat":
@@ -417,7 +436,7 @@ def _magnitudes(x, enc, dec, E_h, dY=None):
     return out, score_max
 
 
-def _roundoff_bounds(x, enc, dec, E_h, dY=None):
+def _roundoff_bounds(x, enc, dec, dY=None):
     """How far two float64 evaluations of forward and backward that sum in
     different orders may differ, entry by entry.
 
@@ -431,10 +450,10 @@ def _roundoff_bounds(x, enc, dec, E_h, dY=None):
     after it inherits: hence the factor 1 + score_max.  The two evaluations
     may err in opposite directions, hence the 2.  Nothing here is fitted to
     an observed error."""
-    mags, score_max = _magnitudes(x, enc, dec, E_h, dY)
+    mags, score_max = _magnitudes(x, enc, dec, dY)
     s, d_e, d_f = enc.kernel.shape
     B, N = x.shape
-    d_h = 0 if E_h is None else E_h.shape[1]
+    d_h = 0 if dec.E_h is None else dec.E_h.shape[1]
     k = s * d_e + 2 * d_f + d_h + N + dec.n_labels + B * N
     scale = 2 * k * np.finfo(np.float64).eps * (1.0 + score_max)
     return {name: scale * m for name, m in mags.items()}
@@ -456,10 +475,10 @@ class TestKernels:
     @pytest.mark.parametrize("mode", ["none", "add", "concat"])
     @pytest.mark.parametrize("batch", [1, 2, 16])
     def test_forward_bits_match_batched_softmax(self, mode, batch):
-        enc, dec, E_h, _, _ = _setup(mode, seed=batch)
+        enc, dec, _, _ = _setup(mode, seed=batch)
         x = np.random.default_rng(batch).integers(1, VOCAB, size=(batch, 7))
-        yhat, trace = forward(x, enc, dec, E_h)
-        want_yhat, want_A, want_V, want_logits = _batched_softmax_forward(x, enc, dec, E_h)
+        yhat, trace = forward(x, enc, dec)
+        want_yhat, want_A, want_V, want_logits = _batched_softmax_forward(x, enc, dec)
         # the inspector's slab keeps the batched softmax's bits; decode divides
         # the pooled (L, d_f) V by s instead of the slab, so its outputs are
         # held to the roundoff bound
@@ -467,23 +486,23 @@ class TestKernels:
         assert np.array_equal(A, want_A)
         _assert_within({"yhat": yhat, "V": trace.V, "logits": trace.logits},
                        {"yhat": want_yhat, "V": want_V, "logits": want_logits},
-                       _roundoff_bounds(x, enc, dec, E_h))
+                       _roundoff_bounds(x, enc, dec))
 
     @pytest.mark.parametrize("mode", ["none", "add", "concat"])
     @pytest.mark.parametrize("batch", [1, 2])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_backward_matches_loop_oracle(self, mode, batch, seed):
         for kernel, n_tokens in SHAPES:
-            enc, dec, E_h, x, y = _setup(mode, seed=seed, kernel=kernel, n_tokens=n_tokens)
+            enc, dec, x, y = _setup(mode, seed=seed, kernel=kernel, n_tokens=n_tokens)
             x, y = x[:batch], y[:batch]
-            _, trace = forward(x, enc, dec, E_h)
+            _, trace = forward(x, enc, dec)
             _, dlogits = bce(trace.logits, y)
             grads = backward(trace, enc, dec, dlogits)
-            want = _oracle_grads(x, enc, dec, E_h, dlogits)
+            want = _oracle_grads(x, enc, dec, dlogits)
             assert sorted(grads) == sorted(want)
             # the oracle sums in another order: both sides are held to the
             # roundoff bound of each entry's magnitude
-            _assert_within(grads, want, _roundoff_bounds(x, enc, dec, E_h, dlogits),
+            _assert_within(grads, want, _roundoff_bounds(x, enc, dec, dlogits),
                            f"kernel {kernel} tokens {n_tokens}")
 
     @given(st.tuples(st.integers(1, 3), st.sampled_from(SHAPES)).flatmap(lambda b_shape: st.tuples(
@@ -498,7 +517,7 @@ class TestKernels:
         # embedding table has one row per position (the same vectors, so the
         # same activations), then scattered with np.add.at as the oracle.
         rows, kernel = rows_kernel
-        enc, dec, _, _, _ = _setup("none", seed=seed % 7, kernel=kernel)
+        enc, dec, _, _ = _setup("none", seed=seed % 7, kernel=kernel)
         x = np.array(rows)
         y = (np.random.default_rng(seed).random((len(x), L)) < 0.4).astype(float)
         _, trace = forward(x, enc, dec)
@@ -514,11 +533,11 @@ class TestKernels:
 
     @pytest.mark.parametrize("mode", ["none", "add", "concat"])
     def test_forward_and_backward_leave_inputs_untouched(self, mode):
-        enc, dec, E_h, x, y = _setup(mode, seed=2)
+        enc, dec, x, y = _setup(mode, seed=2)
         params = [*encoder_param_dict(enc).values(), *decoder_param_dict(dec).values()]
-        before = _snapshot(x, E_h, *params)
-        _, trace = forward(x, enc, dec, E_h)
-        assert _snapshot(x, E_h, *params) == before
+        before = _snapshot(x, dec.E_h, *params)
+        _, trace = forward(x, enc, dec)
+        assert _snapshot(x, dec.E_h, *params) == before
         _, dlogits = bce(trace.logits, y)
         windows = _im2col(trace.x, enc.embedding, enc.kernel.shape[0])  # backward rebuilds them
         kept = _snapshot(trace.H, trace.m, trace.s, windows, trace.qhat,
@@ -527,17 +546,17 @@ class TestKernels:
         windows = _im2col(trace.x, enc.embedding, enc.kernel.shape[0])
         assert _snapshot(trace.H, trace.m, trace.s, windows, trace.qhat,
                          trace.V, trace.logits, dlogits) == kept
-        assert _snapshot(x, E_h, *params) == before
+        assert _snapshot(x, dec.E_h, *params) == before
 
     @pytest.mark.parametrize("mode", ["none", "add", "concat"])
     @pytest.mark.parametrize("kernel,n_tokens", SHAPES)
     def test_int32_and_int64_ids_give_the_same_bits(self, mode, kernel, n_tokens):
         # hicu.data indexes documents as int32; backward widens the ids before
         # it builds its bincount slots
-        enc, dec, E_h, x, y = _setup(mode, seed=3, kernel=kernel, n_tokens=n_tokens)
+        enc, dec, x, y = _setup(mode, seed=3, kernel=kernel, n_tokens=n_tokens)
         runs = []
         for dtype in (np.int64, np.int32):
-            yhat, trace = forward(x.astype(dtype), enc, dec, E_h)
+            yhat, trace = forward(x.astype(dtype), enc, dec)
             grads = backward(trace, enc, dec, bce(trace.logits, y)[1])
             runs.append(_snapshot(yhat, trace.H, trace.m, trace.s, trace.V, trace.logits,
                                   *(grads[name] for name in sorted(grads))))
@@ -551,11 +570,11 @@ def _lanes(monkeypatch, n):
 
 
 def _lane_batch(mode, seed, n_docs=7):
-    enc, dec, E_h, _, _ = _setup(mode, seed=seed)
+    enc, dec, _, _ = _setup(mode, seed=seed)
     rng = np.random.default_rng(seed)
     x = rng.integers(0, VOCAB, size=(n_docs, 9))
     y = (rng.random((n_docs, L)) < 0.4).astype(float)
-    return enc, dec, E_h, x, y
+    return enc, dec, x, y
 
 
 class TestWorkerLanes:
@@ -574,14 +593,14 @@ class TestWorkerLanes:
     def test_bits_do_not_depend_on_the_lane_count(self, mode, monkeypatch):
         # three lanes on two cores, switching threads often: dqhat adds out of
         # document order, or a lost update, would change its bits
-        enc, dec, E_h, x, y = _lane_batch(mode, seed=6)
+        enc, dec, x, y = _lane_batch(mode, seed=6)
         runs = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for n in (1, 2, 3, 3):
                 _lanes(monkeypatch, n)
-                yhat, trace = forward(x, enc, dec, E_h)
+                yhat, trace = forward(x, enc, dec)
                 runs.append({"yhat": yhat, "V": trace.V, **backward(trace, enc, dec, bce(trace.logits, y)[1])})
         finally:
             sys.setswitchinterval(interval)
@@ -617,8 +636,8 @@ class TestWorkerLanes:
         for name in ("_decode_lane", "_backward_lane"):
             monkeypatch.setattr(network, name, spy(getattr(network, name)))
         _lanes(monkeypatch, 2)
-        enc, dec, E_h, x, y = _lane_batch("add", seed=7)
-        _, trace = hicu.network.forward(x, enc, dec, E_h)
+        enc, dec, x, y = _lane_batch("add", seed=7)
+        _, trace = hicu.network.forward(x, enc, dec)
         hicu.network.backward(trace, enc, dec, hicu.losses.bce(trace.logits, y)[1])
         assert callers == {threading.get_ident()}
         assert lane_threads - callers  # lane 1 ran on a thread of its own
@@ -631,8 +650,8 @@ class TestWorkerLanes:
                 _real(*args)
             monkeypatch.setattr(network, name, lane)
         _lanes(monkeypatch, 2)
-        enc, dec, E_h, x, y = _lane_batch("none", seed=9)
-        _, trace = forward(x, enc, dec, E_h)
+        enc, dec, x, y = _lane_batch("none", seed=9)
+        _, trace = forward(x, enc, dec)
         backward(trace, enc, dec, bce(trace.logits, y)[1])
         assert names.count("hicu-lane") == 2  # one per call
         assert not [t for t in threading.enumerate() if t.name == "hicu-lane"]
@@ -647,9 +666,9 @@ class TestWorkerLanes:
                 _real(w, *args)
             monkeypatch.setattr(network, name, lane)
         _lanes(monkeypatch, 2)
-        enc, dec, E_h, x, y = _lane_batch("none", seed=5)
+        enc, dec, x, y = _lane_batch("none", seed=5)
         before = os.sched_getaffinity(0)
-        _, trace = forward(x, enc, dec, E_h)
+        _, trace = forward(x, enc, dec)
         assert os.sched_getaffinity(0) == before
         backward(trace, enc, dec, bce(trace.logits, y)[1])
         assert os.sched_getaffinity(0) == before
@@ -663,8 +682,8 @@ class TestWorkerLanes:
     @pytest.mark.parametrize("failing", [0, 1])
     def test_a_failing_lane_raises_instead_of_waiting(self, monkeypatch, failing):
         _lanes(monkeypatch, 2)
-        enc, dec, E_h, x, y = _lane_batch("none", seed=8)
-        _, trace = forward(x, enc, dec, E_h)
+        enc, dec, x, y = _lane_batch("none", seed=8)
+        _, trace = forward(x, enc, dec)
         dlogits = bce(trace.logits, y)[1]
         real = network._backward_lane
 
@@ -712,10 +731,10 @@ def _stored_attention_backward(trace, A, enc, dec, dlogits):
         dHb += dS @ trace.qhat.T
     grads["Q"] = dqhat
     if dec.mode == "add":
-        grads["fc_w"] = dqhat @ trace.E_h
+        grads["fc_w"] = dqhat @ dec.E_h
     elif dec.mode == "concat":
         grads["Q"] = dec.fc_w[:, :d_f].T @ dqhat
-        grads["fc_w"] = np.concatenate([dqhat @ dec.Q.T, dqhat @ trace.E_h], axis=1)
+        grads["fc_w"] = np.concatenate([dqhat @ dec.Q.T, dqhat @ dec.E_h], axis=1)
     if dec.mode != "none":
         grads["fc_b"] = dqhat.sum(axis=1)
     dpre = dH * (1.0 - trace.H**2)
@@ -743,17 +762,17 @@ class TestAttentionStatistics:
     @pytest.mark.parametrize("batch", [1, 2, 16])
     def test_backward_bits_match_stored_attention_backward(self, mode, batch):
         for kernel, n_tokens in SHAPES:
-            enc, dec, E_h, _, _ = _setup(mode, seed=batch, kernel=kernel)
+            enc, dec, _, _ = _setup(mode, seed=batch, kernel=kernel)
             rng = np.random.default_rng(batch + 50)
             x = rng.integers(0, VOCAB, size=(batch, n_tokens))
             y = (rng.random((batch, L)) < 0.4).astype(float)
-            _, trace = forward(x, enc, dec, E_h)
+            _, trace = forward(x, enc, dec)
             dlogits = bce(trace.logits, y)[1]
-            A = _batched_softmax_forward(x, enc, dec, E_h)[1]
+            A = _batched_softmax_forward(x, enc, dec)[1]
             want = _stored_attention_backward(trace, A, enc, dec, dlogits)
             got = backward(trace, enc, dec, dlogits)
             assert sorted(got) == sorted(want)
-            _assert_within(got, want, _roundoff_bounds(x, enc, dec, E_h, dlogits),
+            _assert_within(got, want, _roundoff_bounds(x, enc, dec, dlogits),
                            f"kernel {kernel} tokens {n_tokens}")
 
     @pytest.mark.parametrize("mode", ["none", "add", "concat"])
@@ -761,9 +780,9 @@ class TestAttentionStatistics:
         # sum_n A * (H dV^T) = rowsum(dV * V) for any dV, not only the rank-one
         # dV of a shared output vector
         for kernel, n_tokens in SHAPES:
-            enc, dec, E_h, x, _ = _setup(mode, seed=4, kernel=kernel, n_tokens=n_tokens)
-            _, trace = forward(x, enc, dec, E_h)
-            bound_V = _roundoff_bounds(x, enc, dec, E_h)["V"]
+            enc, dec, x, _ = _setup(mode, seed=4, kernel=kernel, n_tokens=n_tokens)
+            _, trace = forward(x, enc, dec)
+            bound_V = _roundoff_bounds(x, enc, dec)["V"]
             rng = np.random.default_rng(n_tokens)
             for b in range(len(x)):
                 dV = rng.normal(size=(L, D_F))
@@ -777,8 +796,8 @@ class TestAttentionStatistics:
         # scale the corrected queries until the scores reach |S| = 400, so
         # most attention weights underflow to 0
         for kernel, n_tokens in SHAPES:
-            enc, dec, E_h, x, y = _setup(mode, seed=5, kernel=kernel, n_tokens=n_tokens)
-            qhat = corrected_queries(dec.Q, E_h, dec.mode, dec.fc_w, dec.fc_b)
+            enc, dec, x, y = _setup(mode, seed=5, kernel=kernel, n_tokens=n_tokens)
+            qhat = corrected_queries(dec)
             c = 400.0 / np.abs(_encode(x, enc) @ qhat).max()
             if mode == "none":
                 dec.Q *= c
@@ -787,14 +806,14 @@ class TestAttentionStatistics:
                 dec.fc_b *= c
                 if mode == "add":
                     dec.Q *= c
-            scores = _encode(x, enc) @ corrected_queries(dec.Q, E_h, dec.mode, dec.fc_w, dec.fc_b)
+            scores = _encode(x, enc) @ corrected_queries(dec)
             assert np.isclose(np.abs(scores).max(), 400.0)
-            _, trace = forward(x, enc, dec, E_h)
+            _, trace = forward(x, enc, dec)
             _, dlogits = bce(trace.logits, y)
             grads = backward(trace, enc, dec, dlogits)
             assert all(np.all(np.isfinite(g)) for g in grads.values())
-            _assert_within(grads, _oracle_grads(x, enc, dec, E_h, dlogits),
-                           _roundoff_bounds(x, enc, dec, E_h, dlogits), f"kernel {kernel} tokens {n_tokens}")
+            _assert_within(grads, _oracle_grads(x, enc, dec, dlogits),
+                           _roundoff_bounds(x, enc, dec, dlogits), f"kernel {kernel} tokens {n_tokens}")
 
     def test_decode_peak_scales_with_one_slab(self):
         B, N, n_labels, d_f = 64, 128, 256, 4
@@ -859,14 +878,14 @@ class TestAttentionStatistics:
 
     @pytest.mark.parametrize("mode", ["none", "add", "concat"])
     def test_inspect_attention_reads_the_batched_softmax_column(self, mode):
-        enc, dec, E_h, x, _ = _setup(mode, seed=3)
+        enc, dec, x, _ = _setup(mode, seed=3)
         codes = [f"c{j}" for j in range(L)]
         state = ModelState(encoder=enc, decoder=dec, codes=codes)
         doc = Document("d", x[1], ())
         tokens = [f"t{i}" for i in range(x.shape[1])]
-        A = _batched_softmax_forward(x[1:2], enc, dec, E_h)[1][0]
+        A = _batched_softmax_forward(x[1:2], enc, dec)[1][0]
         for j, label in enumerate(codes):
             col = A[:, j]
             order = sorted(range(len(col)), key=lambda i: (-col[i], i))
             want = [(tokens[i], float(col[i])) for i in order]
-            assert inspect_attention(state, E_h, doc, tokens, label, top_n=len(tokens)) == want
+            assert inspect_attention(state, doc, tokens, label, top_n=len(tokens)) == want
