@@ -7,12 +7,14 @@ macro-AUC for both modes and of the rare-quartile AUC delta (curriculum
 minus flat).  ``--json PATH`` also writes the per-seed records (micro/macro
 F1 and AUC of both modes, the rare-quartile delta) with the environment
 record of ``perfbench/worker.py``, so a multi-seed comparison can be
-committed and checked.
+committed and checked.  Its ``git_sha`` is null when ``src`` differs from
+that commit; ``src_sha256`` then alone names the source measured.
 
 Usage: PYTHONPATH=src python3 scripts/seed_sweep.py [--seeds 0,1,2,3,4] [--out DIR] [--json PATH]
 """
 import argparse
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -21,8 +23,23 @@ import numpy as np
 
 from run_reference_experiment import run_pipeline
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 from worker import environment  # noqa: E402
+
+
+def sweep_environment() -> dict:
+    """``environment()``, with ``git_sha`` null when ``git status`` lists
+    changes under ``src`` (or cannot tell)."""
+    env = environment()
+    try:
+        status = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT,
+                                capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        status = None
+    if status is None or status.returncode != 0 or status.stdout.strip():
+        env["git_sha"] = None
+    return env
 
 
 def one_seed(root: Path, seed: int) -> dict:
@@ -75,7 +92,7 @@ def main() -> int:
               f"(positive in {wins}/{len(rare)} seeds)")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump({"environment": environment(), "seeds": results}, fh, indent=1, sort_keys=True)
+            json.dump({"environment": sweep_environment(), "seeds": results}, fh, indent=1, sort_keys=True)
             fh.write("\n")
     return 0
 

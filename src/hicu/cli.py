@@ -236,18 +236,14 @@ def cmd_train(args) -> int:
     cfg = _curriculum_config(args)
     if args.mode == "flat":
         cfg = cfg.flat()
-    trainer = curriculum.Trainer(
-        train_set, valid_set, tree, emb, cfg,
-        word_embedding=word_embedding, vocab_size=vocab.size,
-    )
+    trainer = curriculum.Trainer(train_set, valid_set, tree, emb, cfg, word_embedding=word_embedding)
     t0 = time.perf_counter()
     trainer.run()
     wall = time.perf_counter() - t0
 
     os.makedirs(args.out, exist_ok=True)
     meta, arrays = trainer.state()
-    meta.update(mode=args.mode, vocab_tokens=vocab.tokens_in_order(),
-                min_count=vocab.min_count, max_len=args.max_len)
+    meta["mode"] = args.mode
     if args.top_k_labels is not None:
         meta["top_k_labels"] = args.top_k_labels
     ckpt_path = os.path.join(args.out, "checkpoint.bin")
@@ -260,15 +256,6 @@ def cmd_train(args) -> int:
 
 
 # ---------------------------------------------------------------------- eval
-
-
-def _load_model(path):
-    state, meta = curriculum.load_model(path)
-    vocab = data.Vocab(
-        {tok: i + 2 for i, tok in enumerate(meta["vocab_tokens"])},
-        min_count=meta["min_count"],
-    )
-    return state, vocab, meta
 
 
 def _bucket_table(codes, train_counts, model_auc, base_auc, n_buckets=4):
@@ -297,12 +284,12 @@ def _bucket_table(codes, train_counts, model_auc, base_auc, n_buckets=4):
 
 
 def cmd_eval(args) -> int:
-    state, vocab, meta = _load_model(args.checkpoint)
+    state, meta = curriculum.load_model(args.checkpoint)
     records = data.read_jsonl(args.test)
     if "top_k_labels" in meta:
         # the model was trained on the top-k codes only; score the test split the same way
         records = data.restrict_labels(records, set(state.codes))
-    test_set = _load_split(records, args.test, vocab, meta["max_len"])
+    test_set = _load_split(records, args.test, state.vocab, state.max_len)
     y = test_set.label_matrix(state.codes)
     ks = tuple(int(x) for x in args.p_at.split(","))
     metrics.check_p_at(ks)
@@ -340,13 +327,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    state, vocab, meta = _load_model(args.checkpoint)
+    state, _ = curriculum.load_model(args.checkpoint)
     records = data.read_jsonl(args.data)
     rec = next((r for r in records if r["id"] == args.doc_id), None)
     if rec is None:
         raise ValueError(f"document {args.doc_id!r} not found in {args.data}")
-    tokens = data.tokenize(rec["text"])[: meta["max_len"]]
-    doc = data.Document(id=rec["id"], tokens=vocab.indices(tokens), labels=())
+    tokens = data.tokenize(rec["text"])[: state.max_len]
+    doc = data.Document(id=rec["id"], tokens=state.vocab.indices(tokens), labels=())
     for token, weight in curriculum.inspect_attention(state, doc, tokens, args.label, args.top_n):
         print(f"{token}\t{weight:.6f}")
     return 0

@@ -15,7 +15,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .checkpoint import read_container, write_container
-from .data import Dataset, Document, write_jsonl
+from .data import Dataset, Document, Vocab, write_jsonl
 from .icd import LabelTree
 from .losses import AslConfig, asl, bce
 from .metrics import check_p_at, evaluate, macro_micro_f1
@@ -69,6 +69,8 @@ class CurriculumConfig:
             raise ValueError(f"unknown correction mode {self.correction!r}")
         if self.loss not in ("bce", "asl"):
             raise ValueError(f"unknown loss {self.loss!r}")
+        if min(self.d_e, self.d_f, self.kernel_size) < 1:
+            raise ValueError("d_e, d_f and kernel_size must be >= 1")
         if self.kernel_size % 2 == 0:
             raise ValueError("kernel_size must be odd")
         check_p_at(self.p_at)
@@ -94,6 +96,8 @@ class ModelState:
     encoder: EncoderParams
     decoder: DecoderParams
     codes: list[str]
+    vocab: Vocab  # how a new note is indexed and cut, as the training notes were
+    max_len: int
 
 
 def knowledge_transfer(q_parent: np.ndarray, parent_map: np.ndarray) -> np.ndarray:
@@ -184,14 +188,13 @@ class Trainer:
         emb: PoincareEmbedding | None,
         cfg: CurriculumConfig,
         *,
-        vocab_size: int,
         word_embedding: np.ndarray | None = None,
     ):
         self._setup(train, valid, tree, emb, cfg)
         # the fresh draws; their order fixes every seeded run's bits
         self.encoder = init_encoder(
             self.rng,
-            vocab_size=vocab_size,
+            vocab_size=train.vocab.size,
             d_e=cfg.d_e,
             d_f=cfg.d_f,
             kernel_size=cfg.kernel_size,
@@ -357,13 +360,14 @@ class Trainer:
     def best_state(self) -> ModelState:
         params = self.best_params if self.best_params is not None else self.params
         enc, dec = _model_from_params(params, self.decoder.mode, self.decoder.E_h)
-        return ModelState(encoder=enc, decoder=dec, codes=list(self.codes))
+        return ModelState(encoder=enc, decoder=dec, codes=list(self.codes),
+                          vocab=self.train.vocab, max_len=self.train.max_len)
 
     # -- checkpointing -------------------------------------------------
 
     def state(self) -> tuple[dict, dict[str, np.ndarray]]:
-        """Checkpoint metadata and arrays: everything a bitwise resume needs and,
-        for a corrected model, the current level's hyperbolic rows as ``aux/E_h``."""
+        """Checkpoint metadata and arrays: everything a bitwise resume and ``load_model``
+        need; a corrected model's current-level hyperbolic rows are ``aux/E_h``."""
         meta = {
             "kind": "trainer",
             "config": self.cfg.to_dict(),
@@ -377,6 +381,9 @@ class Trainer:
             "rng_state": self.rng.bit_generator.state,
             "records": self.records,
             "codes": self.codes,
+            "vocab_tokens": self.train.vocab.tokens,
+            "min_count": self.train.vocab.min_count,
+            "max_len": self.train.max_len,
         }
         groups = {"param/": self.params, "adam_m/": self.adam.m, "adam_v/": self.adam.v,
                   "best/": self.best_params or {}}
@@ -403,6 +410,10 @@ class Trainer:
             stored, given = next(p for p in zip_longest(meta["codes"], codes) if p[0] != p[1])
             raise ValueError(f"{path}: checkpoint has {len(meta['codes'])} leaves, the tree has "
                              f"{len(codes)}; first different code {stored!r} vs {given!r}")
+        if (meta["vocab_tokens"], meta["max_len"]) != (train.vocab.tokens, train.max_len):
+            raise ValueError(f"{path}: the train split was indexed with another vocabulary or "
+                             f"max_len ({len(train.vocab.tokens)} tokens, max_len {train.max_len}) than "
+                             f"the checkpoint ({len(meta['vocab_tokens'])}, {meta['max_len']})")
         self = cls.__new__(cls)
         self._setup(train, valid, tree, emb, cfg)
         self.rng.bit_generator.state = meta["rng_state"]
@@ -451,15 +462,16 @@ def _check_keys(path, what: str, stored: dict, cls) -> None:
 
 
 def load_model(path) -> tuple[ModelState, dict]:
-    """Best model of a trainer checkpoint, its decoder holding the ``aux/E_h``
-    rows, and the checkpoint's metadata.
+    """Best model of a trainer checkpoint (its decoder holding the ``aux/E_h`` rows,
+    its vocab and max_len the train split's) and the checkpoint's metadata.
 
     Falls back to the current parameters when no best ones were recorded.
     """
     meta, cfg, groups = _read_checkpoint(path)
     enc, dec = _model_from_params(groups["best/"] or groups["param/"], cfg.correction,
                                   groups["aux/"].get("E_h"))
-    state = ModelState(encoder=enc, decoder=dec, codes=list(meta["codes"]))
+    state = ModelState(encoder=enc, decoder=dec, codes=list(meta["codes"]),
+                       vocab=Vocab(meta["vocab_tokens"], meta["min_count"]), max_len=meta["max_len"])
     return state, meta
 
 

@@ -34,19 +34,20 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass
 class Vocab:
-    token_to_idx: dict[str, int]
+    tokens: list[str]  # in id order: tokens[i] has id i + 2, after PAD and UNK
     min_count: int
+    token_to_idx: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.token_to_idx = {tok: i for i, tok in enumerate(self.tokens, start=UNK + 1)}
 
     @property
     def size(self) -> int:
-        return len(self.token_to_idx) + 2  # PAD and UNK are reserved
+        return len(self.tokens) + 2  # PAD and UNK are reserved
 
     def indices(self, tokens: list[str]) -> np.ndarray:
         ids = map(self.token_to_idx.get, tokens, repeat(UNK))  # unknown tokens map to UNK
         return np.fromiter(ids, dtype=np.int32, count=len(tokens))
-
-    def tokens_in_order(self) -> list[str]:
-        return sorted(self.token_to_idx, key=self.token_to_idx.get)
 
 
 def build_vocab(corpus, min_count: int = 3) -> Vocab:
@@ -62,7 +63,7 @@ def build_vocab(corpus, min_count: int = 3) -> Vocab:
         (tok for tok, c in counts.items() if c >= min_count),
         key=lambda tok: (-counts[tok], tok),
     )
-    return Vocab({tok: i + 2 for i, tok in enumerate(eligible)}, min_count=min_count)
+    return Vocab(eligible, min_count=min_count)
 
 
 @dataclass
@@ -75,6 +76,8 @@ class Document:
 @dataclass
 class Dataset:
     docs: list[Document]
+    vocab: Vocab  # the vocabulary and cut length that indexed the documents
+    max_len: int
     dropped: list[Document] = field(default_factory=list)  # no tokens, never scored
 
     def label_matrix(self, codes: list[str]) -> np.ndarray:
@@ -125,7 +128,7 @@ def load_dataset(records: list[dict], vocab: Vocab, max_len: int) -> Dataset:
                 labels=tuple(sorted(set(rec["labels"]))),
             )
         )
-    return Dataset(docs=docs, dropped=dropped)
+    return Dataset(docs=docs, vocab=vocab, max_len=max_len, dropped=dropped)
 
 
 def filter_top_k_labels(splits: list[list[dict]], k: int) -> list[list[dict]]:
@@ -176,8 +179,7 @@ def load_embeddings(path, vocab: Vocab, d_e: int, seed: int = 0) -> np.ndarray:
     out = np.empty((vocab.size, d_e), dtype=np.float64)
     out[PAD] = 0.0
     out[UNK] = rng.uniform(-0.1, 0.1, size=d_e)
-    for token in vocab.tokens_in_order():
-        idx = vocab.token_to_idx[token]
+    for token, idx in vocab.token_to_idx.items():  # in id order
         if token in table:
             out[idx] = table[token]
         else:

@@ -367,8 +367,7 @@ def test_criterion_9_checkpoint_round_trip_and_resume(resume_setup, tmp_path):
     bitwise identical to an uninterrupted run."""
     atree, vocab, splits, cfg = resume_setup
 
-    trainer = Trainer(splits["train"], splits["valid"], atree, None, cfg,
-                      vocab_size=vocab.size)
+    trainer = Trainer(splits["train"], splits["valid"], atree, None, cfg)
     for _ in range(3):
         trainer.step_epoch()
     p1 = tmp_path / "a.bin"
@@ -378,8 +377,7 @@ def test_criterion_9_checkpoint_round_trip_and_resume(resume_setup, tmp_path):
     loaded.save(p2)
     assert p1.read_bytes() == p2.read_bytes()
 
-    straight = Trainer(splits["train"], splits["valid"], atree, None, cfg,
-                       vocab_size=vocab.size)
+    straight = Trainer(splits["train"], splits["valid"], atree, None, cfg)
     for _ in range(4):
         straight.step_epoch()
     resumed = Trainer.load(p1, splits["train"], splits["valid"], atree, None)

@@ -72,7 +72,7 @@ def trainer_checkpoint(small_setup, tmp_path_factory):
 
     _, atree, vocab, splits = small_setup
     cfg = CurriculumConfig(epochs_per_level=(1, 1, 1, 1, 1), d_e=2, d_f=2, seed=0)
-    trainer = Trainer(splits["train"], splits["valid"], atree, None, cfg, vocab_size=vocab.size)
+    trainer = Trainer(splits["train"], splits["valid"], atree, None, cfg)
     trainer.step_epoch()
     path = tmp_path_factory.mktemp("ckpt") / "trainer.bin"
     trainer.save(path)

@@ -374,8 +374,7 @@ def _best_model(meta, arrays):
 def _vocab(meta):
     from hicu.data import Vocab
 
-    return Vocab({t: i + 2 for i, t in enumerate(meta["vocab_tokens"])},
-                 min_count=meta["min_count"])
+    return Vocab(meta["vocab_tokens"], min_count=meta["min_count"])
 
 
 class TestTopKLabels:
@@ -414,8 +413,8 @@ class TestTopKLabels:
         records, kept, _ = self._filtered_train(corpus_dir, 3)
         filtered = build_vocab((tokenize(r["text"]) for r in kept), min_count=3)
         full = build_vocab((tokenize(r["text"]) for r in records), min_count=3)
-        assert top3["vocab_tokens"] == filtered.tokens_in_order()
-        assert top3["vocab_tokens"] != full.tokens_in_order()
+        assert top3["vocab_tokens"] == filtered.tokens
+        assert top3["vocab_tokens"] != full.tokens
 
     def test_only_top_k_checkpoints_record_k(self, trained_dir, top3):
         from hicu.checkpoint import read_container
@@ -528,6 +527,16 @@ def test_bad_setting_rejected_before_training(
     assert err.startswith("HICU_ERROR code=invalid_input") and detail in err
     assert epochs_started == []
     assert not (tmp_path / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("flags", [("--d-e", "0"), ("--d-f", "0"), ("--kernel-size", "-1")])
+def test_size_below_one_rejected_before_training(corpus_dir, tmp_path, capsys, epochs_started, flags):
+    out = tmp_path / "out"
+    assert main(_train_argv(corpus_dir, out, *flags)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("HICU_ERROR code=invalid_input detail=d_e, d_f and kernel_size must be >= 1")
+    assert epochs_started == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--freeze-embeddings", "--transfer-output"])
@@ -765,7 +774,7 @@ class TestCliSharesTheLibraryPath:
         cfg = CurriculumConfig(epochs_per_level=(1, 1, 1, 1, 2), d_e=12, d_f=12,
                                lr=0.002, seed=0)
         trainer = Trainer(load_dataset(train, vocab, 4096), load_dataset(valid, vocab, 4096),
-                          tree, None, cfg.flat(), vocab_size=vocab.size)
+                          tree, None, cfg.flat())
         trainer.run()
         return out, trainer, vocab
 
@@ -778,6 +787,20 @@ class TestCliSharesTheLibraryPath:
         assert sorted(best) == sorted(trainer.best_params)
         for name, arr in trainer.best_params.items():
             assert np.array_equal(best[name], arr), name
+
+    def test_eval_scores_a_trainer_save_checkpoint(self, corpus_dir, flat, tmp_path):
+        from hicu.curriculum import score_dataset
+        from hicu.data import load_dataset, read_jsonl
+
+        _, trainer, _ = flat
+        trainer.save(tmp_path / "trainer.bin")
+        assert main(["eval", "--checkpoint", str(tmp_path / "trainer.bin"),
+                     "--test", str(corpus_dir / "test.jsonl"), "--out", str(tmp_path / "ev")]) == 0
+        state = trainer.best_state()
+        test = load_dataset(read_jsonl(corpus_dir / "test.jsonl"), state.vocab, state.max_len)
+        with cli._one_blas_thread():  # the BLAS thread count hicu commands run at
+            want = score_dataset(state.encoder, state.decoder, docs=test.docs)
+        assert np.array_equal(np.load(tmp_path / "ev" / "scores.npy"), want)
 
     def test_inspect_prints_inspect_attention(self, corpus_dir, flat, capsys):
         from hicu.curriculum import inspect_attention

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -21,7 +22,9 @@ from hicu.data import (
     Dataset,
     Document,
     SynthConfig,
+    Vocab,
     build_vocab,
+    load_dataset,
     load_embeddings,
     synth_generate,
     tokenize,
@@ -105,8 +108,7 @@ class TestAncestorMonotonicity:
 class TestTrainerMechanics:
     def test_levels_progress_in_order(self, small_setup, tiny_cfg):
         _, atree, vocab, splits = small_setup
-        trainer = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg,
-                          vocab_size=vocab.size)
+        trainer = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg)
         trainer.run()
         levels = [r["level"] for r in trainer.records]
         assert levels == sorted(levels)
@@ -115,8 +117,7 @@ class TestTrainerMechanics:
 
     def test_decoder_width_tracks_level(self, small_setup, tiny_cfg):
         _, atree, vocab, splits = small_setup
-        trainer = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg,
-                          vocab_size=vocab.size)
+        trainer = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg)
         while not trainer.finished:
             assert trainer.decoder.n_labels == len(atree.level_labels(trainer.level))
             trainer.step_epoch()
@@ -125,8 +126,7 @@ class TestTrainerMechanics:
         _, atree, vocab, splits = small_setup
         runs = []
         for _ in range(2):
-            t = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg,
-                        vocab_size=vocab.size)
+            t = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg)
             t.run()
             runs.append((t.best_state(), t.records))
         a, b = runs
@@ -137,16 +137,14 @@ class TestTrainerMechanics:
     def test_zero_epoch_levels_skipped(self, small_setup):
         _, atree, vocab, splits = small_setup
         cfg = CurriculumConfig(epochs_per_level=(0, 1, 0, 0, 1), d_e=8, d_f=8, seed=0)
-        trainer = Trainer(splits["train"], splits["valid"], atree, None, cfg,
-                          vocab_size=vocab.size)
+        trainer = Trainer(splits["train"], splits["valid"], atree, None, cfg)
         trainer.run()
         assert [r["level"] for r in trainer.records] == [2, 5]
 
     def test_skipped_levels_transfer_from_the_last_trained_level(self, small_setup):
         _, atree, vocab, splits = small_setup
         cfg = CurriculumConfig(epochs_per_level=(1, 0, 1, 0, 1), d_e=8, d_f=8, seed=0)
-        trainer = Trainer(splits["train"], splits["valid"], atree, None, cfg,
-                          vocab_size=vocab.size)
+        trainer = Trainer(splits["train"], splits["valid"], atree, None, cfg)
         level1 = trainer.decoder  # trained in place during the first epoch
         trainer.step_epoch()
         assert trainer.level == 3
@@ -157,10 +155,9 @@ class TestTrainerMechanics:
 
     def test_flat_mode_matches_zero_schedule(self, small_setup, tiny_cfg):
         _, atree, vocab, splits = small_setup
-        flat = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg.flat(),
-                       vocab_size=vocab.size)
+        flat = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg.flat())
         zero = Trainer(splits["train"], splits["valid"], atree, None,
-                       replace(tiny_cfg, epochs_per_level=(0, 0, 0, 0, 2)), vocab_size=vocab.size)
+                       replace(tiny_cfg, epochs_per_level=(0, 0, 0, 0, 2)))
         flat.run()
         zero.run()
         assert flat.records == zero.records
@@ -172,45 +169,44 @@ class TestTrainerMechanics:
     def test_label_outside_the_leaves_rejected(self, small_setup, tiny_cfg):
         _, atree, vocab, splits = small_setup
         inner = atree.level_labels(4)[0]
-        bad = Dataset(docs=[Document("odd", splits["train"].docs[0].tokens, (inner,))])
+        bad = replace(splits["valid"], docs=[Document("odd", splits["train"].docs[0].tokens, (inner,))])
         named = f"document 'odd': label '{inner}' not a tree leaf"
         with pytest.raises(ValueError, match=named):
             bad.label_matrix(atree.level_labels(atree.k_max))
         with pytest.raises(ValueError, match=named):
-            Trainer(splits["train"], bad, atree, None, tiny_cfg, vocab_size=vocab.size)
+            Trainer(splits["train"], bad, atree, None, tiny_cfg)
 
     @pytest.mark.parametrize("metric", ["bogus", "skipped_labels", "p_at_3"])
     def test_unknown_early_stop_metric_rejected(self, small_setup, metric):
         _, atree, vocab, splits = small_setup
         cfg = CurriculumConfig(early_stop_metric=metric, d_e=8, d_f=8)
         with pytest.raises(ValueError, match="early-stop metric"):
-            Trainer(splits["train"], splits["valid"], atree, None, cfg,
-                    vocab_size=vocab.size)
+            Trainer(splits["train"], splits["valid"], atree, None, cfg)
 
     def test_p_at_k_beyond_final_label_count_rejected(self, small_setup):
         _, atree, vocab, splits = small_setup
         n = len(atree.level_labels(atree.k_max))
         reachable = CurriculumConfig(early_stop_metric=f"p_at_{n}", p_at=(5, n), d_e=8, d_f=8)
-        Trainer(splits["train"], splits["valid"], atree, None, reachable, vocab_size=vocab.size)
+        Trainer(splits["train"], splits["valid"], atree, None, reachable)
         too_big = replace(reachable, early_stop_metric=f"p_at_{n + 1}", p_at=(5, n + 1))
         with pytest.raises(ValueError, match=f"p_at_{n + 1}"):
-            Trainer(splits["train"], splits["valid"], atree, None, too_big, vocab_size=vocab.size)
+            Trainer(splits["train"], splits["valid"], atree, None, too_big)
 
     @pytest.mark.parametrize("p_at", [(0,), (5, -1)])
     def test_p_at_below_one_rejected(self, small_setup, p_at):
         _, atree, vocab, splits = small_setup
         cfg = CurriculumConfig(p_at=p_at, d_e=8, d_f=8)
         with pytest.raises(ValueError, match="p_at entries must be >= 1"):
-            Trainer(splits["train"], splits["valid"], atree, None, cfg, vocab_size=vocab.size)
+            Trainer(splits["train"], splits["valid"], atree, None, cfg)
 
     def test_word_embedding_initialises_the_embedding(self, small_setup, tiny_cfg, tmp_path):
         _, atree, vocab, splits = small_setup
         path = tmp_path / "vectors.txt"
-        token = vocab.tokens_in_order()[0]
+        token = vocab.tokens[0]
         path.write_text(f"1 {tiny_cfg.d_e}\n{token} " + " ".join(["0.5"] * tiny_cfg.d_e) + "\n")
         word_embedding = load_embeddings(path, vocab, tiny_cfg.d_e, seed=0)
         trainer = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg,
-                          vocab_size=vocab.size, word_embedding=word_embedding)
+                          word_embedding=word_embedding)
         assert np.array_equal(trainer.encoder.embedding, word_embedding)
         assert trainer.params["embedding"] is trainer.encoder.embedding
         trainer.step_epoch()
@@ -224,7 +220,7 @@ class TestTrainerMechanics:
         word_embedding = np.zeros((vocab.size + rows, tiny_cfg.d_e))
         with pytest.raises(ValueError, match=r"embedding has shape \(\d+, \d+\), expected"):
             Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg,
-                    vocab_size=vocab.size, word_embedding=word_embedding)
+                    word_embedding=word_embedding)
 
     def test_undefined_auc_still_reports_p_at_k(self):
         rng = np.random.default_rng(0)
@@ -242,15 +238,13 @@ class TestTrainerMechanics:
         _, atree, vocab, splits = small_setup
         cfg = CurriculumConfig(correction="add", d_e=8, d_f=8)
         with pytest.raises(ValueError):
-            Trainer(splits["train"], splits["valid"], atree, None, cfg,
-                    vocab_size=vocab.size)
+            Trainer(splits["train"], splits["valid"], atree, None, cfg)
 
     def test_early_stopping_uses_patience(self, small_setup):
         _, atree, vocab, splits = small_setup
         cfg = CurriculumConfig(epochs_per_level=(0, 0, 0, 0, 40), patience=0,
                                d_e=8, d_f=8, lr=1e-5, seed=0)
-        trainer = Trainer(splits["train"], splits["valid"], atree, None, cfg,
-                          vocab_size=vocab.size)
+        trainer = Trainer(splits["train"], splits["valid"], atree, None, cfg)
         trainer.run()
         # with lr this small the metric plateaus immediately and patience=0 stops it
         assert len(trainer.records) < 40
@@ -264,8 +258,7 @@ class TestBatchStep:
         docs = [Document(d.id, d.tokens[:n], d.labels)
                 for d, n in zip(splits["train"].docs, lengths)]
         cfg = CurriculumConfig(epochs_per_level=epochs, d_e=8, d_f=8, seed=0)
-        return Trainer(Dataset(docs=docs), splits["valid"], atree, None, cfg,
-                       vocab_size=vocab.size)
+        return Trainer(replace(splits["train"], docs=docs), splits["valid"], atree, None, cfg)
 
     @staticmethod
     def _oracle_step(trainer, sub_batches):
@@ -328,8 +321,7 @@ class TestCorrectionModes:
         emb = train_poincare(corpus.tree, EmbedConfig(d_h=8, epochs=15, burn_in_epochs=2, seed=0))
         cfg = CurriculumConfig(epochs_per_level=(1, 0, 0, 0, 1), correction=mode,
                                d_e=8, d_f=8, seed=0)
-        trainer = Trainer(splits["train"], splits["valid"], atree, emb, cfg,
-                          vocab_size=vocab.size)
+        trainer = Trainer(splits["train"], splits["valid"], atree, emb, cfg)
         trainer.run()
         state = trainer.best_state()
         assert state.decoder.fc_w is not None
@@ -343,8 +335,7 @@ class TestCorrectionModes:
         emb = train_poincare(corpus.tree, EmbedConfig(d_h=8, epochs=15, burn_in_epochs=2, seed=0))
         cfg = CurriculumConfig(epochs_per_level=(1, 0, 0, 0, 1), correction="add",
                                d_e=8, d_f=8, seed=0)
-        trainer = Trainer(splits["train"], splits["valid"], atree, emb, cfg,
-                          vocab_size=vocab.size)
+        trainer = Trainer(splits["train"], splits["valid"], atree, emb, cfg)
         path = tmp_path / "corrected.bin"
         while True:  # saved at level 1, at level 5 and once finished
             trainer.save(path)
@@ -371,8 +362,7 @@ class TestWorkerLanes:
         outputs = []
         for n in (1, 2, 3):
             monkeypatch.setattr(network, "_cores", lambda n=n: n)
-            trainer = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg,
-                              vocab_size=vocab.size)
+            trainer = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg)
             trainer.run()
             trainer.save(tmp_path / f"{n}.bin")
             trainer.write_report(tmp_path / f"{n}.jsonl")
@@ -397,8 +387,7 @@ class TestTargetStorage:
             ("float64", lambda ds, codes: uint8_matrix(ds, codes).astype(np.float64)),
         ]:
             monkeypatch.setattr(Dataset, "label_matrix", label_matrix)
-            trainer = Trainer(splits["train"], splits["valid"], atree, None, cfg,
-                              vocab_size=vocab.size)
+            trainer = Trainer(splits["train"], splits["valid"], atree, None, cfg)
             assert trainer.y_leaf_train.dtype == np.dtype(name)
             trainer.run()
             trainer.save(tmp_path / f"{name}.bin")
@@ -416,7 +405,7 @@ class TestTargetStorage:
             return Dataset(docs=[
                 Document(str(i), np.array([2], dtype=np.int32),
                          tuple(sorted(rng.choice(codes, size=3, replace=False))))
-                for i in range(n)])
+                for i in range(n)], vocab=Vocab(["w"], min_count=1), max_len=1)
 
         train, valid = split(2000), split(300)
         trainer = Trainer.__new__(Trainer)
@@ -437,8 +426,7 @@ class TestTargetStorage:
 class TestResume:
     def test_save_load_save_is_byte_identical(self, small_setup, tiny_cfg, tmp_path):
         _, atree, vocab, splits = small_setup
-        trainer = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg,
-                          vocab_size=vocab.size)
+        trainer = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg)
         for _ in range(3):
             trainer.step_epoch()
         p1 = tmp_path / "a.bin"
@@ -450,13 +438,11 @@ class TestResume:
 
     def test_resume_is_bitwise_identical(self, small_setup, tiny_cfg, tmp_path):
         _, atree, vocab, splits = small_setup
-        straight = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg,
-                           vocab_size=vocab.size)
+        straight = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg)
         for _ in range(4):
             straight.step_epoch()
 
-        broken = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg,
-                         vocab_size=vocab.size)
+        broken = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg)
         for _ in range(3):
             broken.step_epoch()
         path = tmp_path / "mid.bin"
@@ -468,11 +454,9 @@ class TestResume:
     def test_resume_across_a_skipped_level_is_bitwise_identical(self, small_setup, tmp_path):
         _, atree, vocab, splits = small_setup
         cfg = CurriculumConfig(epochs_per_level=(1, 0, 1, 0, 2), d_e=8, d_f=8, seed=0)
-        straight = Trainer(splits["train"], splits["valid"], atree, None, cfg,
-                           vocab_size=vocab.size)
+        straight = Trainer(splits["train"], splits["valid"], atree, None, cfg)
         straight.run()
-        broken = Trainer(splits["train"], splits["valid"], atree, None, cfg,
-                         vocab_size=vocab.size)
+        broken = Trainer(splits["train"], splits["valid"], atree, None, cfg)
         broken.step_epoch()
         assert broken.level == 3
         path = tmp_path / "skip.bin"
@@ -485,12 +469,10 @@ class TestResume:
         self, small_setup, tiny_cfg, tmp_path, monkeypatch
     ):
         _, atree, vocab, splits = small_setup
-        straight = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg,
-                           vocab_size=vocab.size)
+        straight = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg)
         for _ in range(4):
             straight.step_epoch()
-        broken = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg,
-                         vocab_size=vocab.size)
+        broken = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg)
         for _ in range(3):
             broken.step_epoch()
         path = tmp_path / "mid.bin"
@@ -530,8 +512,7 @@ class TestResume:
         corpus, atree, vocab, splits = small_setup
         leaves = atree.level_labels(atree.k_max)
         pruned = build_label_tree([parse_code_auto(c) for c in leaves[1:]], corpus.ranges)
-        trainer = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg,
-                          vocab_size=vocab.size)
+        trainer = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg)
         trainer.step_epoch()
         path = tmp_path / "tree.bin"
         trainer.save(path)
@@ -541,6 +522,33 @@ class TestResume:
                 f"first different code {leaves[0]!r} vs {leaves[1]!r}") in str(info.value)
         assert cli._ERROR_CODES[type(info.value)] == "invalid_input"
 
+    @pytest.mark.parametrize("min_count, max_len", [(2, 128), (3, 64)])
+    def test_resume_on_another_vocabulary_or_max_len_rejected(self, small_setup, tiny_cfg, tmp_path,
+                                                               min_count, max_len):
+        corpus, atree, vocab, splits = small_setup
+        trainer = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg)
+        trainer.step_epoch()
+        path = tmp_path / "vocab.bin"
+        trainer.save(path)
+        records = corpus.splits["train"]
+        other = load_dataset(records, build_vocab((tokenize(r["text"]) for r in records),
+                                                  min_count=min_count), max_len)
+        assert (other.vocab.tokens != vocab.tokens) == (min_count != 3)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the train split was indexed "
+                                             "with another vocabulary or max_len"):
+            Trainer.load(path, other, splits["valid"], atree, None)
+
+    def test_checkpoint_carries_the_train_splits_vocabulary(self, small_setup, tiny_cfg, tmp_path):
+        _, atree, vocab, splits = small_setup
+        trainer = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg)
+        trainer.step_epoch()
+        trainer.save(tmp_path / "t.bin")
+        state, meta = load_model(tmp_path / "t.bin")
+        assert (meta["vocab_tokens"], meta["min_count"], meta["max_len"]) == (vocab.tokens, 3, 128)
+        for got in (state, trainer.best_state()):
+            assert (got.vocab, got.max_len) == (vocab, 128)
+            assert got.vocab.token_to_idx == vocab.token_to_idx
+
     @pytest.mark.parametrize("edit, named", [
         (lambda cfg: cfg["asl"].update(clamp_eps=1e-12), "unknown keys ['clamp_eps']"),
         (lambda cfg: cfg.pop("patience"), "missing keys ['patience']"),
@@ -548,8 +556,7 @@ class TestResume:
     ])
     def test_stale_config_keys_rejected(self, small_setup, tiny_cfg, tmp_path, edit, named):
         _, atree, vocab, splits = small_setup
-        trainer = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg,
-                          vocab_size=vocab.size)
+        trainer = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg)
         trainer.step_epoch()
         path = tmp_path / "stale.bin"
         trainer.save(path)
@@ -613,8 +620,7 @@ class TestInspection:
 
         corpus, atree, vocab, splits = small_setup
         cfg = replace(tiny_cfg, epochs_per_level=(0, 0, 0, 0, 8))
-        trainer = Trainer(splits["train"], splits["valid"], atree, None, cfg.flat(),
-                          vocab_size=vocab.size)
+        trainer = Trainer(splits["train"], splits["valid"], atree, None, cfg.flat())
         trainer.run()
         state = trainer.best_state()
         doc = splits["train"].docs[0]
@@ -632,8 +638,7 @@ class TestInspection:
 
         _, atree, vocab, splits = small_setup
         cfg = replace(tiny_cfg, epochs_per_level=(0, 0, 0, 0, 1))
-        trainer = Trainer(splits["train"], splits["valid"], atree, None, cfg.flat(),
-                          vocab_size=vocab.size)
+        trainer = Trainer(splits["train"], splits["valid"], atree, None, cfg.flat())
         trainer.run()
         state = trainer.best_state()
         doc = splits["train"].docs[0]
@@ -649,15 +654,14 @@ class TestScoreDataset:
 
         _, atree, vocab, splits = small_setup
         cfg = replace(tiny_cfg, epochs_per_level=(0, 0, 0, 0, 1))
-        trainer = Trainer(splits["train"], splits["valid"], atree, None, cfg.flat(),
-                          vocab_size=vocab.size)
+        trainer = Trainer(splits["train"], splits["valid"], atree, None, cfg.flat())
         trainer.run()
         state = trainer.best_state()
         docs = splits["valid"].docs[:10]
         scores = score_dataset(state.encoder, state.decoder, docs)
         for i, doc in enumerate(docs):
             yhat, _ = forward(doc.tokens[None], state.encoder, state.decoder)
-            assert np.allclose(scores[i], yhat[0], atol=1e-12)
+            assert np.array_equal(scores[i], yhat[0]), i
 
     @staticmethod
     def _random_model(rng, n_labels, vocab=20, d=4):

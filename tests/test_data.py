@@ -12,6 +12,7 @@ from hicu.data import (
     Dataset,
     Document,
     SynthConfig,
+    Vocab,
     build_vocab,
     filter_top_k_labels,
     load_dataset,
@@ -92,7 +93,7 @@ class TestLoadDataset:
         # codes, so a bad label may sit on a kept or on a dropped document
         codes = ["d", "b", "a", "c"]
         docs = [Document(f"doc{i}", np.array([1]), tuple(ls)) for i, ls in enumerate(label_lists)]
-        ds = Dataset(docs=docs[:n_kept], dropped=docs[n_kept:])
+        ds = Dataset(docs=docs[:n_kept], vocab=Vocab(["w"], min_count=1), max_len=1, dropped=docs[n_kept:])
         try:
             want = self._loop_label_matrix(ds, codes)
         except ValueError as exc:
@@ -105,6 +106,7 @@ class TestLoadDataset:
 
     def test_label_matrix_names_the_first_bad_label_of_a_dropped_document(self):
         ds = Dataset(docs=[Document("kept", np.array([1]), ("a", "a"))],
+                     vocab=Vocab(["w"], min_count=1), max_len=1,
                      dropped=[Document("empty", np.array([], dtype=np.int64), ("b", "zz", "yy"))])
         with pytest.raises(ValueError, match="document 'empty': label 'zz' not a tree leaf"):
             ds.label_matrix(["a", "b"])

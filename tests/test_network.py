@@ -1,3 +1,4 @@
+import functools
 import inspect
 import os
 import sys
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hicu.curriculum import ModelState, inspect_attention
-from hicu.data import Document
+from hicu.data import Document, Vocab
 from hicu.losses import AslConfig, asl, bce, sigmoid
 from hicu import network
 from hicu.network import (
@@ -755,6 +756,46 @@ def _stored_attention_backward(trace, A, enc, dec, dlogits):
     return grads
 
 
+# (B, N, L, d_e = d_f, correction) of the benchmark's batches: the reference
+# shape, a paper-wide leaf level (two lanes on two cores), a concat-corrected
+# ragged-hyperbolic document, and long notes at a wide level
+COMPOSITION_SHAPES = {
+    "reference": (16, 64, 243, 16, "none"),
+    "paper-wide": (16, 256, 550, 32, "none"),
+    "concat": (8, 145, 243, 16, "concat"),
+    "long": (4, 2000, 900, 16, "none"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _composition_batch(name):
+    """Model, token batch and full-batch scores of one COMPOSITION_SHAPES entry."""
+    B, N, n_labels, d, mode = COMPOSITION_SHAPES[name]
+    rng = np.random.default_rng(len(name))
+    enc = init_encoder(rng, 500, d, d, 3)
+    fc_w = fc_b = E_h = None
+    if mode != "none":
+        fc_w, fc_b = init_fc(rng, d, 16, mode)
+        E_h = rng.uniform(-0.5, 0.5, size=(n_labels, 16))
+    dec = DecoderParams(Q=rng.normal(size=(d, n_labels)) * 0.3, W=rng.normal(size=(d, n_labels)) * 0.3,
+                        b=rng.normal(size=n_labels) * 0.1, mode=mode, fc_w=fc_w, fc_b=fc_b, E_h=E_h)
+    x = rng.integers(0, 500, size=(B, N), dtype=np.int32)
+    return enc, dec, x, forward(x, enc, dec)[0]
+
+
+class TestBatchComposition:
+    """A document's scores do not depend on the batch it is scored in."""
+
+    @pytest.mark.parametrize("name", sorted(COMPOSITION_SHAPES))
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_sub_batches_and_single_rows_score_as_the_full_batch(self, name, data):
+        enc, dec, x, full = _composition_batch(name)
+        rows = data.draw(st.lists(st.integers(0, len(x) - 1), min_size=1, max_size=len(x), unique=True)
+                         | st.integers(0, len(x) - 1).map(lambda i: [i]))
+        assert np.array_equal(forward(x[rows], enc, dec)[0], full[rows]), rows
+
+
 class TestAttentionStatistics:
     """The trace keeps each label's softmax max and sum, not the attention."""
 
@@ -880,7 +921,9 @@ class TestAttentionStatistics:
     def test_inspect_attention_reads_the_batched_softmax_column(self, mode):
         enc, dec, x, _ = _setup(mode, seed=3)
         codes = [f"c{j}" for j in range(L)]
-        state = ModelState(encoder=enc, decoder=dec, codes=codes)
+        state = ModelState(encoder=enc, decoder=dec, codes=codes,
+                           vocab=Vocab([f"w{i}" for i in range(VOCAB - 2)], min_count=1),
+                           max_len=x.shape[1])
         doc = Document("d", x[1], ())
         tokens = [f"t{i}" for i in range(x.shape[1])]
         A = _batched_softmax_forward(x[1:2], enc, dec)[1][0]
