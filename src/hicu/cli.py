@@ -21,7 +21,8 @@ import numpy as np
 
 from . import curriculum, data, icd, metrics, poincare
 from .checkpoint import write_container
-from .losses import AslConfig
+from .losses import LOSSES, AslConfig
+from .network import CORRECTION_MODES
 
 
 # glibc malloc thresholds, pinned for the whole process.  By default glibc
@@ -332,9 +333,7 @@ def cmd_inspect(args) -> int:
     rec = next((r for r in records if r["id"] == args.doc_id), None)
     if rec is None:
         raise ValueError(f"document {args.doc_id!r} not found in {args.data}")
-    tokens = data.tokenize(rec["text"])[: state.max_len]
-    doc = data.Document(id=rec["id"], tokens=state.vocab.indices(tokens), labels=())
-    for token, weight in curriculum.inspect_attention(state, doc, tokens, args.label, args.top_n):
+    for token, weight in curriculum.inspect_attention(state, rec, args.label, args.top_n):
         print(f"{token}\t{weight:.6f}")
     return 0
 
@@ -366,7 +365,14 @@ class _OptionNames(argparse.ArgumentParser):
         return super().add_subparsers(**{**kwargs, "required": False})
 
 
+def _commas(values) -> str:
+    """A tuple default as the comma string its flag takes."""
+    return ",".join(map(str, values))
+
+
 def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """The ``hicu`` parser; a flag that sets a config field defaults to its dataclass's value."""
+    embed_cfg, synth_cfg, train_cfg = poincare.EmbedConfig(), data.SynthConfig(), curriculum.CurriculumConfig()
     parser = parser_class(prog="hicu")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -386,22 +392,22 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     common(p, seed=True)
     p.add_argument("--tree", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--hyp-dim", type=int, default=50)
-    p.add_argument("--hyp-lr", type=float, default=0.3)
-    p.add_argument("--hyp-epochs", type=int, default=300)
-    p.add_argument("--hyp-burn-in", type=int, default=20)
-    p.add_argument("--hyp-negatives", type=int, default=10)
+    p.add_argument("--hyp-dim", type=int, default=embed_cfg.d_h)
+    p.add_argument("--hyp-lr", type=float, default=embed_cfg.learning_rate)
+    p.add_argument("--hyp-epochs", type=int, default=embed_cfg.epochs)
+    p.add_argument("--hyp-burn-in", type=int, default=embed_cfg.burn_in_epochs)
+    p.add_argument("--hyp-negatives", type=int, default=embed_cfg.negatives_per_positive)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     common(p, seed=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--branching", default="3,3,3,3,3")
-    p.add_argument("--zipf", type=float, default=1.5)
-    p.add_argument("--tokens-per-signature", type=int, default=2)
-    p.add_argument("--doc-length", type=int, default=64)
-    p.add_argument("--noise-rate", type=float, default=0.05)
-    p.add_argument("--docs", default="2000,300,300")
+    p.add_argument("--branching", default=_commas(synth_cfg.branching))
+    p.add_argument("--zipf", type=float, default=synth_cfg.zipf_exponent)
+    p.add_argument("--tokens-per-signature", type=int, default=synth_cfg.tokens_per_signature)
+    p.add_argument("--doc-length", type=int, default=synth_cfg.doc_length)
+    p.add_argument("--noise-rate", type=float, default=synth_cfg.noise_rate)
+    p.add_argument("--docs", default=_commas(synth_cfg.docs_per_split))
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="run curriculum or flat training")
@@ -414,23 +420,23 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--word-emb")
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=("hicu", "flat"), default="hicu")
-    p.add_argument("--correction", choices=("none", "add", "concat"), default="none")
-    p.add_argument("--loss", choices=("bce", "asl"), default="bce")
-    p.add_argument("--gamma-pos", type=float, default=0.0)
-    p.add_argument("--gamma-neg", type=float, default=1.0)
-    p.add_argument("--margin", type=float, default=0.05)
-    p.add_argument("--epochs-per-level", default="2,3,5,10,50")
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--correction", choices=CORRECTION_MODES, default=train_cfg.correction)
+    p.add_argument("--loss", choices=LOSSES, default=train_cfg.loss)
+    p.add_argument("--gamma-pos", type=float, default=train_cfg.asl.gamma_pos)
+    p.add_argument("--gamma-neg", type=float, default=train_cfg.asl.gamma_neg)
+    p.add_argument("--margin", type=float, default=train_cfg.asl.margin)
+    p.add_argument("--epochs-per-level", default=_commas(train_cfg.epochs_per_level))
+    p.add_argument("--batch-size", type=int, default=train_cfg.batch_size)
+    p.add_argument("--lr", type=float, default=train_cfg.lr)
     p.add_argument("--max-len", type=int, default=4096)
     p.add_argument("--top-k-labels", type=int)
-    p.add_argument("--p-at", default="5,8,15")
+    p.add_argument("--p-at", default=_commas(train_cfg.p_at))
     p.add_argument("--min-count", type=int, default=3)
-    p.add_argument("--d-e", type=int, default=32)
-    p.add_argument("--d-f", type=int, default=32)
-    p.add_argument("--kernel-size", type=int, default=3)
-    p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--es-metric", default="micro_f1")
+    p.add_argument("--d-e", type=int, default=train_cfg.d_e)
+    p.add_argument("--d-f", type=int, default=train_cfg.d_f)
+    p.add_argument("--kernel-size", type=int, default=train_cfg.kernel_size)
+    p.add_argument("--patience", type=int, default=train_cfg.patience)
+    p.add_argument("--es-metric", default=train_cfg.early_stop_metric)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a test split")
@@ -440,7 +446,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--train", help="training split, for frequency buckets")
     p.add_argument("--baseline", help="baseline scores.npy for AUC deltas")
     p.add_argument("--out", required=True)
-    p.add_argument("--p-at", default="5,8,15")
+    p.add_argument("--p-at", default=_commas(train_cfg.p_at))
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("inspect", help="top-weighted tokens for one label")

@@ -15,11 +15,12 @@ from itertools import zip_longest
 import numpy as np
 
 from .checkpoint import read_container, write_container
-from .data import Dataset, Document, Vocab, write_jsonl
+from .data import Dataset, Document, Vocab, index_note, write_jsonl
 from .icd import LabelTree
-from .losses import AslConfig, asl, bce
+from .losses import LOSSES, AslConfig, asl, bce
 from .metrics import check_p_at, evaluate, macro_micro_f1
 from .network import (
+    CORRECTION_MODES,
     AdamState,
     DecoderParams,
     EncoderParams,
@@ -43,8 +44,8 @@ class CurriculumConfig:
     epochs_per_level: tuple[int, ...] = (2, 3, 5, 10, 50)
     batch_size: int = 16
     lr: float = 1e-3
-    correction: str = "none"  # none | add | concat
-    loss: str = "bce"  # bce | asl
+    correction: str = "none"  # one of CORRECTION_MODES
+    loss: str = "bce"  # one of LOSSES
     asl: AslConfig = field(default_factory=AslConfig)
     early_stop_metric: str = "micro_f1"
     patience: int = 10
@@ -65,9 +66,9 @@ class CurriculumConfig:
             raise ValueError("batch_size must be >= 1 and patience >= 0")
         if self.lr <= 0:
             raise ValueError("learning rate must be positive")
-        if self.correction not in ("none", "add", "concat"):
+        if self.correction not in CORRECTION_MODES:
             raise ValueError(f"unknown correction mode {self.correction!r}")
-        if self.loss not in ("bce", "asl"):
+        if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}")
         if min(self.d_e, self.d_f, self.kernel_size) < 1:
             raise ValueError("d_e, d_f and kernel_size must be >= 1")
@@ -126,10 +127,7 @@ def init_level_decoder(
     if prev is None:
         q = xavier_uniform(rng, (d_f, n_labels), fan_in=d_f, fan_out=n_labels)
     else:
-        ancestor = np.arange(n_labels)
-        for j in range(k - 1, prev_level - 1, -1):
-            ancestor = tree.parent_index_map(j)[ancestor]
-        q = knowledge_transfer(prev.Q, ancestor)
+        q = knowledge_transfer(prev.Q, tree.ancestor_index_map(k, prev_level))
     w = xavier_uniform(rng, (d_f, n_labels), fan_in=d_f, fan_out=n_labels)
     b = np.zeros(n_labels)
     fc_w = fc_b = None
@@ -213,6 +211,10 @@ class Trainer:
         cfg.validate(tree.k_max, len(self.codes))
         if cfg.correction != "none" and emb is None:
             raise ValueError("hyperbolic correction requires trained embeddings")
+        if (valid.vocab.tokens, valid.max_len) != (train.vocab.tokens, train.max_len):
+            raise ValueError(f"the validation split was indexed with {len(valid.vocab.tokens)} tokens and "
+                             f"max_len {valid.max_len}, the train split with {len(train.vocab.tokens)} "
+                             f"tokens and max_len {train.max_len}")
         self.cfg = cfg
         self.tree = tree
         self.emb = emb
@@ -475,24 +477,18 @@ def load_model(path) -> tuple[ModelState, dict]:
     return state, meta
 
 
-def inspect_attention(
-    state: ModelState,
-    doc: Document,
-    token_strings: list[str],
-    label: str,
-    top_n: int = 16,
-) -> list[tuple[str, float]]:
-    """Top-weighted input tokens for one label's attention column.
+def inspect_attention(state: ModelState, record: dict, label: str, top_n: int = 16) -> list[tuple[str, float]]:
+    """Top-weighted input tokens of a dataset record for one label's attention
+    column, the note indexed with ``state.vocab`` and cut to ``state.max_len``.
 
     Ties are broken by token position.
     """
     if label not in state.codes:
         raise ValueError(f"unknown label {label!r}")
-    if len(token_strings) != len(doc.tokens):
-        raise ValueError("token strings must align with the token index sequence")
-    if len(doc.tokens) == 0:
-        raise ValueError(f"document {doc.id!r} has no tokens")
-    _, trace = forward(doc.tokens[None], state.encoder, state.decoder)
+    tokens, ids = index_note(record["text"], state.vocab, state.max_len)
+    if not tokens:
+        raise ValueError(f"document {record['id']!r} has no tokens")
+    _, trace = forward(ids[None], state.encoder, state.decoder)
     col = _attention_slab(trace, 0)[:, state.codes.index(label)]
     order = np.argsort(-col, kind="stable")
-    return [(token_strings[i], float(col[i])) for i in order[:top_n]]
+    return [(tokens[i], float(col[i])) for i in order[:top_n]]

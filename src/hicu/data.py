@@ -19,6 +19,7 @@ from .icd import (
     RangeRow,
     RangeTable,
     build_label_tree,
+    build_path,
     parse_code_auto,
 )
 
@@ -111,6 +112,12 @@ def write_jsonl(path, records) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def index_note(text: str, vocab: Vocab, max_len: int) -> tuple[list[str], np.ndarray]:
+    """A note's first ``max_len`` tokens and their ids: how every note is read."""
+    tokens = tokenize(text)[:max_len]
+    return tokens, vocab.indices(tokens)
+
+
 def load_dataset(records: list[dict], vocab: Vocab, max_len: int) -> Dataset:
     """Tokenize and index dataset records; ``Dataset.label_matrix`` checks the labels.
 
@@ -120,13 +127,9 @@ def load_dataset(records: list[dict], vocab: Vocab, max_len: int) -> Dataset:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     docs, dropped = [], []
     for rec in records:
-        tokens = tokenize(rec["text"])[:max_len]
+        tokens, ids = index_note(rec["text"], vocab, max_len)
         (docs if tokens else dropped).append(
-            Document(
-                id=rec["id"],
-                tokens=vocab.indices(tokens),
-                labels=tuple(sorted(set(rec["labels"]))),
-            )
+            Document(id=rec["id"], tokens=ids, labels=tuple(sorted(set(rec["labels"]))))
         )
     return Dataset(docs=docs, vocab=vocab, max_len=max_len, dropped=dropped)
 
@@ -262,27 +265,18 @@ def synth_generate(cfg: SynthConfig) -> SynthCorpus:
     b1, b2, b3, b4, b5 = cfg.branching
     rng = np.random.default_rng(cfg.seed)
 
-    rows = []
-    leaf_paths: dict[str, list[str]] = {}
-    codes = []
+    rows, codes = [], []
     for i in range(b1):
         base = 100 * (i + 1)
-        l1 = f"{base}-{base + 99}"
         for j in range(b2):
             lo = base + 10 * j
-            l2 = f"{lo}-{lo + 9}"
             rows.append(RangeRow(DIAGNOSIS, str(base), str(base + 99), str(lo), str(lo + 9)))
-            for t in range(b3):
-                integer = str(lo + t)
-                for d in range(b4):
-                    one_dec = f"{integer}.{d}"
-                    for e in range(b5):
-                        leaf = f"{one_dec}{e}"
-                        codes.append(leaf)
-                        leaf_paths[leaf] = [l1, l2, integer, one_dec, leaf]
+            codes += [f"{lo + t}.{d}{e}" for t in range(b3) for d in range(b4) for e in range(b5)]
 
     ranges = RangeTable(rows)
-    tree = build_label_tree([parse_code_auto(c) for c in codes], ranges)
+    parsed = [parse_code_auto(c) for c in codes]
+    tree = build_label_tree(parsed, ranges)
+    leaf_paths = {code.raw: [node.label for node in build_path(code, ranges)] for code in parsed}
 
     node_labels = sorted({label for path in leaf_paths.values() for label in path})
     counter = 0

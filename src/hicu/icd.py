@@ -106,9 +106,12 @@ class RangeTable:
 
     def __init__(self, rows: Iterable[RangeRow]):
         self.rows = list(rows)
-        self._validate()
+        self._spans = self._validate()
 
-    def _validate(self) -> None:
+    def _validate(self) -> list[tuple[RangeRow, str, int, int, int, int]]:
+        """Check the rows; each row's (row, prefix, l1 start, l1 end, l2 start,
+        l2 end), parsed once for ``lookup``."""
+        checked = []
         by_l1: dict[tuple[str, str], list[tuple[str, int, int]]] = {}
         l1_spans: dict[tuple[str, str], list[tuple[str, int, int]]] = {}
         for row in self.rows:
@@ -121,6 +124,7 @@ class RangeTable:
                     f"range table: level-2 range {row.l2_label} outside "
                     f"level-1 range {row.l1_label}"
                 )
+            checked.append((row, p1, s1, e1, s2, e2))
             by_l1.setdefault((row.kind, row.l1_label), []).append((p2, s2, e2))
             l1_spans.setdefault((row.kind, p1), []).append((row.l1_label, s1, e1))
         for key, spans in by_l1.items():
@@ -137,6 +141,7 @@ class RangeTable:
                     raise CodeError(
                         f"range table: overlapping level-1 ranges {la} and {lb}"
                     )
+        return checked
 
     @classmethod
     def from_file(cls, path) -> "RangeTable":
@@ -172,13 +177,9 @@ class RangeTable:
         """
         prefix, value = _stratum(code.integer_part)
         l1_hit = None
-        for row in self.rows:
-            if row.kind != code.kind:
+        for row, p1, s1, e1, s2, e2 in self._spans:
+            if row.kind != code.kind or p1 != prefix or not (s1 <= value <= e1):
                 continue
-            p1, s1, e1 = _check_span(row.l1_start, row.l1_end, "level-1")
-            if p1 != prefix or not (s1 <= value <= e1):
-                continue
-            p2, s2, e2 = _check_span(row.l2_start, row.l2_end, "level-2")
             if s2 <= value <= e2:
                 return row.l1_label, row.l2_label
             l1_hit = row.l1_label
@@ -288,6 +289,16 @@ class LabelTree:
             raise CodeError(f"level {k} out of range 1..{self.k_max - 1}")
         return self._parent_maps[k]
 
+    def ancestor_index_map(self, k: int, j: int) -> np.ndarray:
+        """Index of each level-k label's ancestor among level-j labels, j <= k;
+        the identity when j == k."""
+        if not 1 <= j <= k <= self.k_max:
+            raise CodeError(f"levels k={k}, j={j} are not 1 <= j <= k <= {self.k_max}")
+        ancestor = np.arange(len(self._level_labels[k]))
+        for i in range(k - 1, j - 1, -1):
+            ancestor = self._parent_maps[i][ancestor]
+        return ancestor
+
     def ancestor_targets(self, y_leaf: np.ndarray, k: int) -> np.ndarray:
         """Binary targets at level k: 1 iff some positive leaf passes through."""
         y = np.asarray(y_leaf)
@@ -296,16 +307,15 @@ class LabelTree:
             raise CodeError(
                 f"leaf target width {y.shape[-1]} != number of leaves {n_leaf}"
             )
-        if not 1 <= k <= self.k_max:
-            raise CodeError(f"level {k} out of range 1..{self.k_max}")
-        for j in range(self.k_max - 1, k - 1, -1):
-            pmap = self.parent_index_map(j)
-            out = np.zeros(y.shape[:-1] + (len(self.level_labels(j)),), dtype=y.dtype)
-            # only positive cells can raise a parent above its zero start
-            idx = np.nonzero(y > 0)
-            np.maximum.at(out, idx[:-1] + (pmap[idx[-1]],), y[idx])
-            y = out
-        return y
+        n_labels = len(self.level_labels(k))  # checks k
+        if k == self.k_max:
+            return y  # the leaf targets themselves: no copy of the largest target matrix
+        amap = self.ancestor_index_map(self.k_max, k)
+        out = np.zeros(y.shape[:-1] + (n_labels,), dtype=y.dtype)
+        # only positive cells can raise an ancestor above its zero start
+        idx = np.nonzero(y > 0)
+        np.maximum.at(out, idx[:-1] + (amap[idx[-1]],), y[idx])
+        return out
 
     def to_json(self) -> str:
         nodes = self.nodes
@@ -320,10 +330,19 @@ class LabelTree:
 
     @classmethod
     def from_json(cls, text: str) -> "LabelTree":
-        """The tree of ``to_json``'s text: each node an ``[int level, str label]``
-        pair listed once, every parent entry an index into ``nodes``, and -1 on
-        the root alone."""
+        """The tree of ``to_json``'s text: an object with lists ``nodes`` and
+        ``parents`` and an int ``k_max`` >= 1; each node an ``[int level, str
+        label]`` pair listed once, every parent entry an index into ``nodes``,
+        and -1 on the root alone."""
         payload = json.loads(text)
+        if type(payload) is not dict:
+            raise CodeError(f"tree file holds {type(payload).__name__} {payload!r}, not an object")
+        for key in ("nodes", "parents"):
+            if type(payload.get(key)) is not list:
+                raise CodeError(f"tree file field {key!r} is {payload.get(key)!r}, not a list")
+        k_max = payload.get("k_max")
+        if type(k_max) is not int or k_max < 1:  # a bool is no depth
+            raise CodeError(f"tree file field 'k_max' is {k_max!r}, not an int >= 1")
         nodes = []
         for i, entry in enumerate(payload["nodes"]):
             if type(entry) is not list or [type(v) for v in entry] != [int, str]:  # a bool is no level
@@ -344,7 +363,7 @@ class LabelTree:
                 raise CodeError(f"node {node} has parent entry {pidx!r}, not an index in [0, {len(nodes)})")
             else:
                 parent[node] = nodes[pidx]
-        return cls(parent, k_max=payload["k_max"])
+        return cls(parent, k_max=k_max)
 
 
 def build_label_tree(codes: Iterable[IcdCode], ranges: RangeTable) -> LabelTree:

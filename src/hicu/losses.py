@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 CLAMP_EPS = 1e-12  # probabilities are clipped to [CLAMP_EPS, 1 - CLAMP_EPS] before logs
+LOSSES = ("bce", "asl")
 
 
 @dataclass

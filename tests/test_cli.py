@@ -95,6 +95,28 @@ class TestEmbed:
         assert f"tree file node entry 1 is {entry!r}, not an [int level, str label] pair" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("payload, named", [
+        ({"k_max": 1, "nodes": 5, "parents": [-1, 0]}, "field 'nodes' is 5, not a list"),
+        ({"k_max": 1, "nodes": [[0, "<root>"], [1, "a"]], "parents": 3}, "field 'parents' is 3, not a list"),
+        ({"k_max": 1, "nodes": [[0, "<root>"], [1, "a"]]}, "field 'parents' is None, not a list"),
+        ({"k_max": True, "nodes": [[0, "<root>"], [1, "a"]], "parents": [-1, 0]},
+         "field 'k_max' is True, not an int >= 1"),
+        ({"k_max": "1", "nodes": [[0, "<root>"], [1, "a"]], "parents": [-1, 0]},
+         "field 'k_max' is '1', not an int >= 1"),
+        ("tree", "tree file holds str 'tree', not an object"),
+        ([1, 2], "tree file holds list [1, 2], not an object"),
+    ], ids=["nodes_int", "parents_int", "parents_missing", "k_max_bool", "k_max_str", "str", "list"])
+    def test_malformed_tree_file_is_a_code_error(self, tmp_path, capsys, payload, named):
+        bad = tmp_path / "tree.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "emb.txt"
+        rc = main(["embed", "--tree", str(bad), "--out", str(out), "--hyp-epochs", "1", "--hyp-burn-in", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("HICU_ERROR code=code_error")
+        assert named in err
+        assert not out.exists()
+
     def test_leaf_without_a_parent_is_a_code_error(self, corpus_dir, tmp_path, capsys):
         # a -1 parent entry on a leaf must not drop the leaf without a word
         payload = json.loads((corpus_dir / "tree.json").read_text())
@@ -242,6 +264,32 @@ class TestConfigPrecedence:
         assert exc.value.code == 2
         assert "ambiguous option: --co could match --config, --correction" in capsys.readouterr().err
         assert read == []
+
+    def test_required_flags_alone_build_the_dataclass_defaults(self, corpus_dir, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        from hicu import curriculum, data, poincare
+
+        built = {}
+
+        def capture(name, position):
+            def stop(*args, **kwargs):
+                built[name] = args[position]
+                raise RuntimeError("stop before the work")
+            return stop
+
+        monkeypatch.setattr(curriculum, "Trainer", capture("train", 4))
+        monkeypatch.setattr(poincare, "train_poincare", capture("embed", 1))
+        monkeypatch.setattr(data, "synth_generate", capture("synth", 0))
+        assert main(["train", "--ranges", str(corpus_dir / "ranges.tsv"), "--train",
+                     str(corpus_dir / "train.jsonl"), "--valid", str(corpus_dir / "valid.jsonl"),
+                     "--out", str(tmp_path / "model")]) == 1
+        assert main(["embed", "--tree", str(corpus_dir / "tree.json"), "--out", str(tmp_path / "e")]) == 1
+        assert main(["synth", "--out", str(tmp_path / "s")]) == 1
+        defaults = {"train": curriculum.CurriculumConfig(), "embed": poincare.EmbedConfig(),
+                    "synth": data.SynthConfig()}
+        for name, want in defaults.items():
+            assert replace(built[name], seed=0) == replace(want, seed=0), name
 
     def test_malformed_config_line_errors(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -804,9 +852,8 @@ class TestCliSharesTheLibraryPath:
 
     def test_inspect_prints_inspect_attention(self, corpus_dir, flat, capsys):
         from hicu.curriculum import inspect_attention
-        from hicu.data import Document, tokenize
 
-        out, trainer, vocab = flat
+        out, trainer, _ = flat
         rec = json.loads((corpus_dir / "test.jsonl").read_text().splitlines()[1])
         label = rec["labels"][0]
         rc = main([
@@ -815,9 +862,7 @@ class TestCliSharesTheLibraryPath:
             "--doc-id", rec["id"], "--label", label, "--top-n", "5",
         ])
         assert rc == 0
-        tokens = tokenize(rec["text"])
-        doc = Document(id=rec["id"], tokens=vocab.indices(tokens), labels=())
-        top = inspect_attention(trainer.best_state(), doc, tokens, label, top_n=5)
+        top = inspect_attention(trainer.best_state(), rec, label, top_n=5)
         assert capsys.readouterr().out.splitlines() == [f"{t}\t{w:.6f}" for t, w in top]
 
 

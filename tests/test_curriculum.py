@@ -199,6 +199,22 @@ class TestTrainerMechanics:
         with pytest.raises(ValueError, match="p_at entries must be >= 1"):
             Trainer(splits["train"], splits["valid"], atree, None, cfg)
 
+    @pytest.mark.parametrize("min_count, max_len", [(1, 128), (5, 128), (3, 64)])
+    def test_validation_split_on_another_vocabulary_or_max_len_rejected(
+        self, small_setup, tiny_cfg, tmp_path, min_count, max_len
+    ):
+        corpus, atree, vocab, splits = small_setup
+        other = build_vocab((tokenize(r["text"]) for r in corpus.splits["train"]), min_count=min_count)
+        assert (other.tokens != vocab.tokens) == (min_count != 3)
+        valid = load_dataset(corpus.splits["valid"], other, max_len)
+        message = (f"the validation split was indexed with {len(other.tokens)} tokens and max_len "
+                   f"{max_len}, the train split with {len(vocab.tokens)} tokens and max_len 128")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Trainer(splits["train"], valid, atree, None, tiny_cfg)
+        Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg).save(tmp_path / "t.bin")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Trainer.load(tmp_path / "t.bin", splits["train"], valid, atree, None)
+
     def test_word_embedding_initialises_the_embedding(self, small_setup, tiny_cfg, tmp_path):
         _, atree, vocab, splits = small_setup
         path = tmp_path / "vectors.txt"
@@ -625,9 +641,8 @@ class TestInspection:
         state = trainer.best_state()
         doc = splits["train"].docs[0]
         rec = next(r for r in corpus.splits["train"] if r["id"] == doc.id)
-        token_strings = tokenize(rec["text"])[: len(doc.tokens)]
         label = doc.labels[0]
-        top = inspect_attention(state, doc, token_strings, label, top_n=5)
+        top = inspect_attention(state, rec, label, top_n=5)
         assert len(top) == 5
         weights = [w for _, w in top]
         assert weights == sorted(weights, reverse=True)
@@ -636,14 +651,13 @@ class TestInspection:
     def test_unknown_label_rejected(self, small_setup, tiny_cfg):
         from dataclasses import replace
 
-        _, atree, vocab, splits = small_setup
+        corpus, atree, vocab, splits = small_setup
         cfg = replace(tiny_cfg, epochs_per_level=(0, 0, 0, 0, 1))
         trainer = Trainer(splits["train"], splits["valid"], atree, None, cfg.flat())
         trainer.run()
         state = trainer.best_state()
-        doc = splits["train"].docs[0]
-        with pytest.raises(ValueError):
-            inspect_attention(state, doc, ["x"] * len(doc.tokens), "nope")
+        with pytest.raises(ValueError, match="unknown label 'nope'"):
+            inspect_attention(state, corpus.splits["train"][0], "nope")
 
 
 class TestScoreDataset:

@@ -20,6 +20,8 @@ from hicu.icd import (
     parse_code_auto,
 )
 
+from hicu.data import SynthConfig, synth_generate
+
 from conftest import oracle_ancestors
 
 
@@ -237,6 +239,36 @@ class TestAugmentedTree:
             up = tree.level_labels(k)
             for j, node in enumerate(tree.nodes_at_level(k + 1)):
                 assert up[pmap[j]] == tree.parent[node].label
+
+    @pytest.mark.parametrize("branching", [None, (3, 3, 3, 3, 3), (2, 1, 3, 1, 2)],
+                             ids=["padded", "reference", "2,1,3,1,2"])
+    def test_ancestor_index_map_walks_parent_pointers(self, tree, branching):
+        if branching is not None:
+            tree = synth_generate(SynthConfig(branching=branching, docs_per_split=(1, 1, 1))).tree
+        for k in range(1, tree.k_max + 1):
+            for j in range(1, k + 1):
+                amap = tree.ancestor_index_map(k, j)
+                assert amap.shape == (len(tree.level_labels(k)),)
+                for i, node in enumerate(tree.nodes_at_level(k)):
+                    while node.level > j:
+                        node = tree.parent[node]
+                    assert tree.level_labels(j)[amap[i]] == node.label
+                if j == k:
+                    assert np.array_equal(amap, np.arange(len(tree.level_labels(k))))
+        for k, j in [(1, 2), (3, 5), (tree.k_max + 1, 1), (2, 0), (0, 0), (1, -1)]:
+            with pytest.raises(CodeError, match=f"levels k={k}, j={j} are not 1 <= j <= k <= 5"):
+                tree.ancestor_index_map(k, j)
+
+    @pytest.mark.parametrize("k", [0, 6])
+    def test_ancestor_targets_rejects_a_level_out_of_range(self, tree, k):
+        y = np.zeros((2, len(tree.level_labels(tree.k_max))), dtype=np.uint8)
+        with pytest.raises(CodeError, match=f"^level {k} out of range 1..5$"):
+            tree.ancestor_targets(y, k)
+
+    def test_leaf_level_targets_are_the_leaf_matrix_uncopied(self, tree):
+        # the leaf level's targets are the largest target matrix a trainer holds
+        y = np.zeros((3, len(tree.level_labels(tree.k_max))), dtype=np.uint8)
+        assert np.shares_memory(tree.ancestor_targets(y, tree.k_max), y)
 
     def test_ancestor_targets_by_oracle(self, tree):
         rng = np.random.default_rng(0)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hicu.curriculum import ModelState, inspect_attention
-from hicu.data import Document, Vocab
+from hicu.data import Vocab
 from hicu.losses import AslConfig, asl, bce, sigmoid
 from hicu import network
 from hicu.network import (
@@ -921,14 +921,15 @@ class TestAttentionStatistics:
     def test_inspect_attention_reads_the_batched_softmax_column(self, mode):
         enc, dec, x, _ = _setup(mode, seed=3)
         codes = [f"c{j}" for j in range(L)]
-        state = ModelState(encoder=enc, decoder=dec, codes=codes,
-                           vocab=Vocab([f"w{i}" for i in range(VOCAB - 2)], min_count=1),
-                           max_len=x.shape[1])
-        doc = Document("d", x[1], ())
-        tokens = [f"t{i}" for i in range(x.shape[1])]
+        # letter-only words, as tokenize keeps letters only; id i + 2 is "w" + letter i
+        vocab = Vocab([f"w{chr(ord('a') + i)}" for i in range(VOCAB - 2)], min_count=1)
+        state = ModelState(encoder=enc, decoder=dec, codes=codes, vocab=vocab, max_len=x.shape[1])
+        tokens = [vocab.tokens[t - 2] if t >= 2 else "unknown" for t in x[1]]  # "unknown" reads as UNK
+        record = {"id": "d", "text": " ".join(tokens), "labels": []}
+        assert np.array_equal(vocab.indices(tokens), x[1])
         A = _batched_softmax_forward(x[1:2], enc, dec)[1][0]
         for j, label in enumerate(codes):
             col = A[:, j]
             order = sorted(range(len(col)), key=lambda i: (-col[i], i))
             want = [(tokens[i], float(col[i])) for i in order]
-            assert inspect_attention(state, doc, tokens, label, top_n=len(tokens)) == want
+            assert inspect_attention(state, record, label, top_n=len(tokens)) == want
