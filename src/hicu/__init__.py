@@ -10,7 +10,6 @@ from .curriculum import (
     ModelState,
     Trainer,
     inspect_attention,
-    knowledge_transfer,
     load_model,
     score_dataset,
 )
@@ -47,7 +46,6 @@ from .losses import AslConfig, asl, bce, sigmoid
 from .metrics import (
     auc_binary,
     evaluate,
-    macro_micro_auc,
     macro_micro_f1,
     per_label_auc,
     precision_at_k,

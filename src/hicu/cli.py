@@ -428,10 +428,10 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--epochs-per-level", default=_commas(train_cfg.epochs_per_level))
     p.add_argument("--batch-size", type=int, default=train_cfg.batch_size)
     p.add_argument("--lr", type=float, default=train_cfg.lr)
-    p.add_argument("--max-len", type=int, default=4096)
+    p.add_argument("--max-len", type=int, default=data.MAX_LEN)
     p.add_argument("--top-k-labels", type=int)
     p.add_argument("--p-at", default=_commas(train_cfg.p_at))
-    p.add_argument("--min-count", type=int, default=3)
+    p.add_argument("--min-count", type=int, default=data.MIN_COUNT)
     p.add_argument("--d-e", type=int, default=train_cfg.d_e)
     p.add_argument("--d-f", type=int, default=train_cfg.d_f)
     p.add_argument("--kernel-size", type=int, default=train_cfg.kernel_size)

@@ -101,14 +101,6 @@ class ModelState:
     max_len: int
 
 
-def knowledge_transfer(q_parent: np.ndarray, parent_map: np.ndarray) -> np.ndarray:
-    """Child query columns initialized from their parents' columns."""
-    parent_map = np.asarray(parent_map)
-    if parent_map.size and (parent_map.min() < 0 or parent_map.max() >= q_parent.shape[1]):
-        raise ValueError("parent map index out of range")
-    return q_parent[:, parent_map].copy()
-
-
 def init_level_decoder(
     prev: DecoderParams | None,
     prev_level: int | None,
@@ -127,7 +119,9 @@ def init_level_decoder(
     if prev is None:
         q = xavier_uniform(rng, (d_f, n_labels), fan_in=d_f, fan_out=n_labels)
     else:
-        q = knowledge_transfer(prev.Q, tree.ancestor_index_map(k, prev_level))
+        # fancy indexing along axis 1 gives an F-ordered array; a resumed
+        # trainer reads Q back C-ordered, so the copy keeps its matmul bits equal
+        q = prev.Q[:, tree.ancestor_index_map(k, prev_level)].copy()
     w = xavier_uniform(rng, (d_f, n_labels), fan_in=d_f, fan_out=n_labels)
     b = np.zeros(n_labels)
     fc_w = fc_b = None
@@ -483,6 +477,8 @@ def inspect_attention(state: ModelState, record: dict, label: str, top_n: int = 
 
     Ties are broken by token position.
     """
+    if top_n < 1:
+        raise ValueError(f"top_n must be >= 1, got {top_n}")
     if label not in state.codes:
         raise ValueError(f"unknown label {label!r}")
     tokens, ids = index_note(record["text"], state.vocab, state.max_len)

@@ -24,6 +24,8 @@ from .icd import (
 )
 
 PAD, UNK = 0, 1
+MIN_COUNT = 3  # default vocabulary cut: tokens seen fewer times in training map to UNK
+MAX_LEN = 4096  # default note length in tokens; longer notes are cut
 
 _TOKEN_RE = re.compile(r"[A-Za-z]+")
 
@@ -51,7 +53,7 @@ class Vocab:
         return np.fromiter(ids, dtype=np.int32, count=len(tokens))
 
 
-def build_vocab(corpus, min_count: int = 3) -> Vocab:
+def build_vocab(corpus, min_count: int = MIN_COUNT) -> Vocab:
     """Index tokens with frequency >= min_count; frequency desc, then lexicographic."""
     counts = Counter()
     empty = True
@@ -218,8 +220,8 @@ class SynthConfig:
             raise ValueError("signature size and doc length must be positive")
         if not 0 <= self.noise_rate < 1:
             raise ValueError("noise rate must lie in [0, 1)")
-        if any(d < 1 for d in self.docs_per_split):
-            raise ValueError("split sizes must be positive")
+        if len(self.docs_per_split) != 3 or any(d < 1 for d in self.docs_per_split):
+            raise ValueError("split sizes must be three positive integers")
         pool_max = 5 * MAX_POSITIVE_LABELS * self.tokens_per_signature
         if self.doc_length < pool_max:
             raise ValueError(

@@ -217,16 +217,9 @@ class LabelTree:
         self.root = Node(0, ROOT_LABEL)
         self.k_max = k_max
         self.parent = dict(parent)
-        self.children: dict[Node, list[Node]] = {self.root: []}
-        for child in self.parent:
-            self.children.setdefault(child, [])
         for child, par in sorted(self.parent.items()):
             if child.level != par.level + 1:
                 raise CodeError(f"node {child} is not one level below its parent {par}")
-            self.children.setdefault(par, [])
-            self.children[par].append(child)
-        for par in self.children:
-            self.children[par].sort()
         for leaf in self.leaves():
             if leaf.level != self.k_max:
                 raise CodeError(f"leaf {leaf} not at level {self.k_max}")
@@ -255,7 +248,7 @@ class LabelTree:
         return sorted(n for n in self.parent if n.level == k)
 
     def leaves(self) -> list[Node]:
-        return sorted(n for n in self.parent if not self.children[n])
+        return sorted(set(self.parent) - set(self.parent.values()))
 
     def is_copy(self, node: Node) -> bool:
         """True for padding nodes that repeat their parent's label."""
@@ -282,12 +275,6 @@ class LabelTree:
         if not 1 <= k <= self.k_max:
             raise CodeError(f"level {k} out of range 1..{self.k_max}")
         return self._level_labels[k]
-
-    def parent_index_map(self, k: int) -> np.ndarray:
-        """Index of each level-(k+1) label's parent among level-k labels."""
-        if not 1 <= k < self.k_max:
-            raise CodeError(f"level {k} out of range 1..{self.k_max - 1}")
-        return self._parent_maps[k]
 
     def ancestor_index_map(self, k: int, j: int) -> np.ndarray:
         """Index of each level-k label's ancestor among level-j labels, j <= k;

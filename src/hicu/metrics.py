@@ -44,22 +44,6 @@ def auc_binary(scores: np.ndarray, labels: np.ndarray) -> float | None:
     return None if np.isnan(auc) else float(auc)
 
 
-def macro_micro_auc(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float, int]:
-    """Per-label mean AUC (degenerate labels skipped) and flattened AUC.
-
-    Returns (macro, micro, skipped_label_count).
-    """
-    per_label = per_label_auc(scores, labels)
-    defined = per_label[~np.isnan(per_label)]
-    skipped = len(per_label) - len(defined)
-    if not len(defined):
-        raise ValueError("macro AUC undefined: no label has both classes")
-    micro = auc_binary(scores, labels)
-    if micro is None:
-        raise ValueError("micro AUC undefined: labels are single-class overall")
-    return float(np.mean(defined)), micro, skipped
-
-
 def macro_micro_f1(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     """Per-label mean F1 (0/0 := 0) and pooled-count F1 at threshold 0.5."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -114,17 +98,17 @@ def evaluate(
     counts as skipped."""
     macro_f1, micro_f1 = macro_micro_f1(scores, labels)  # raises on a shape mismatch
     n_labels = np.shape(scores)[1]
-    try:
-        macro_auc, micro_auc, skipped = macro_micro_auc(scores, labels)
-    except ValueError:  # the shapes agree, so only an undefined AUC lands here
-        macro_auc = micro_auc = None
-        skipped = n_labels
+    per_label = per_label_auc(scores, labels)
+    defined = per_label[~np.isnan(per_label)]
+    macro_auc = micro_auc = None
+    if len(defined):  # a label with both classes puts both in the flattened labels too
+        macro_auc, micro_auc = float(np.mean(defined)), auc_binary(scores, labels)
     out = {
         "macro_auc": macro_auc,
         "micro_auc": micro_auc,
         "macro_f1": macro_f1,
         "micro_f1": micro_f1,
-        "skipped_labels": skipped,
+        "skipped_labels": n_labels - len(defined),
     }
     ks = [k for k in sorted(set(ks)) if k <= n_labels]
     if ks:

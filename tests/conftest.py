@@ -24,7 +24,9 @@ def pytest_runtest_logreport(report):
     suffix = f" ({notes[0]})" if notes else ""
     print(f"\nACCEPTANCE {m.group(1)}: {verdict}{suffix}", flush=True)
 
+from hicu.curriculum import CurriculumConfig, init_level_decoder
 from hicu.data import SynthConfig, build_vocab, load_dataset, synth_generate, tokenize
+from hicu.network import DecoderParams
 
 # ------------------------------------------------------------------ oracles
 
@@ -104,6 +106,17 @@ def oracle_ancestors(tree, node):
         if node.level >= 1:
             out.append(node)
     return out
+
+
+# ----------------------------------------------------------------- helpers
+
+
+def transferred_queries(q: np.ndarray, tree, k: int) -> np.ndarray:
+    """The level-(k+1) query matrix the trainer starts from after training
+    level k to the queries ``q``."""
+    parent = DecoderParams(Q=q, W=np.zeros_like(q), b=np.zeros(q.shape[1]))
+    cfg = CurriculumConfig(d_f=q.shape[0])
+    return init_level_decoder(parent, k, tree, k + 1, cfg, np.random.default_rng(0)).Q
 
 
 # ----------------------------------------------------------------- fixtures

@@ -13,7 +13,7 @@ import pytest
 
 from hicu.checkpoint import read_container
 from hicu.cli import main as cli_main
-from hicu.curriculum import CurriculumConfig, Trainer, knowledge_transfer
+from hicu.curriculum import CurriculumConfig, Trainer
 from hicu.data import SynthConfig, synth_generate
 from hicu.icd import (
     DIAGNOSIS,
@@ -26,7 +26,7 @@ from hicu.icd import (
     parse_code_auto,
 )
 from hicu.losses import AslConfig, asl, bce
-from hicu.metrics import macro_micro_auc, macro_micro_f1, precision_at_k
+from hicu.metrics import evaluate, macro_micro_f1, precision_at_k
 from hicu.network import backward, forward
 from hicu.poincare import EmbedConfig, poincare_distance, train_poincare
 
@@ -37,6 +37,7 @@ from conftest import (
     oracle_macro_micro_f1,
     oracle_precision_at_k,
     rel_err,
+    transferred_queries,
 )
 
 
@@ -203,12 +204,14 @@ def test_criterion_3_tree_paths_and_ancestors():
 
 def test_criterion_4_knowledge_transfer_sibling_equality(small_setup):
     """After transfer, every child's query column equals its parent's, so
-    sibling columns start identical."""
+    sibling columns start identical; the child queries are C-ordered, as a
+    resumed trainer reads them back."""
     _, atree, _, _ = small_setup
     rng = np.random.default_rng(7)
     for k in range(1, atree.k_max):
         q = rng.normal(size=(8, len(atree.level_labels(k))))
-        child_q = knowledge_transfer(q, atree.parent_index_map(k))
+        child_q = transferred_queries(q, atree, k)
+        assert child_q.flags.c_contiguous
         nodes = atree.nodes_at_level(k + 1)
         parents = atree.level_labels(k)
         for j, node in enumerate(nodes):
@@ -295,7 +298,8 @@ def test_criterion_6_metrics_match_oracles():
         defined = [a for a in per if a is not None]
         micro_o = oracle_auc(scores.ravel(), labels.ravel())
         if defined and micro_o is not None:
-            macro, micro, skipped = macro_micro_auc(scores, labels)
+            result = evaluate(scores, labels, ks=())
+            macro, micro, skipped = (result[key] for key in ("macro_auc", "micro_auc", "skipped_labels"))
             assert abs(macro - float(np.mean(defined))) < 1e-12
             assert abs(micro - micro_o) < 1e-12
             assert skipped == m - len(defined)

@@ -70,6 +70,14 @@ class TestSynthAndBuildTree:
         for name in ("train.jsonl", "ranges.tsv", "tree.json"):
             assert (tmp_path / name).read_bytes() == (corpus_dir / name).read_bytes()
 
+    @pytest.mark.parametrize("docs", ["10,10", "10,10,10,10"])
+    def test_split_size_count_other_than_three_rejected(self, tmp_path, capsys, docs):
+        out = tmp_path / "out"
+        assert main(["synth", "--out", str(out), "--branching", "2,2,2,2,2", "--docs", docs]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("HICU_ERROR code=invalid_input detail=split sizes must be three positive integers")
+        assert not out.exists()
+
 
 class TestEmbed:
     def test_embed_writes_vectors(self, corpus_dir, tmp_path, capsys):
@@ -270,11 +278,11 @@ class TestConfigPrecedence:
 
         from hicu import curriculum, data, poincare
 
-        built = {}
+        built, calls = {}, {}
 
         def capture(name, position):
             def stop(*args, **kwargs):
-                built[name] = args[position]
+                built[name], calls[name] = args[position], args
                 raise RuntimeError("stop before the work")
             return stop
 
@@ -290,6 +298,8 @@ class TestConfigPrecedence:
                     "synth": data.SynthConfig()}
         for name, want in defaults.items():
             assert replace(built[name], seed=0) == replace(want, seed=0), name
+        train_set = calls["train"][0]
+        assert (train_set.vocab.min_count, train_set.max_len) == (data.MIN_COUNT, data.MAX_LEN)
 
     def test_malformed_config_line_errors(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -749,6 +759,19 @@ class TestInspectErrors:
         err = capsys.readouterr().err
         assert "code=invalid_input" in err
         assert "'blank' has no tokens" in err
+
+    @pytest.mark.parametrize("top_n", ["0", "-1"])
+    def test_top_n_below_one_rejected(self, corpus_dir, trained_dir, capsys, top_n):
+        rec = json.loads((corpus_dir / "test.jsonl").read_text().splitlines()[0])
+        rc = main([
+            "inspect", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+            "--data", str(corpus_dir / "test.jsonl"),
+            "--doc-id", rec["id"], "--label", rec["labels"][0], "--top-n", top_n,
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"HICU_ERROR code=invalid_input detail=top_n must be >= 1, got {top_n}")
+        assert captured.out == ""
 
 
 class TestCorrectedRoundTrip:

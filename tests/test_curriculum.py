@@ -14,7 +14,6 @@ from hicu.curriculum import (
     CurriculumConfig,
     Trainer,
     inspect_attention,
-    knowledge_transfer,
     load_model,
     score_dataset,
 )
@@ -29,7 +28,7 @@ from hicu.data import (
     synth_generate,
     tokenize,
 )
-from hicu.icd import build_label_tree, parse_code_auto
+from hicu.icd import ROOT, LabelTree, Node, build_label_tree, parse_code_auto
 from hicu.losses import bce, sigmoid
 from hicu.metrics import evaluate, macro_micro_f1, precision_at_k
 from hicu.network import (
@@ -40,6 +39,8 @@ from hicu.network import (
     forward,
     init_encoder,
 )
+
+from conftest import transferred_queries
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +55,12 @@ class TestKnowledgeTransfer:
     def test_children_copy_parent_columns(self):
         rng = np.random.default_rng(0)
         q = rng.normal(size=(4, 3))
+        a, b, c = (Node(1, label) for label in "abc")
+        tree = LabelTree({a: ROOT, b: ROOT, c: ROOT, Node(2, "v"): a, Node(2, "w"): a,
+                          Node(2, "x"): c, Node(2, "y"): b, Node(2, "z"): c}, k_max=2)
         pmap = np.array([0, 0, 2, 1, 2])
-        out = knowledge_transfer(q, pmap)
+        assert np.array_equal(tree.ancestor_index_map(2, 1), pmap)
+        out = transferred_queries(q, tree, 1)
         assert out.shape == (4, 5)
         for j, p in enumerate(pmap):
             assert np.array_equal(out[:, j], q[:, p])
@@ -65,16 +70,12 @@ class TestKnowledgeTransfer:
         rng = np.random.default_rng(1)
         for k in range(1, atree.k_max):
             q = rng.normal(size=(6, len(atree.level_labels(k))))
-            child_q = knowledge_transfer(q, atree.parent_index_map(k))
+            child_q = transferred_queries(q, atree, k)
             nodes = atree.nodes_at_level(k + 1)
             for i, a in enumerate(nodes):
                 for j, b in enumerate(nodes):
                     if atree.parent[a] == atree.parent[b]:
                         assert np.array_equal(child_q[:, i], child_q[:, j])
-
-    def test_out_of_range_map_rejected(self):
-        with pytest.raises(ValueError):
-            knowledge_transfer(np.zeros((3, 2)), np.array([0, 2]))
 
 
 class TestAncestorMonotonicity:
@@ -95,7 +96,7 @@ class TestAncestorMonotonicity:
             yk = atree.ancestor_targets(y, k)
             assert set(np.unique(yk)) <= {0.0, 1.0}
             if prev is not None:
-                pmap = atree.parent_index_map(k - 1)
+                pmap = atree.ancestor_index_map(k, k - 1)
                 # a child can only be positive when its parent is positive
                 for d in range(4):
                     for j in range(yk.shape[1]):
@@ -148,7 +149,7 @@ class TestTrainerMechanics:
         level1 = trainer.decoder  # trained in place during the first epoch
         trainer.step_epoch()
         assert trainer.level == 3
-        ancestor = atree.parent_index_map(1)[atree.parent_index_map(2)]
+        ancestor = atree.ancestor_index_map(3, 1)
         assert np.array_equal(trainer.decoder.Q, level1.Q[:, ancestor])
         trainer.run()
         assert [r["level"] for r in trainer.records] == [1, 3, 5]

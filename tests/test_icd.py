@@ -219,7 +219,7 @@ class TestLabelTree:
 
 
 class TestAugmentedTree:
-    """Level views of the padded tree: orderings, parent maps, ancestor targets."""
+    """Level views of the padded tree: orderings, ancestor maps, ancestor targets."""
 
     @pytest.fixture(scope="module")
     def tree(self, ranges):
@@ -232,13 +232,6 @@ class TestAugmentedTree:
         for k in range(1, tree.k_max + 1):
             labels = tree.level_labels(k)
             assert labels == sorted(labels)
-
-    def test_parent_index_map_matches_parents(self, tree):
-        for k in range(1, tree.k_max):
-            pmap = tree.parent_index_map(k)
-            up = tree.level_labels(k)
-            for j, node in enumerate(tree.nodes_at_level(k + 1)):
-                assert up[pmap[j]] == tree.parent[node].label
 
     @pytest.mark.parametrize("branching", [None, (3, 3, 3, 3, 3), (2, 1, 3, 1, 2)],
                              ids=["padded", "reference", "2,1,3,1,2"])

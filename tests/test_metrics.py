@@ -10,7 +10,6 @@ from hicu.metrics import (
     _average_ranks,
     auc_binary,
     evaluate,
-    macro_micro_auc,
     macro_micro_f1,
     per_label_auc,
     precision_at_k,
@@ -192,11 +191,12 @@ class TestAggregates:
             scores, labels = _random_matrix(rng)
             per = [oracle_auc(scores[:, j], labels[:, j]) for j in range(scores.shape[1])]
             defined = [a for a in per if a is not None]
+            result = evaluate(scores, labels, ks=())
             if not defined or oracle_auc(scores.ravel(), labels.ravel()) is None:
-                with pytest.raises(ValueError):
-                    macro_micro_auc(scores, labels)
+                assert result["macro_auc"] is None and result["micro_auc"] is None
+                assert result["skipped_labels"] == len(per)
                 continue
-            macro, micro, skipped = macro_micro_auc(scores, labels)
+            macro, micro, skipped = (result[key] for key in ("macro_auc", "micro_auc", "skipped_labels"))
             assert abs(macro - np.mean(defined)) < 1e-12
             assert abs(micro - oracle_auc(scores.ravel(), labels.ravel())) < 1e-12
             assert skipped == len(per) - len(defined)
