@@ -86,13 +86,7 @@ def _read_config_file(path) -> list[str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{ln}: expected key=value")
             key, _, value = line.partition("=")
-            key = key.strip().replace("_", "-")
-            value = value.strip()
-            if value.lower() in ("true", "false"):
-                if value.lower() == "true":
-                    args.append(f"--{key}")
-            else:
-                args.extend([f"--{key}", value])
+            args.extend([f"--{key.strip().replace('_', '-')}", value.strip()])
     return args
 
 
@@ -308,13 +302,13 @@ def cmd_eval(args) -> int:
     scores = curriculum.score_dataset(state.encoder, state.decoder, docs=test_set.docs)
     os.makedirs(args.out, exist_ok=True)
     np.save(os.path.join(args.out, "scores.npy"), scores)
-    out_records = [{"event": "metrics", **metrics.evaluate(scores, y, ks=ks)}]
+    record, model_auc = metrics.evaluate(scores, y, ks=ks)
+    out_records = [{"event": "metrics", **record}]
 
     if base_scores is not None:
         train_records = data.read_jsonl(args.train)
         counts = Counter(l for rec in train_records for l in rec["labels"])
         train_counts = [counts.get(c, 0) for c in state.codes]
-        model_auc = metrics.per_label_auc(scores, y)
         base_auc = metrics.per_label_auc(base_scores, y)
         out_records.extend(_bucket_table(state.codes, train_counts, model_auc, base_auc))
 
@@ -455,7 +449,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--data", required=True)
     p.add_argument("--doc-id", required=True)
     p.add_argument("--label", required=True)
-    p.add_argument("--top-n", type=int, default=16)
+    p.add_argument("--top-n", type=int, default=curriculum.TOP_N)
     p.set_defaults(func=cmd_inspect)
 
     return parser

@@ -37,6 +37,7 @@ from .network import (
 from .poincare import PoincareEmbedding, embedding_for_level
 
 SCORE_BATCH_SIZE = 16  # documents per forward call when scoring; a default training batch's worth
+TOP_N = 16  # tokens ``inspect_attention`` lists by default
 
 
 @dataclass
@@ -311,7 +312,7 @@ class Trainer:
         }
         scores = score_dataset(self.encoder, self.decoder, docs=self.valid.docs)
         if self.at_final_level:
-            result = evaluate(scores, self.y_valid, ks=self.cfg.p_at)
+            result, _ = evaluate(scores, self.y_valid, ks=self.cfg.p_at)
             record.update({f"valid_{key}": v for key, v in result.items()})
             metric = result.get(self.cfg.early_stop_metric)
             if metric is None:
@@ -471,7 +472,7 @@ def load_model(path) -> tuple[ModelState, dict]:
     return state, meta
 
 
-def inspect_attention(state: ModelState, record: dict, label: str, top_n: int = 16) -> list[tuple[str, float]]:
+def inspect_attention(state: ModelState, record: dict, label: str, top_n: int = TOP_N) -> list[tuple[str, float]]:
     """Top-weighted input tokens of a dataset record for one label's attention
     column, the note indexed with ``state.vocab`` and cut to ``state.max_len``.
 

@@ -161,16 +161,16 @@ def restrict_labels(records: list[dict], keep) -> list[dict]:
 def load_embeddings(path, vocab: Vocab, d_e: int, seed: int = 0) -> np.ndarray:
     """Embedding matrix for the vocabulary from a word-vector text file.
 
-    File format: header ``n d``, then ``token v1 ... v_d`` per line.  Tokens
-    absent from the file get seeded uniform rows in [-0.1, 0.1]; the PAD row
-    is zero.
+    File format: header ``n d``, then one ``token v1 ... v_d`` line for each
+    of ``n`` distinct tokens.  Tokens absent from the file get seeded uniform
+    rows in [-0.1, 0.1]; the PAD row is zero.
     """
     table: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise ValueError(f"{path}: malformed embedding header")
-        file_d = int(header[1])
+        n, file_d = int(header[0]), int(header[1])
         if file_d != d_e:
             raise ValueError(f"{path}: file dimension {file_d} != requested {d_e}")
         for line in fh:
@@ -179,7 +179,11 @@ def load_embeddings(path, vocab: Vocab, d_e: int, seed: int = 0) -> np.ndarray:
                 continue
             if len(parts) != d_e + 1:
                 raise ValueError(f"{path}: malformed row for token {parts[0]!r}")
+            if parts[0] in table:
+                raise ValueError(f"{path}: token {parts[0]!r} listed twice")
             table[parts[0]] = np.array([float(x) for x in parts[1:]])
+    if len(table) != n:
+        raise ValueError(f"{path}: expected {n} rows, found {len(table)}")
     rng = np.random.default_rng(seed)
     out = np.empty((vocab.size, d_e), dtype=np.float64)
     out[PAD] = 0.0

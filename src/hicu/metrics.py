@@ -4,43 +4,30 @@ from __future__ import annotations
 import numpy as np
 
 
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks of a float64 array along axis 0, each tie group assigned its average rank."""
-    order = np.argsort(scores, axis=0, kind="stable")
-    ranks = np.take_along_axis(scores, order, axis=0)  # the sorted scores, until spent
-    ends = np.ones(ranks.shape, dtype=bool)  # where a tie group ends
-    np.not_equal(ranks[1:], ranks[:-1], out=ends[:-1])
-    np.cumsum(np.broadcast_to(1.0, ranks.shape), axis=0, out=ranks)
-    ranks -= 1.0  # each entry's 0-based position
-    span = np.where(ends, ranks, len(ranks))
-    np.minimum.accumulate(span[::-1], axis=0, out=span[::-1])  # each group's last index
-    ranks[1:] *= ends[:-1]  # the position where a group starts, 0.0 elsewhere
-    np.maximum.accumulate(ranks, axis=0, out=ranks)  # + its first
-    span += ranks  # whole floats, so this and the halving are exact
-    span /= 2
-    span += 1
-    np.put_along_axis(ranks, order, span, axis=0)
-    return ranks
-
-
 def per_label_auc(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Mann-Whitney AUC of each column, ties credited 0.5; NaN where a column
-    lacks a class.  A 1-D input is one column and gives a 0-d result."""
+    """Mann-Whitney AUC of each column of a 2-D matrix, ties credited 0.5; NaN
+    where a column lacks a class.  Each positive counts the negatives below it
+    and those at or below it, which sums to twice the U statistic, exactly."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels).astype(bool)
     if scores.shape != labels.shape:
         raise ValueError("score and label matrices must have identical shapes")
-    n_pos = labels.sum(axis=0)
-    n_neg = len(labels) - n_pos
-    ranks = _average_ranks(scores)
-    rank_sum = np.multiply(ranks, labels, out=ranks).sum(axis=0)  # a negative's rank reads 0.0
-    with np.errstate(invalid="ignore"):  # 0/0 where a class is missing
-        return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    if scores.ndim != 2:
+        raise ValueError(f"expected a 2-D score matrix, got shape {scores.shape}")
+    out = np.full(scores.shape[1], np.nan)
+    for j, (col, pos) in enumerate(zip(scores.T, labels.T)):
+        neg = col[~pos]
+        if 0 < len(neg) < len(col):
+            neg.sort()
+            hit = col[pos]
+            count = np.searchsorted(neg, hit, "left").sum() + np.searchsorted(neg, hit, "right").sum()
+            out[j] = count / (2 * len(hit) * len(neg))
+    return out
 
 
 def auc_binary(scores: np.ndarray, labels: np.ndarray) -> float | None:
     """Mann-Whitney AUC of the flattened inputs; None when one class is missing."""
-    auc = per_label_auc(np.ravel(scores), np.ravel(labels))
+    auc = per_label_auc(np.reshape(scores, (-1, 1)), np.reshape(labels, (-1, 1)))[0]
     return None if np.isnan(auc) else float(auc)
 
 
@@ -92,10 +79,10 @@ def precision_at_k(scores: np.ndarray, labels: np.ndarray, k: int | list[int]) -
 
 def evaluate(
     scores: np.ndarray, labels: np.ndarray, ks: tuple[int, ...] = (5, 8, 15)
-) -> dict:
+) -> tuple[dict, np.ndarray]:
     """AUCs, F1s and ``p_at_<k>`` for every k up to the label count, as one flat
-    record.  When no label has both classes the AUCs are None and every label
-    counts as skipped."""
+    record, and the per-label AUCs the macro AUC averages.  When no label has
+    both classes the AUCs are None and every label counts as skipped."""
     macro_f1, micro_f1 = macro_micro_f1(scores, labels)  # raises on a shape mismatch
     n_labels = np.shape(scores)[1]
     per_label = per_label_auc(scores, labels)
@@ -113,4 +100,4 @@ def evaluate(
     ks = [k for k in sorted(set(ks)) if k <= n_labels]
     if ks:
         out.update((f"p_at_{k}", p) for k, p in zip(ks, precision_at_k(scores, labels, ks)))
-    return out
+    return out, per_label

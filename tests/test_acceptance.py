@@ -298,7 +298,7 @@ def test_criterion_6_metrics_match_oracles():
         defined = [a for a in per if a is not None]
         micro_o = oracle_auc(scores.ravel(), labels.ravel())
         if defined and micro_o is not None:
-            result = evaluate(scores, labels, ks=())
+            result, _ = evaluate(scores, labels, ks=())
             macro, micro, skipped = (result[key] for key in ("macro_auc", "micro_auc", "skipped_labels"))
             assert abs(macro - float(np.mean(defined))) < 1e-12
             assert abs(micro - micro_o) < 1e-12

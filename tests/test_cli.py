@@ -301,6 +301,27 @@ class TestConfigPrecedence:
         train_set = calls["train"][0]
         assert (train_set.vocab.min_count, train_set.max_len) == (data.MIN_COUNT, data.MAX_LEN)
 
+    def test_inspect_top_n_defaults_to_the_library_constant(self):
+        import inspect
+
+        from hicu import curriculum
+
+        args = cli.build_parser().parse_args(["inspect", "--checkpoint", "c.bin", "--data", "d.jsonl",
+                                              "--doc-id", "d0", "--label", "x"])
+        assert args.top_n == curriculum.TOP_N
+        assert inspect.signature(curriculum.inspect_attention).parameters["top_n"].default == curriculum.TOP_N
+
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_boolean_looking_value_is_passed_to_the_flag(self, tmp_path, capsys, value):
+        # no flag is boolean: zipf=false reaches --zipf and fails its float parse
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"branching=2,2,2,2,2\ndocs=20,5,5\nzipf={value}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert f"argument --zipf: invalid float value: '{value}'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_malformed_config_line_errors(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("not a pair\n")
@@ -741,6 +762,20 @@ class TestWordEmbeddings:
         err = capsys.readouterr().err
         assert err.startswith("HICU_ERROR code=invalid_input")
         assert f"file dimension 7 != requested {self.D_E}" in err
+        assert not (tmp_path / "model").exists()
+
+    @pytest.mark.parametrize("header_rows, tokens, detail", [
+        (5, ["sigx", "sigy"], "expected 5 rows, found 2"),
+        (2, ["sigx", "sigx"], "token 'sigx' listed twice"),
+    ], ids=["truncated", "repeated"])
+    def test_row_count_or_token_off_the_header_is_invalid_input(
+            self, corpus_dir, tmp_path, capsys, header_rows, tokens, detail):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text(f"{header_rows} {self.D_E}\n" + "".join(f"{t}{' 0.1' * self.D_E}\n" for t in tokens))
+        assert main(_train_argv(corpus_dir, tmp_path / "model", "--word-emb", str(vectors))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("HICU_ERROR code=invalid_input") and detail in err
+        assert str(vectors) in err
         assert not (tmp_path / "model").exists()
 
 

@@ -243,7 +243,7 @@ class TestTrainerMechanics:
         rng = np.random.default_rng(0)
         scores = rng.random((20, 6))
         targets = np.tile([1.0, 0.0, 1.0, 0.0, 0.0, 1.0], (20, 1))  # no label has both classes
-        got = evaluate(scores, targets, ks=(1, 3, 10**6))
+        got, _ = evaluate(scores, targets, ks=(1, 3, 10**6))
         assert got["macro_auc"] is None and got["micro_auc"] is None
         assert got["skipped_labels"] == 6
         assert {k for k in got if k.startswith("p_at_")} == {"p_at_1", "p_at_3"}

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from hicu.metrics import (
-    _average_ranks,
     auc_binary,
     evaluate,
     macro_micro_f1,
@@ -28,7 +27,7 @@ def _random_matrix(rng):
     return scores, labels
 
 
-def _loop_average_ranks(scores):
+def _loop_mean_ranks(scores):
     """Tie-group average ranks found by walking the sorted scores."""
     order = np.argsort(scores, kind="mergesort")
     ranks = np.empty(len(scores))
@@ -53,7 +52,7 @@ def _column_auc(scores, labels):
         if n_pos == 0 or n_neg == 0:
             out.append(np.nan)
             continue
-        rank_sum = float(_loop_average_ranks(scores[:, j])[y].sum())
+        rank_sum = float(_loop_mean_ranks(scores[:, j])[y].sum())
         out.append((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
     return np.array(out)
 
@@ -83,38 +82,43 @@ _TIE_VALUES = st.integers(-4, 4).map(float)
 
 
 @given(st.one_of(
-    st.lists(_TIE_VALUES, max_size=500).map(lambda v: np.array(v, dtype=np.float64)),
+    st.lists(_TIE_VALUES, min_size=1, max_size=500).map(lambda v: np.array(v).reshape(-1, 1)),
     arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=40), elements=_TIE_VALUES),
-))
-@example(np.array([[1.0, 1.0, -2.0, 1.0]]))  # one row
-@example(np.array([[3.0], [1.0], [3.0], [3.0]]))  # one column
-@example(np.array([[2.0, 0.0, -1.0], [2.0, 1.0, -1.0], [2.0, 0.0, -1.0]]))  # all-equal columns
+), st.integers(0, 2**32 - 1))
+@example(np.array([[1.0, 1.0, -2.0, 1.0]]), 0)  # one row
+@example(np.array([[3.0], [1.0], [3.0], [3.0]]), 0)  # one column
+@example(np.array([[2.0, 0.0, -1.0], [2.0, 1.0, -1.0], [2.0, 0.0, -1.0]]), 0)  # all-equal columns
 @settings(max_examples=200, deadline=None)
-def test_average_ranks_match_loop_oracle_on_ties(scores):
-    ranks = _average_ranks(scores)
-    assert ranks.shape == scores.shape
-    for j in np.ndindex(scores.shape[1:]):  # a 1-D input is a single column
-        col = (slice(None), *j)
-        assert np.array_equal(ranks[col], _loop_average_ranks(scores[col]))
+def test_per_label_auc_matches_rank_sum_oracle_on_ties(scores, seed):
+    rng = np.random.default_rng(seed)
+    labels = rng.random(scores.shape) < rng.choice([0.1, 0.5, 0.9])
+    assert np.array_equal(per_label_auc(scores, labels), _column_auc(scores, labels), equal_nan=True)
 
 
-def test_average_ranks_peak_holds_three_input_sized_arrays():
-    # the argsort, the ranks and one index array, plus a bool mask, at the
-    # validation shape of the reference run: 300 documents, 243 leaves, and
-    # flattened as the micro-AUC ranks it
-    matrix = np.round(np.random.default_rng(7).random((300, 243)), 2)
-    for scores in (matrix, matrix.ravel()):
+def test_auc_peak_stays_below_the_score_matrix():
+    # at the validation shape of the reference run, 300 documents and 243
+    # leaves: a column's negatives are the largest temporary of the per-label
+    # pass, and the flattened matrix's negatives that of the micro AUC
+    rng = np.random.default_rng(7)
+    scores = np.round(rng.random((300, 243)), 2)
+    labels = rng.random(scores.shape) < 0.1
+    for fn, bound in ((per_label_auc, 0.5), (auc_binary, 1.5)):
         was_tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            _average_ranks(scores)
+            fn(scores, labels)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if not was_tracing:
                 tracemalloc.stop()
-        assert peak <= 3.5 * scores.nbytes, (scores.shape, peak / scores.nbytes)
+        assert peak <= bound * scores.nbytes, (fn.__name__, peak / scores.nbytes)
+
+
+def test_per_label_auc_rejects_a_vector():
+    with pytest.raises(ValueError, match="2-D"):
+        per_label_auc(np.array([0.2, 0.8]), np.array([0, 1]))
 
 
 def test_per_label_auc_matches_column_formula_bitwise():
@@ -191,7 +195,7 @@ class TestAggregates:
             scores, labels = _random_matrix(rng)
             per = [oracle_auc(scores[:, j], labels[:, j]) for j in range(scores.shape[1])]
             defined = [a for a in per if a is not None]
-            result = evaluate(scores, labels, ks=())
+            result, _ = evaluate(scores, labels, ks=())
             if not defined or oracle_auc(scores.ravel(), labels.ravel()) is None:
                 assert result["macro_auc"] is None and result["micro_auc"] is None
                 assert result["skipped_labels"] == len(per)
@@ -245,7 +249,8 @@ class TestEvaluate:
         labels = (rng.random((20, 10)) < 0.3).astype(float)
         labels[0, 0] = 1.0
         labels[1, 0] = 0.0
-        d = evaluate(scores, labels, ks=(5, 8, 15))
+        d, per_label = evaluate(scores, labels, ks=(5, 8, 15))
+        assert np.array_equal(per_label, per_label_auc(scores, labels), equal_nan=True)
         assert set(d) >= {"macro_auc", "micro_auc", "macro_f1", "micro_f1",
                           "skipped_labels", "p_at_5", "p_at_8"}
         assert "p_at_15" not in d  # k beyond the label count is skipped
@@ -260,8 +265,8 @@ class TestEvaluate:
         scores = data.draw(arrays(np.float64, (n_docs, n_labels), elements=_TIE_VALUES))
         labels = data.draw(arrays(np.uint8, (n_docs, n_labels), elements=st.integers(0, 1)))
         perm = np.array(data.draw(st.permutations(range(n_docs))))
-        want = evaluate(scores, labels, ks=(1, 3, 5))
-        got = evaluate(scores[perm], labels[perm], ks=(1, 3, 5))
+        want, _ = evaluate(scores, labels, ks=(1, 3, 5))
+        got, _ = evaluate(scores[perm], labels[perm], ks=(1, 3, 5))
         assert sorted(got) == sorted(want)
         for key, value in want.items():
             if key.startswith("p_at_"):

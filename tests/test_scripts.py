@@ -1,0 +1,41 @@
+"""Smoke test of ``scripts/``.
+
+``seed_sweep.py`` imports ``run_pipeline`` from ``run_reference_experiment.py``
+and ``environment`` from ``perfbench/worker.py``, so a change to either can
+break the sweep while every library test passes.  The sweep runs in a
+subprocess with ``scripts`` on its path, as it is run by hand; it puts
+``perfbench`` on its own path.
+"""
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SWEEP = """
+import json, sys
+from pathlib import Path
+import seed_sweep
+flat, records = seed_sweep.run_pipeline(Path(sys.argv[1]), 0, branching="2,2,2,2,2",
+                                        docs="40,10,10", epochs_per_level="1,1,1,1,1")
+print(json.dumps({"flat": flat, "records": records, "env": seed_sweep.sweep_environment()}))
+"""
+
+
+def test_seed_sweep_runs_a_tiny_pipeline(tmp_path):
+    path = [str(ROOT / "src"), str(ROOT / "scripts"), os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run(
+        [sys.executable, "-c", SWEEP, str(tmp_path / "run")], cwd=ROOT, capture_output=True,
+        text=True, timeout=300, env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-2000:]
+    out = json.loads(done.stdout.splitlines()[-1])
+    assert out["flat"]["event"] == "metrics"
+    events = [r["event"] for r in out["records"]]
+    assert events == ["metrics"] + ["auc_bucket"] * 4
+    env = out["env"]
+    assert re.fullmatch(r"[0-9a-f]{64}", env["src_sha256"])
+    assert env["git_sha"] is None or re.fullmatch(r"[0-9a-f]{40}", env["git_sha"])
