@@ -98,9 +98,12 @@ def _codes_from_records(records) -> list[str]:
     return sorted({label for rec in records for label in rec["labels"]})
 
 
-def _load_split(records, path, vocab, max_len) -> data.Dataset:
-    """``data.load_dataset``, reporting the documents it drops for having no tokens."""
-    dataset = data.load_dataset(records, vocab, max_len)
+def _load_split(records, path, vocab, max_len, min_count=data.MIN_COUNT) -> data.Dataset:
+    """``data.load_dataset``, reporting the documents it drops for having no
+    tokens and rejecting a split that has none left."""
+    dataset = data.load_dataset(records, vocab, max_len, min_count=min_count)
+    if not dataset.docs:
+        raise ValueError(f"{path}: none of its {len(records)} documents has a token")
     if dataset.dropped:
         print(f"skipped {len(dataset.dropped)} documents without tokens in {path}",
               file=sys.stderr)
@@ -211,10 +214,8 @@ def cmd_train(args) -> int:
     else:
         tree = icd.build_label_tree([icd.parse_code_auto(c) for c in codes], ranges)
 
-    vocab = data.build_vocab(
-        (data.tokenize(rec["text"]) for rec in train_records), min_count=args.min_count
-    )
-    train_set = _load_split(train_records, args.train, vocab, args.max_len)
+    train_set = _load_split(train_records, args.train, None, args.max_len, args.min_count)
+    vocab = train_set.vocab
     valid_set = _load_split(valid_records, args.valid, vocab, args.max_len)
     del train_records, valid_records  # indexed; training holds only the splits
 

@@ -6,10 +6,9 @@ Dataset files are line-delimited JSON records with fields ``id`` (string),
 from __future__ import annotations
 
 import json
-import re
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import count, repeat
 
 import numpy as np
 
@@ -27,12 +26,19 @@ PAD, UNK = 0, 1
 MIN_COUNT = 3  # default vocabulary cut: tokens seen fewer times in training map to UNK
 MAX_LEN = 4096  # default note length in tokens; longer notes are cut
 
-_TOKEN_RE = re.compile(r"[A-Za-z]+")
+# each byte of a note's UTF-8 encoding: ASCII letters lowered, every other byte a space
+_LETTER_BYTES = bytes(
+    ord(ch.lower()) if "A" <= ch <= "Z" or "a" <= ch <= "z" else ord(" ") for ch in map(chr, range(256))
+)
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercased maximal runs of ASCII letters; everything else separates."""
-    return [tok.lower() for tok in _TOKEN_RE.findall(text)]
+    """Lowercased maximal runs of ASCII letters; everything else separates.
+
+    The note is lowered once, as bytes: every byte of a non-ASCII character is
+    0x80 or above, so only ASCII letters survive ``_LETTER_BYTES``.
+    """
+    return text.encode("utf-8", "surrogatepass").translate(_LETTER_BYTES).decode("ascii").split()
 
 
 @dataclass
@@ -120,20 +126,52 @@ def index_note(text: str, vocab: Vocab, max_len: int) -> tuple[list[str], np.nda
     return tokens, vocab.indices(tokens)
 
 
-def load_dataset(records: list[dict], vocab: Vocab, max_len: int) -> Dataset:
+def load_dataset(records: list[dict], vocab: Vocab | None, max_len: int,
+                 *, min_count: int = MIN_COUNT) -> Dataset:
     """Tokenize and index dataset records; ``Dataset.label_matrix`` checks the labels.
 
-    Documents without tokens go to ``Dataset.dropped``.
+    With ``vocab`` None the records are also the vocabulary's corpus
+    (``build_vocab`` at ``min_count``), read in the same pass that indexes
+    them.  Documents without tokens go to ``Dataset.dropped``.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
+    if vocab is None:
+        vocab, ids = _build_vocab_and_index(records, max_len, min_count)
+    else:
+        ids = (index_note(rec["text"], vocab, max_len)[1] for rec in records)
     docs, dropped = [], []
-    for rec in records:
-        tokens, ids = index_note(rec["text"], vocab, max_len)
-        (docs if tokens else dropped).append(
-            Document(id=rec["id"], tokens=ids, labels=tuple(sorted(set(rec["labels"]))))
+    for rec, note_ids in zip(records, ids):
+        (docs if len(note_ids) else dropped).append(
+            Document(id=rec["id"], tokens=note_ids, labels=tuple(sorted(set(rec["labels"]))))
         )
     return Dataset(docs=docs, vocab=vocab, max_len=max_len, dropped=dropped)
+
+
+def _build_vocab_and_index(records, max_len, min_count) -> tuple[Vocab, list[np.ndarray]]:
+    """``build_vocab`` over the records' notes, and each note's ids under it.
+
+    Each note is tokenized once: ``build_vocab`` counts all its tokens, and its
+    first ``max_len`` are kept under provisional ids, numbered by first
+    appearance, until the vocabulary is fixed.  Only one note's uncut tokens
+    are held at a time.
+    """
+    provisional: dict[str, int] = {}
+    cuts = []
+
+    def notes():
+        for rec in records:
+            tokens = tokenize(rec["text"])
+            cut = tokens[:max_len]  # index_note's cut
+            provisional.update(zip(sorted(set(cut).difference(provisional)), count(len(provisional))))
+            cuts.append(np.fromiter(map(provisional.__getitem__, cut), dtype=np.int32, count=len(cut)))
+            yield tokens
+
+    vocab = build_vocab(notes(), min_count)
+    final = vocab.indices(list(provisional))  # provisional id -> vocabulary id
+    for ids in cuts:
+        ids[:] = final[ids]
+    return vocab, cuts
 
 
 def filter_top_k_labels(splits: list[list[dict]], k: int) -> list[list[dict]]:

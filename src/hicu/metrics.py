@@ -6,8 +6,10 @@ import numpy as np
 
 def per_label_auc(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Mann-Whitney AUC of each column of a 2-D matrix, ties credited 0.5; NaN
-    where a column lacks a class.  Each positive counts the negatives below it
-    and those at or below it, which sums to twice the U statistic, exactly."""
+    where a column lacks a class.  One class is sorted and each member of the
+    other counts the sorted entries below it and those at or below it.  Counted
+    by the positives that sums to twice the U statistic, exactly; counted by
+    the negatives it is ``2·n_pos·n_neg`` minus that."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels).astype(bool)
     if scores.shape != labels.shape:
@@ -16,12 +18,18 @@ def per_label_auc(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a 2-D score matrix, got shape {scores.shape}")
     out = np.full(scores.shape[1], np.nan)
     for j, (col, pos) in enumerate(zip(scores.T, labels.T)):
-        neg = col[~pos]
-        if 0 < len(neg) < len(col):
-            neg.sort()
-            hit = col[pos]
-            count = np.searchsorted(neg, hit, "left").sum() + np.searchsorted(neg, hit, "right").sum()
-            out[j] = count / (2 * len(hit) * len(neg))
+        n_pos = int(np.count_nonzero(pos))
+        pairs = n_pos * (len(col) - n_pos)
+        if pairs:
+            # the larger class is sorted: numpy sorts an entry several times
+            # faster than searchsorted places one
+            many_pos = 2 * n_pos > len(col)
+            ref, keys = (col[pos], col[~pos]) if many_pos else (col[~pos], col[pos])
+            ref.sort()
+            count = np.searchsorted(ref, keys, "left").sum() + np.searchsorted(ref, keys, "right").sum()
+            if many_pos:
+                count = 2 * pairs - count
+            out[j] = count / (2 * pairs)
     return out
 
 
@@ -55,25 +63,39 @@ def check_p_at(ks: tuple[int, ...]) -> None:
         raise ValueError(f"p_at entries must be >= 1, got {list(ks)}")
 
 
+P_AT_ROWS = 64  # documents sorted at a time by precision_at_k
+
+
 def precision_at_k(scores: np.ndarray, labels: np.ndarray, k: int | list[int]) -> float | list[float]:
     """Mean fraction of true labels among each document's top-k scores.
 
     ``k`` is one cutoff, giving a float, or a sequence of them, giving a list
-    from one row-wise sort.  Ties are broken by ascending label index.
+    from one row-wise sort.  Ties are broken by ascending label index.  Rows
+    are sorted ``P_AT_ROWS`` at a time.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels).astype(bool)
     if scores.shape != labels.shape:
         raise ValueError("score and label matrices must have identical shapes")
     n_docs, n_labels = scores.shape
+    if n_docs == 0:
+        raise ValueError("precision@k needs at least one document")
     ks = [int(c) for c in np.atleast_1d(k)]
     for c in ks:
         if not 1 <= c <= n_labels:
             raise ValueError(f"k={c} out of range 1..{n_labels}")
-    top = np.argsort(-scores, axis=1, kind="stable")[:, : max(ks)]
-    hits = np.cumsum(np.take_along_axis(labels, top, axis=1), axis=1)  # hits among the top 1, 2, ...
-    # each cutoff sums its per-document fractions in document order, not pairwise
-    out = [float(np.cumsum(hits[:, c - 1] / c)[-1] / n_docs) for c in ks]
+    totals = np.zeros(len(ks))
+    for lo in range(0, n_docs, P_AT_ROWS):
+        rows = slice(lo, lo + P_AT_ROWS)
+        top = np.argsort(-scores[rows], axis=1, kind="stable")[:, : max(ks)]
+        hits = np.cumsum(np.take_along_axis(labels[rows], top, axis=1), axis=1)  # hits among the top 1, 2, ...
+        for i, c in enumerate(ks):
+            # each cutoff sums its per-document fractions in document order,
+            # not pairwise, starting each block from the sum so far
+            fractions = hits[:, c - 1] / c
+            fractions[0] += totals[i]
+            totals[i] = np.cumsum(fractions)[-1]
+    out = [float(total / n_docs) for total in totals]
     return out if np.ndim(k) else out[0]
 
 

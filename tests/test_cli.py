@@ -677,6 +677,45 @@ def test_documents_without_tokens_are_reported(corpus_dir, trained_dir, tmp_path
         f"skipped 1 documents without tokens in {tmp_path / 'test.jsonl'}\n")
 
 
+def _without_tokens(src, dst):
+    """Copy a split with every note's text replaced by one without a token."""
+    dst.write_text("".join(json.dumps({**json.loads(line), "text": "1234 !!"}) + "\n"
+                           for line in src.read_text().splitlines()))
+
+
+@pytest.mark.parametrize("split", ["train", "valid"])
+def test_train_rejects_a_split_without_tokens(corpus_dir, tmp_path, capsys, epochs_started, split):
+    path = tmp_path / f"{split}.jsonl"
+    _without_tokens(corpus_dir / f"{split}.jsonl", path)
+    assert main(_train_argv(corpus_dir, tmp_path / "model", f"--{split}", str(path))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"HICU_ERROR code=invalid_input detail={path}: none of its ")
+    assert err.rstrip().endswith("documents has a token")
+    assert epochs_started == []
+    assert not (tmp_path / "model").exists()
+
+
+def test_eval_rejects_a_test_split_without_tokens(corpus_dir, trained_dir, tmp_path, capsys):
+    path = tmp_path / "test.jsonl"
+    _without_tokens(corpus_dir / "test.jsonl", path)
+    assert main(["eval", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                 "--test", str(path), "--out", str(tmp_path / "eval")]) == 1
+    assert capsys.readouterr().err == (
+        f"HICU_ERROR code=invalid_input detail={path}: none of its 40 documents has a token\n")
+    assert not (tmp_path / "eval").exists()
+
+
+def test_train_tokenizes_each_note_once(corpus_dir, tmp_path, monkeypatch):
+    from hicu import data
+
+    calls = []
+    tokenize = data.tokenize
+    monkeypatch.setattr(data, "tokenize", lambda text: calls.append(text) or tokenize(text))
+    assert main(_train_argv(corpus_dir, tmp_path, "--epochs-per-level", "0,0,0,0,1")) == 0
+    n_notes = sum(len(data.read_jsonl(corpus_dir / f"{split}.jsonl")) for split in ("train", "valid"))
+    assert len(calls) == n_notes
+
+
 _MISLABELLED_EMPTY = json.dumps({"id": "e", "text": "1234 !!", "labels": ["999.99"]}) + "\n"
 
 

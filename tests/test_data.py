@@ -3,9 +3,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hicu import data
 from hicu.data import (
     PAD,
     UNK,
@@ -35,6 +36,17 @@ class TestTokenize:
         once = tokenize(text)
         again = tokenize(" ".join(once))
         assert once == again
+
+
+    @given(st.text(st.characters(exclude_categories=()), max_size=200))  # lone surrogates too
+    @example("\u0130stanbul")  # İ lowers to two characters as str, to "i̇" (i and a combining dot)
+    @example("\u212aelvin K")  # the Kelvin sign lowers to "k" as str
+    @example("Stra\u00dfe STRASSE")  # ß
+    @example("\u01c5emal")  # ǅ, a titlecase digraph
+    @example("Ab\ud800Cd \udfff")  # lone surrogates
+    @settings(max_examples=300, deadline=None)
+    def test_matches_lowering_each_ascii_run(self, text):
+        assert tokenize(text) == [tok.lower() for tok in re.findall(r"[A-Za-z]+", text)]
 
 
 class TestVocab:
@@ -117,6 +129,33 @@ class TestLoadDataset:
         vocab = build_vocab(tokenize(r["text"]) for r in records)
         with pytest.raises(ValueError, match="max_len must be >= 1"):
             load_dataset(records, vocab, max_len=max_len)
+
+    @given(st.lists(st.lists(st.sampled_from(["Alpha", "beta", "gamma", "Delta", "7", "!"]), max_size=9),
+                    min_size=1, max_size=8),
+           st.integers(1, 6), st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_without_a_vocabulary_builds_build_vocabs(self, notes, max_len, min_count):
+        # tokens past max_len still count towards the vocabulary
+        records = [{"id": f"d{i}", "text": " ".join(words), "labels": ["a"]} for i, words in enumerate(notes)]
+        vocab = build_vocab((tokenize(r["text"]) for r in records), min_count=min_count)
+        want = load_dataset(records, vocab, max_len)
+        got = load_dataset(records, None, max_len, min_count=min_count)
+        assert got.vocab == vocab and got.max_len == max_len
+        for kept_got, kept_want in ((got.docs, want.docs), (got.dropped, want.dropped)):
+            assert [(d.id, d.labels) for d in kept_got] == [(d.id, d.labels) for d in kept_want]
+            assert all(a.tokens.dtype == np.int32 and np.array_equal(a.tokens, b.tokens)
+                       for a, b in zip(kept_got, kept_want))
+
+    def test_without_a_vocabulary_tokenizes_each_note_once(self, small_corpus, monkeypatch):
+        calls = []
+        monkeypatch.setattr(data, "tokenize", lambda text: calls.append(text) or tokenize(text))
+        records = small_corpus.splits["train"]
+        load_dataset(records, None, 16)
+        assert calls == [r["text"] for r in records]
+
+    def test_without_a_vocabulary_rejects_no_records(self):
+        with pytest.raises(ValueError, match="empty corpus"):
+            load_dataset([], None, 16)
 
     def test_empty_docs_skipped_and_counted(self, small_corpus, tmp_path):
         label = small_corpus.tree.level_labels(small_corpus.tree.k_max)[0]

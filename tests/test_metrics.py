@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from hicu.metrics import (
+    P_AT_ROWS,
     auc_binary,
     evaluate,
     macro_micro_f1,
@@ -135,15 +136,30 @@ def test_per_label_auc_matches_column_formula_bitwise():
     assert single_class > 0
 
 
+@pytest.mark.parametrize("n_pos", [1, 9, 10, 11, 19])
+def test_per_label_auc_matches_column_formula_whichever_class_is_larger(n_pos):
+    # 20 documents: positives the minority, exactly half or the majority of every column
+    rng = np.random.default_rng(n_pos)
+    scores = rng.integers(-3, 4, (20, 40)).astype(np.float64)
+    labels = np.zeros(scores.shape, dtype=bool)
+    for j in range(scores.shape[1]):
+        labels[rng.permutation(20)[:n_pos], j] = True
+    assert np.array_equal(per_label_auc(scores, labels), _column_auc(scores, labels))
+    assert auc_binary(scores, labels) == _column_auc(scores.reshape(-1, 1), labels.reshape(-1, 1))[0]
+
+
 def test_p_at_k_matches_lexsort_loop_bitwise():
     rng = np.random.default_rng(6)
+    tallest = 0
     for _ in range(100):
-        scores, labels = _tie_heavy_matrix(rng, max_docs=200)
+        scores, labels = _tie_heavy_matrix(rng, max_docs=3 * P_AT_ROWS)
         n_labels = scores.shape[1]
+        tallest = max(tallest, scores.shape[0])
         ks = sorted({1, (n_labels + 1) // 2, n_labels})
         want = [_loop_precision_at_k(scores, labels, k) for k in ks]
         assert [precision_at_k(scores, labels, k) for k in ks] == want
         assert precision_at_k(scores, labels, ks[::-1]) == want[::-1]  # one sort serves every k
+    assert tallest > 2 * P_AT_ROWS  # the running totals crossed at least two block boundaries
 
 
 class TestAucBinary:
@@ -230,6 +246,10 @@ class TestAggregates:
         labels = np.array([[0.0, 1.0, 0.0]])
         # index 0 wins the tie, so the single pick misses the positive
         assert precision_at_k(scores, labels, 1) == 0.0
+
+    def test_p_at_k_needs_a_document(self):
+        with pytest.raises(ValueError, match="at least one document"):
+            precision_at_k(np.zeros((0, 3)), np.zeros((0, 3)), 1)
 
     def test_p_at_k_range_validated(self):
         with pytest.raises(ValueError):
