@@ -307,8 +307,8 @@ def cmd_eval(args) -> int:
     out_records = [{"event": "metrics", **record}]
 
     if base_scores is not None:
-        train_records = data.read_jsonl(args.train)
-        counts = Counter(l for rec in train_records for l in rec["labels"])
+        # one record's text at a time; a label counts once per document, as in load_dataset
+        counts = Counter(l for rec in data.iter_jsonl(args.train) for l in set(rec["labels"]))
         train_counts = [counts.get(c, 0) for c in state.codes]
         base_auc = metrics.per_label_auc(base_scores, y)
         out_records.extend(_bucket_table(state.codes, train_counts, model_auc, base_auc))

@@ -107,10 +107,17 @@ class Dataset:
         return y
 
 
+def iter_jsonl(path):
+    """The records of a JSONL dataset file, one at a time; blank lines are skipped."""
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                yield json.loads(line)
+
+
 def read_jsonl(path) -> list[dict]:
     """The records of a JSONL dataset file; blank lines are skipped."""
-    with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+    return list(iter_jsonl(path))
 
 
 def write_jsonl(path, records) -> None:

@@ -20,14 +20,17 @@ Backward turns dH into dpre in place and sums the window gradients into a
 (B, N, d_e) array in slot order from 0.0, which keeps the bits of a sum over
 a padded array.
 
-The decoder's attention works on one document at a time, in one reused
-(N, L) buffer that stays in cache.  Decode passes over a document's slab
-with the score matmul, the token-axis max m, the subtraction of m, the
-exp and the sum s.  It then pools the unnormalised slab
+The decoder's attention works on blocks of k consecutive documents, in
+one reused (k, N, L) buffer per lane, with k = SLAB_BYTES // (8*N*L) (at
+least 1, at most B) so the block's slab stays in cache.  Each operation
+below is one batched numpy call per block, so a batch of small documents
+pays for a few calls rather than a few per document.  Decode passes over a
+block's slab with the score matmul, the token-axis max m, the subtraction of
+m, the exp and the sum s.  It then pools the unnormalised slab
 E = exp(scores - m) and divides the (L, d_f) result by s, instead of
 dividing the slab.  The (B, N, L) attention is never stored: the trace
-keeps m and s, two (B, L) arrays.  Backward rebuilds each document's E as
-exp([H | 1] @ [qhat ; -m]), one matmul and one exp.  It takes the softmax
+keeps m and s, two (B, L) arrays.  Backward rebuilds each block's E as
+exp([H | -1] @ [qhat ; m]), one matmul and one exp.  It takes the softmax
 correction sum_n A * dA from V instead of the slab (FlashAttention-2's
 D term, rowsum(dV * V)) and folds it and the 1/s into one more matmul, so
 it makes two elementwise passes (the exp and one product) on top of its
@@ -36,20 +39,23 @@ the slab as a batched softmax would.  Deferring the division and folding
 -m into the matmul move the low-order bits of V, the logits and every
 gradient against a softmax-then-pool evaluation.
 
-Decode and the attention backward split a batch's documents across worker
-lanes, one per CPU the process may use and at most one per document (the
-per-row split of FlashAttention-2).  Lane w takes documents w, w+n, w+2n,
-...; lane 0 runs on the calling thread and the others on threads started
-for the call and joined before it returns, which call numpy only, never a
+Decode and the attention backward split a batch's blocks across worker
+lanes, one per CPU the process may use and at most one per block (the
+per-row split of FlashAttention-2).  Lane w takes blocks w, w+n, w+2n, ...;
+lane 0 runs on the calling thread and the others on threads started for
+the call and joined before it returns, which call numpy only, never a
 public function of the package.  Each lane has its own buffers, allocated
 by the calling thread so they come from the arena the encoder backward
 reuses, and writes only its own documents' rows of m, s, V and dpre.
-Document b's H^T dS goes into its lane's (d_f, L) buffer and is added into
-dqhat only after document b-1's add, so dqhat is summed in document order
-from 0.0 at any lane count.  The encoder and kernel-gradient GEMMs stay on
+A block's per-document H^T dS go into its lane's (k, d_f, L) buffer and are
+added into dqhat one document at a time, only after the previous block's
+adds, so dqhat is summed in document order from 0.0 at any lane count and
+block size.  The other block operations give each document the bits of a
+per-document call (a batched matmul is one GEMM per document).  The encoder and kernel-gradient GEMMs stay on
 the calling thread.  Below a document's N*L*d_f work of LANE_WORK_FLOOR one
-lane runs inline.  So the bits do not depend on the lane count; with one
-BLAS thread (the CLI pins it) they do not depend on the core count either.
+lane runs inline.  So the bits depend on neither the lane count nor the
+block size; with one BLAS thread (the CLI pins it) they do not depend on the
+core count either.
 """
 from __future__ import annotations
 
@@ -69,6 +75,15 @@ CORRECTION_MODES = ("none", "add", "concat")
 # went from 3.5-4.3 to 3.9-4.3 ms, and at paper-wide's leaf level (4.5M)
 # from 46-56 to 27-32 ms.
 LANE_WORK_FLOOR = 2**20
+
+# The bytes of a block's (k, N, L) float64 slab: decode and backward take
+# k = SLAB_BYTES // (8*N*L) documents per numpy call, at least 1 and at most B.
+# scripts/slab_sweep.py, one BLAS thread, 2-core x86_64 VM, B = 16: a
+# forward-backward step from one document per block to 256 KiB went at
+# reference L = 3 from 1.26 to 0.67 ms (k = 16), L = 81 1.75 -> 1.62 (k = 6),
+# L = 214 3.18 -> 2.53 (k = 2), and at paper-wide L = 5 5.28 -> 4.86 (k = 16).
+# At 1 MiB the reference leaf (k = 9) took 2.95 ms.
+SLAB_BYTES = 256 * 2**10
 
 
 @dataclass
@@ -223,19 +238,25 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
+def _block_size(B: int, N: int, L: int) -> int:
+    """Documents per block: as many (N, L) float64 slabs as fit in SLAB_BYTES,
+    at least one and at most the batch."""
+    return max(1, min(B, SLAB_BYTES // (8 * N * L)))
+
+
 def _lane_count(B: int, N: int, L: int, d_f: int) -> int:
-    """Worker lanes for a batch: one per core, at most one per document, and
+    """Worker lanes for a batch: one per core, at most one per block, and
     one when a document's N*L*d_f attention work is below LANE_WORK_FLOOR."""
     if N * L * d_f < LANE_WORK_FLOOR:
         return 1
-    return max(1, min(_cores(), B))
+    return max(1, min(_cores(), -(-B // _block_size(B, N, L))))
 
 
 def _run_lanes(lane, n: int, done: list[threading.Event] | None, *args) -> None:
     """Run ``lane(w, n, done, *args)`` for w = 0..n-1: lane 0 on the calling
     thread, the others on threads started for this call and joined before it
-    returns.  Lane w takes documents w, w+n, w+2n, ...  When a lane ends,
-    raised or not, its documents' events are set, so no lane waits forever on
+    returns.  Lane w takes blocks w, w+n, w+2n, ...  When a lane ends,
+    raised or not, its blocks' events are set, so no lane waits forever on
     another; the first lane's error is re-raised here once every lane has
     stopped.
 
@@ -274,17 +295,26 @@ def _run_lanes(lane, n: int, done: list[threading.Event] | None, *args) -> None:
             raise exc
 
 
-def _decode_lane(w, n, done, H, qhat, m, s, V, slabs) -> None:
-    E = slabs[w]  # one document's scores, turned into exp(scores - m) in place
-    for b in range(w, len(H), n):
-        Hb, mb, sb, Vb = H[b], m[b], s[b], V[b]
+def _blocks(w: int, n: int, k: int, B: int):
+    """Lane w's blocks of k consecutive documents: (block index, first
+    document, last document + 1), for blocks w, w+n, w+2n, ..."""
+    for j in range(w, -(-B // k), n):
+        yield j, j * k, min(j * k + k, B)
+
+
+def _decode_lane(w, n, done, k, H, qhat, m, s, V, slabs) -> None:
+    E = slabs[w]  # a block's scores, turned into exp(scores - m) in place
+    for _, lo, hi in _blocks(w, n, k, len(H)):
+        if hi - lo < k:  # the batch's last block
+            E = E[: hi - lo]
+        Hb, mb, sb, Vb = H[lo:hi], m[lo:hi], s[lo:hi], V[lo:hi]
         np.matmul(Hb, qhat, out=E)
-        E.max(axis=0, out=mb)
-        E -= mb
+        E.max(axis=1, out=mb)
+        E -= mb[:, None]
         np.exp(E, out=E)
-        E.sum(axis=0, out=sb)
-        np.matmul(E.T, Hb, out=Vb)
-        Vb /= sb[:, None]  # the softmax division, on (L, d_f) instead of the slab
+        E.sum(axis=1, out=sb)
+        np.matmul(E.transpose(0, 2, 1), Hb, out=Vb)
+        Vb /= sb[:, :, None]  # the softmax division, on (L, d_f) instead of the slab
 
 
 def decode(H: np.ndarray, dec: DecoderParams) -> tuple[np.ndarray, dict]:
@@ -301,8 +331,9 @@ def decode(H: np.ndarray, dec: DecoderParams) -> tuple[np.ndarray, dict]:
     m = np.empty((B, L))
     s = np.empty((B, L))
     V = np.empty((B, L, d_f))
+    k = _block_size(B, N, L)
     n = _lane_count(B, N, L, d_f)
-    _run_lanes(_decode_lane, n, None, H, qhat, m, s, V, [np.empty((N, L)) for _ in range(n)])
+    _run_lanes(_decode_lane, n, None, k, H, qhat, m, s, V, [np.empty((k, N, L)) for _ in range(n)])
     w_sum = dec.W.sum(axis=1)  # sum pooling of Z = V W collapses W to row sums
     logits = V @ w_sum + dec.b
     yhat = sigmoid(logits)
@@ -329,44 +360,47 @@ def forward(x: np.ndarray, enc: EncoderParams, dec: DecoderParams) -> tuple[np.n
     return yhat, trace
 
 
-def _backward_buffers(N: int, d_f: int, qhat: np.ndarray) -> tuple[np.ndarray, ...]:
-    """One lane's per-document buffers for backward."""
+def _backward_buffers(k: int, N: int, d_f: int, qhat: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One lane's buffers for backward, for blocks of up to k documents."""
     L = qhat.shape[1]
-    H1 = np.ones((N, d_f + 1))  # [H_b | 1]
-    qm = np.empty((d_f + 1, L))  # [qhat ; -m_b]
-    qm[:d_f] = qhat
-    G = np.empty((L, d_f + 1))  # [dV_b / s_b | -c_b / s_b]
-    return H1, qm, G, np.empty((N, L)), np.empty((N, L)), np.empty((d_f, L))
+    H1 = np.full((k, N, d_f + 1), -1.0)  # [H_b | -1]
+    qm = np.empty((k, d_f + 1, L))  # [qhat ; m_b]
+    qm[:, :d_f] = qhat
+    G = np.empty((k, L, d_f + 1))  # [dV_b / s_b | c_b / s_b]
+    return H1, qm, G, np.empty((k, N, L)), np.empty((k, N, L)), np.empty((k, d_f, L))
 
 
-def _backward_lane(w, n, done, trace, dY, w_sum, dpre, dqhat, buffers) -> None:
+def _backward_lane(w, n, done, k, trace, dY, w_sum, dpre, dqhat, buffers) -> None:
     # V = A^T H, A = E / s with E = exp(H qhat - m), per document.  With
     # dA = H dV^T the softmax gives dS = A * (dA - c), where
     # c[l] = sum_n A dA = dV[l] . V[l] (FlashAttention-2's D term), so
-    #   dS = E * ([H | 1] @ [dV / s | -c / s]^T),  dH = E @ (dV / s) + dS @ qhat^T
+    #   dS = E * ([H | -1] @ [dV / s | c / s]^T),  dH = E @ (dV / s) + dS @ qhat^T
     # and the slab sees two elementwise passes: the exp and the product.
-    # Document b's H^T dS is added into dqhat only after document b-1's, so
-    # dqhat is summed in document order at any lane count.
-    H1, qm, G, E, dS, HdS = buffers[w]
+    # The -1 column gives -m and -c as exact products inside the matmuls.
+    # Block j's H^T dS are added into dqhat one document at a time, after
+    # block j-1's, so dqhat is summed in document order at any lane count.
     d_f = trace.H.shape[2]
-    dVs, negc = G[:, :d_f], G[:, d_f]
-    for b in range(w, len(dY), n):
-        Hb, mb, sb, dHb = trace.H[b], trace.m[b], trace.s[b], dpre[b]
-        H1[:, :d_f] = Hb
-        np.negative(mb, out=qm[d_f])
+    H1, qm, G, E, dS, HdS = buffers[w]
+    for j, lo, hi in _blocks(w, n, k, len(dY)):
+        if hi - lo < k:  # the batch's last block
+            H1, qm, G, E, dS, HdS = (a[: hi - lo] for a in buffers[w])
+        Hb, mb, sb, dHb = trace.H[lo:hi], trace.m[lo:hi], trace.s[lo:hi], dpre[lo:hi]
+        dVs = G[:, :, :d_f]
+        H1[:, :, :d_f] = Hb
+        qm[:, d_f] = mb
         np.exp(np.matmul(H1, qm, out=E), out=E)
-        np.multiply((dY[b] / sb)[:, None], w_sum, out=dVs)
-        np.einsum("ld,ld->l", dVs, trace.V[b], out=negc)
-        negc *= -1.0
-        np.matmul(H1, G.T, out=dS)
+        np.multiply((dY[lo:hi] / sb)[:, :, None], w_sum, out=dVs)
+        np.einsum("kld,kld->kl", dVs, trace.V[lo:hi], out=G[:, :, d_f])
+        np.matmul(H1, G.transpose(0, 2, 1), out=dS)
         dS *= E
         np.matmul(E, dVs, out=dHb)
-        np.matmul(Hb.T, dS, out=HdS)
-        if done is not None and b > 0:
-            done[b - 1].wait()
-        dqhat += HdS
+        np.matmul(Hb.transpose(0, 2, 1), dS, out=HdS)
+        if done is not None and j > 0:
+            done[j - 1].wait()
+        for b in range(hi - lo):
+            dqhat += HdS[b]
         if done is not None:
-            done[b].set()
+            done[j].set()
         dHb += dS @ trace.qhat.T
         dHb *= 1.0 - Hb**2
 
@@ -391,12 +425,13 @@ def backward(
     dW = np.repeat(dw_sum[:, None], L, axis=1)  # every column of W gets the same grad
     db = dY.sum(axis=0)
 
+    k = _block_size(B, N, L)
     n = _lane_count(B, N, L, d_f)
     dpre = np.empty_like(trace.H)  # dH, taken through H = tanh(pre) in place
     dqhat = np.zeros((d_f, L))
-    done = [threading.Event() for _ in range(B)] if n > 1 else None
-    _run_lanes(_backward_lane, n, done, trace, dY, w_sum, dpre, dqhat,
-               [_backward_buffers(N, d_f, trace.qhat) for _ in range(n)])  # freed before the encoder's arrays
+    done = [threading.Event() for _ in range(-(-B // k))] if n > 1 else None
+    _run_lanes(_backward_lane, n, done, k, trace, dY, w_sum, dpre, dqhat,
+               [_backward_buffers(k, N, d_f, trace.qhat) for _ in range(n)])  # freed before the encoder's arrays
 
     grads: dict[str, np.ndarray] = {"W": dW, "b": db, "Q": dqhat}
     if dec.mode == "add":

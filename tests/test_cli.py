@@ -223,6 +223,52 @@ class TestEvalAndInspect:
             if b["n_scored"]:
                 assert b["mean_auc_delta"] == 0.0
 
+    def _self_baseline_eval(self, corpus_dir, trained_dir, out, train):
+        """Evaluate the model against its own scores, with ``train`` as --train;
+        returns the bytes of eval.jsonl."""
+        base = out / "base"
+        argv = ["eval", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                "--test", str(corpus_dir / "test.jsonl")]
+        assert main([*argv, "--out", str(base)]) == 0
+        assert main([*argv, "--train", str(train), "--baseline", str(base / "scores.npy"),
+                     "--out", str(out / "delta")]) == 0
+        return (out / "delta" / "eval.jsonl").read_bytes()
+
+    def test_baseline_counts_a_repeated_label_once_per_document(self, corpus_dir, trained_dir, tmp_path):
+        records = [json.loads(l) for l in (corpus_dir / "train.jsonl").read_text().splitlines()]
+        repeated = tmp_path / "repeated.jsonl"
+        repeated.write_text("".join(json.dumps({**r, "labels": r["labels"] + r["labels"][::-1]}) + "\n"
+                                    for r in records))
+        want = self._self_baseline_eval(corpus_dir, trained_dir, tmp_path / "a", corpus_dir / "train.jsonl")
+        got = self._self_baseline_eval(corpus_dir, trained_dir, tmp_path / "b", repeated)
+        assert any(json.loads(l)["event"] == "auc_bucket" for l in want.splitlines())
+        assert got == want
+
+    def test_baseline_holds_one_training_note_at_a_time(self, corpus_dir, trained_dir, tmp_path):
+        # the same labels, with and without 20 KB of text per note: reading the
+        # notes' labels may hold a few notes, never the split
+        import tracemalloc
+
+        records = [json.loads(l) for l in (corpus_dir / "train.jsonl").read_text().splitlines()]
+        filler = " ".join(["filler"] * 3000)
+        peaks = []
+        for name, text in (("short", ""), ("long", filler)):
+            train = tmp_path / f"{name}.jsonl"
+            train.write_text("".join(json.dumps({**r, "text": r["text"] + text}) + "\n" for r in records))
+            was_tracing = tracemalloc.is_tracing()
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                self._self_baseline_eval(corpus_dir, trained_dir, tmp_path / name, train)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                if not was_tracing:
+                    tracemalloc.stop()
+        note = len(filler) + max(len(json.dumps(r)) for r in records)
+        assert peaks[1] - peaks[0] < 8 * note, (peaks, note)
+        assert 8 * note < len(records) * len(filler) / 4
+
     def test_inspect_prints_ranked_tokens(self, corpus_dir, trained_dir, capsys):
         rec = json.loads((corpus_dir / "test.jsonl").read_text().splitlines()[0])
         rc = main([

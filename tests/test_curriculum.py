@@ -376,6 +376,7 @@ class TestWorkerLanes:
         _, atree, vocab, splits = small_setup
         assert len({len(d.tokens) for d in splits["train"].docs}) == 1  # whole batches reach the lanes
         monkeypatch.setattr(network, "LANE_WORK_FLOOR", 0)
+        monkeypatch.setattr(network, "SLAB_BYTES", 0)  # one document per block, so every lane has some
         outputs = []
         for n in (1, 2, 3):
             monkeypatch.setattr(network, "_cores", lambda n=n: n)
@@ -384,6 +385,25 @@ class TestWorkerLanes:
             trainer.save(tmp_path / f"{n}.bin")
             trainer.write_report(tmp_path / f"{n}.jsonl")
             outputs.append([(tmp_path / f"{n}.{ext}").read_bytes() for ext in ("bin", "jsonl")])
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
+    def test_checkpoint_and_report_do_not_depend_on_the_block_size(
+        self, small_setup, tiny_cfg, tmp_path, monkeypatch
+    ):
+        _, atree, vocab, splits = small_setup
+        N = len(splits["train"].docs[0].tokens)
+        leaf = len(atree.level_labels(atree.k_max))
+        outputs = []
+        # one document per block; 3 leaf documents per block (a partial last
+        # block at the leaf, whole batches at the coarse levels); the default
+        for budget in (0, 3 * 8 * N * leaf, network.SLAB_BYTES):
+            monkeypatch.setattr(network, "SLAB_BYTES", budget)
+            trainer = Trainer(splits["train"], splits["valid"], atree, None, tiny_cfg)
+            trainer.run()
+            trainer.save(tmp_path / f"{budget}.bin")
+            trainer.write_report(tmp_path / f"{budget}.jsonl")
+            outputs.append([(tmp_path / f"{budget}.{ext}").read_bytes() for ext in ("bin", "jsonl")])
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
 

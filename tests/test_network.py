@@ -565,9 +565,11 @@ class TestKernels:
 
 
 def _lanes(monkeypatch, n):
-    """Run decode and backward on n worker lanes, however small the documents."""
+    """Run decode and backward on n worker lanes, one document per block,
+    however small the documents."""
     monkeypatch.setattr(network, "_cores", lambda: n)
     monkeypatch.setattr(network, "LANE_WORK_FLOOR", 0)
+    monkeypatch.setattr(network, "SLAB_BYTES", 0)
 
 
 def _lane_batch(mode, seed, n_docs=7):
@@ -707,6 +709,45 @@ class TestWorkerLanes:
         caller.join(timeout=30)
         assert not caller.is_alive(), "backward still waits on the failed lane"
         assert outcome == [f"lane {failing} failed"]
+
+
+class TestDocumentBlocks:
+    """Decode and backward run a batch's documents in blocks of k per numpy call."""
+
+    def test_block_size(self):
+        assert network._block_size(16, 64, 3) == 16  # reference level 1
+        assert network._block_size(16, 64, 81) == 6  # reference level 4
+        assert network._block_size(16, 64, 243) == 2  # reference leaf
+        assert network._block_size(16, 256, 550) == 1  # paper-wide leaf
+        assert network._block_size(1, 64, 3) == 1  # one document per training call
+        assert network._block_size(16, 4096, 4096) == 1  # a slab larger than the budget
+
+    @pytest.mark.parametrize("lanes", [1, 3])
+    @pytest.mark.parametrize("mode", ["none", "add", "concat"])
+    def test_bits_do_not_depend_on_the_block_size(self, mode, lanes, monkeypatch):
+        # 7 documents: blocks of 3 leave a partial last block, and blocks of 7
+        # are the whole batch.  Lanes switch threads often, so a block's dqhat
+        # adds out of document order, or a lost update, would change its bits.
+        enc, dec, x, y = _lane_batch(mode, seed=10)
+        B, N = x.shape
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for k in (1, 2, 3, B):
+                _lanes(monkeypatch, lanes)
+                monkeypatch.setattr(network, "SLAB_BYTES", k * 8 * N * L)
+                assert network._block_size(B, N, L) == k
+                yhat, trace = forward(x, enc, dec)
+                grads = backward(trace, enc, dec, bce(trace.logits, y)[1])
+                runs.append({"yhat": yhat, "V": trace.V, "m": trace.m, "s": trace.s,
+                             "logits": trace.logits, **grads})
+        finally:
+            sys.setswitchinterval(interval)
+        for k, run in zip((2, 3, B), runs[1:]):
+            assert sorted(run) == sorted(runs[0])
+            for name, value in run.items():
+                assert np.array_equal(value, runs[0][name]), (k, name)
 
 
 def _stored_attention_backward(trace, A, enc, dec, dlogits):
@@ -857,26 +898,29 @@ class TestAttentionStatistics:
                            _roundoff_bounds(x, enc, dec, dlogits), f"kernel {kernel} tokens {n_tokens}")
 
     def test_decode_peak_scales_with_one_slab(self):
-        B, N, n_labels, d_f = 64, 128, 256, 4
-        rng = np.random.default_rng(0)
-        H = np.tanh(rng.normal(size=(B, N, d_f)))
-        dec = DecoderParams(Q=rng.normal(size=(d_f, n_labels)), W=rng.normal(size=(d_f, n_labels)),
-                            b=np.zeros(n_labels))
-        slab = 8 * N * n_labels
-        outputs = 8 * B * n_labels * (d_f + 4)  # V, then m, s, logits and yhat
-        whole_attention = 8 * B * N * n_labels
-        was_tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            decode(H, dec)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
-        assert peak < 1.5 * (slab + outputs), (peak, slab + outputs)
-        assert slab + outputs < whole_attention / 4
+        # the peak holds one block's (k, N, L) slab: one document per block,
+        # then documents small enough that 32 share one
+        for B, N, n_labels, d_f, k in [(64, 128, 256, 4, 1), (256, 64, 16, 1, 32)]:
+            assert network._block_size(B, N, n_labels) == k
+            rng = np.random.default_rng(0)
+            H = np.tanh(rng.normal(size=(B, N, d_f)))
+            dec = DecoderParams(Q=rng.normal(size=(d_f, n_labels)), W=rng.normal(size=(d_f, n_labels)),
+                                b=np.zeros(n_labels))
+            slab = 8 * k * N * n_labels
+            outputs = 8 * B * n_labels * (d_f + 4)  # V, then m, s, logits and yhat
+            whole_attention = 8 * B * N * n_labels
+            was_tracing = tracemalloc.is_tracing()
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                decode(H, dec)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                if not was_tracing:
+                    tracemalloc.stop()
+            assert peak < 1.5 * (slab + outputs), (k, peak, slab + outputs)
+            assert slab + outputs < whole_attention / 4
 
     def test_forward_backward_peak_holds_no_whole_batch_temporaries(self, monkeypatch):
         # One step holds the trace and the gradients, plus the larger of the
@@ -895,8 +939,8 @@ class TestAttentionStatistics:
         dlogits = rng.normal(size=(B, n_labels))
         trace = 8 * (B * N * d_f + B * n_labels * (d_f + 4))  # H; V, m, s, logits, yhat
         grads = 8 * 2 * d_f * n_labels  # W and Q; the rest are small
-        # dpre, dqhat; per lane exp(scores - m), dS; [H_b | 1]; [qhat ; -m_b],
-        # [dV_b / s_b | -c_b / s_b]; H^T dS
+        # dpre, dqhat; per lane exp(scores - m), dS; [H_b | -1]; [qhat ; m_b],
+        # [dV_b / s_b | c_b / s_b]; H^T dS
         decoder_backward = 8 * (B * N * d_f + d_f * n_labels
                                 + lanes * (2 * N * n_labels + N * (d_f + 1)
                                            + 2 * (d_f + 1) * n_labels + n_labels * d_f))
