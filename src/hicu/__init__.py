@@ -21,9 +21,9 @@ from .data import (
     Vocab,
     build_vocab,
     filter_top_k_labels,
+    iter_jsonl,
     load_dataset,
     load_embeddings,
-    read_jsonl,
     restrict_labels,
     synth_generate,
     tokenize,

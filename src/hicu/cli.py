@@ -94,16 +94,17 @@ def _seed_default() -> int:
     return int(os.environ.get("HICU_SEED", "0"))
 
 
-def _codes_from_records(records) -> list[str]:
-    return sorted({label for rec in records for label in rec["labels"]})
-
-
-def _load_split(records, path, vocab, max_len, min_count=data.MIN_COUNT) -> data.Dataset:
-    """``data.load_dataset``, reporting the documents it drops for having no
-    tokens and rejecting a split that has none left."""
+def _load_split(path, vocab, max_len, min_count=data.MIN_COUNT, keep=None) -> data.Dataset:
+    """The split file at ``path``, read one record at a time by
+    ``data.load_dataset``, with its labels cut to ``keep`` when given.
+    Reports the documents dropped for having no tokens and rejects a split
+    that has none left."""
+    records = data.iter_jsonl(path)
+    if keep is not None:
+        records = data.restrict_labels(records, keep)
     dataset = data.load_dataset(records, vocab, max_len, min_count=min_count)
     if not dataset.docs:
-        raise ValueError(f"{path}: none of its {len(records)} documents has a token")
+        raise ValueError(f"{path}: none of its {len(dataset.dropped)} documents has a token")
     if dataset.dropped:
         print(f"skipped {len(dataset.dropped)} documents without tokens in {path}",
               file=sys.stderr)
@@ -115,8 +116,7 @@ def _load_split(records, path, vocab, max_len, min_count=data.MIN_COUNT) -> data
 
 def cmd_build_tree(args) -> int:
     ranges = icd.RangeTable.from_file(args.ranges)
-    records = data.read_jsonl(args.train)
-    codes = _codes_from_records(records)
+    codes = sorted({label for rec in data.iter_jsonl(args.train) for label in rec["labels"]})
     tree = icd.build_label_tree([icd.parse_code_auto(c) for c in codes], ranges)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(tree.to_json() + "\n")
@@ -197,15 +197,15 @@ def _curriculum_config(args) -> curriculum.CurriculumConfig:
 
 def cmd_train(args) -> int:
     ranges = icd.RangeTable.from_file(args.ranges)
-    train_records = data.read_jsonl(args.train)
-    valid_records = data.read_jsonl(args.valid)
-
+    keep = None
     if args.top_k_labels is not None:
-        train_records, valid_records = data.filter_top_k_labels(
-            [train_records, valid_records], args.top_k_labels
-        )
+        keep = data.filter_top_k_labels(data.iter_jsonl(args.train), args.top_k_labels)
+    train_set = _load_split(args.train, None, args.max_len, args.min_count, keep)
+    vocab = train_set.vocab
+    valid_set = _load_split(args.valid, vocab, args.max_len, keep=keep)
 
-    codes = _codes_from_records(train_records + valid_records)
+    codes = sorted({label for split in (train_set, valid_set)
+                    for doc in split.docs + split.dropped for label in doc.labels})
     if not codes:
         raise icd.CodeError("empty label set")
     if args.tree:
@@ -213,11 +213,6 @@ def cmd_train(args) -> int:
             tree = icd.LabelTree.from_json(fh.read())
     else:
         tree = icd.build_label_tree([icd.parse_code_auto(c) for c in codes], ranges)
-
-    train_set = _load_split(train_records, args.train, None, args.max_len, args.min_count)
-    vocab = train_set.vocab
-    valid_set = _load_split(valid_records, args.valid, vocab, args.max_len)
-    del train_records, valid_records  # indexed; training holds only the splits
 
     word_embedding = None
     if args.word_emb:
@@ -281,11 +276,9 @@ def _bucket_table(codes, train_counts, model_auc, base_auc, n_buckets=4):
 
 def cmd_eval(args) -> int:
     state, meta = curriculum.load_model(args.checkpoint)
-    records = data.read_jsonl(args.test)
-    if "top_k_labels" in meta:
-        # the model was trained on the top-k codes only; score the test split the same way
-        records = data.restrict_labels(records, set(state.codes))
-    test_set = _load_split(records, args.test, state.vocab, state.max_len)
+    # a model trained on the top-k codes only scores the test split the same way
+    keep = set(state.codes) if "top_k_labels" in meta else None
+    test_set = _load_split(args.test, state.vocab, state.max_len, keep=keep)
     y = test_set.label_matrix(state.codes)
     ks = tuple(int(x) for x in args.p_at.split(","))
     metrics.check_p_at(ks)
@@ -324,8 +317,7 @@ def cmd_eval(args) -> int:
 
 def cmd_inspect(args) -> int:
     state, _ = curriculum.load_model(args.checkpoint)
-    records = data.read_jsonl(args.data)
-    rec = next((r for r in records if r["id"] == args.doc_id), None)
+    rec = next((r for r in data.iter_jsonl(args.data) if r["id"] == args.doc_id), None)
     if rec is None:
         raise ValueError(f"document {args.doc_id!r} not found in {args.data}")
     for token, weight in curriculum.inspect_attention(state, rec, args.label, args.top_n):

@@ -415,8 +415,11 @@ class Trainer:
         self._setup(train, valid, tree, emb, cfg)
         self.rng.bit_generator.state = meta["rng_state"]
         self.level_pos = meta["level_pos"]
-        self.encoder, self.decoder = _model_from_params(groups["param/"], cfg.correction,
-                                                        self._level_rows(self.level))
+        rows = self._level_rows(self.level)
+        if rows is not None and not np.array_equal(rows, groups["aux/"].get("E_h")):
+            raise ValueError(f"{path}: the given embeddings' level-{self.level} rows differ from "
+                             f"the checkpoint's aux/E_h")
+        self.encoder, self.decoder = _model_from_params(groups["param/"], cfg.correction, rows)
         self.epoch_in_level = meta["epoch_in_level"]
         self.finished = meta["finished"]
         self.best_metric = meta["best_metric"]

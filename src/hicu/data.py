@@ -62,11 +62,16 @@ class Vocab:
 def build_vocab(corpus, min_count: int = MIN_COUNT) -> Vocab:
     """Index tokens with frequency >= min_count; frequency desc, then lexicographic."""
     counts = Counter()
-    empty = True
-    for tokens in corpus:
-        empty = False
+    notes = 0
+    for notes, tokens in enumerate(corpus, start=1):
         counts.update(tokens)
-    if empty:
+    return _counted_vocab(counts, notes, min_count)
+
+
+def _counted_vocab(counts: Counter, notes: int, min_count: int) -> Vocab:
+    """The vocabulary of ``notes`` notes whose tokens occur ``counts`` times:
+    the one rule of ``build_vocab`` and of ``load_dataset`` without a vocabulary."""
+    if not notes:
         raise ValueError("empty corpus")
     eligible = sorted(
         (tok for tok, c in counts.items() if c >= min_count),
@@ -115,11 +120,6 @@ def iter_jsonl(path):
                 yield json.loads(line)
 
 
-def read_jsonl(path) -> list[dict]:
-    """The records of a JSONL dataset file; blank lines are skipped."""
-    return list(iter_jsonl(path))
-
-
 def write_jsonl(path, records) -> None:
     """Write one sorted-key JSON record per line."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -133,82 +133,67 @@ def index_note(text: str, vocab: Vocab, max_len: int) -> tuple[list[str], np.nda
     return tokens, vocab.indices(tokens)
 
 
-def load_dataset(records: list[dict], vocab: Vocab | None, max_len: int,
+def load_dataset(records, vocab: Vocab | None, max_len: int,
                  *, min_count: int = MIN_COUNT) -> Dataset:
-    """Tokenize and index dataset records; ``Dataset.label_matrix`` checks the labels.
+    """Tokenize and index dataset records, read once from any iterable;
+    ``Dataset.label_matrix`` checks the labels.  Documents without tokens go
+    to ``Dataset.dropped``.
 
     With ``vocab`` None the records are also the vocabulary's corpus
-    (``build_vocab`` at ``min_count``), read in the same pass that indexes
-    them.  Documents without tokens go to ``Dataset.dropped``.
+    (``build_vocab`` at ``min_count``): each note's uncut tokens are counted,
+    and its first ``max_len`` are kept under provisional ids, numbered by
+    first appearance, which are mapped in place to the vocabulary's ids once
+    it is fixed.  Only one note's uncut tokens are held at a time.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    if vocab is None:
-        vocab, ids = _build_vocab_and_index(records, max_len, min_count)
-    else:
-        ids = (index_note(rec["text"], vocab, max_len)[1] for rec in records)
+    counts, provisional = Counter(), {}
     docs, dropped = [], []
-    for rec, note_ids in zip(records, ids):
-        (docs if len(note_ids) else dropped).append(
-            Document(id=rec["id"], tokens=note_ids, labels=tuple(sorted(set(rec["labels"]))))
+    for rec in records:
+        if vocab is None:
+            tokens = tokenize(rec["text"])
+            counts.update(tokens)
+            cut = tokens[:max_len]  # index_note's cut
+            provisional.update(zip(sorted(set(cut).difference(provisional)), count(len(provisional))))
+            ids = np.fromiter(map(provisional.__getitem__, cut), dtype=np.int32, count=len(cut))
+        else:
+            ids = index_note(rec["text"], vocab, max_len)[1]
+        (docs if len(ids) else dropped).append(
+            Document(id=rec["id"], tokens=ids, labels=tuple(sorted(set(rec["labels"]))))
         )
+    if vocab is None:
+        vocab = _counted_vocab(counts, len(docs) + len(dropped), min_count)
+        final = vocab.indices(list(provisional))  # provisional id -> vocabulary id
+        for doc in docs:
+            doc.tokens[:] = final[doc.tokens]
     return Dataset(docs=docs, vocab=vocab, max_len=max_len, dropped=dropped)
 
 
-def _build_vocab_and_index(records, max_len, min_count) -> tuple[Vocab, list[np.ndarray]]:
-    """``build_vocab`` over the records' notes, and each note's ids under it.
+def filter_top_k_labels(records, k: int) -> set[str]:
+    """The k codes on the most records; ties are broken lexicographically.
 
-    Each note is tokenized once: ``build_vocab`` counts all its tokens, and its
-    first ``max_len`` are kept under provisional ids, numbered by first
-    appearance, until the vocabulary is fixed.  Only one note's uncut tokens
-    are held at a time.
-    """
-    provisional: dict[str, int] = {}
-    cuts = []
-
-    def notes():
-        for rec in records:
-            tokens = tokenize(rec["text"])
-            cut = tokens[:max_len]  # index_note's cut
-            provisional.update(zip(sorted(set(cut).difference(provisional)), count(len(provisional))))
-            cuts.append(np.fromiter(map(provisional.__getitem__, cut), dtype=np.int32, count=len(cut)))
-            yield tokens
-
-    vocab = build_vocab(notes(), min_count)
-    final = vocab.indices(list(provisional))  # provisional id -> vocabulary id
-    for ids in cuts:
-        ids[:] = final[ids]
-    return vocab, cuts
-
-
-def filter_top_k_labels(splits: list[list[dict]], k: int) -> list[list[dict]]:
-    """Restrict every split to the k codes most frequent in ``splits[0]``.
-
-    Ties are broken lexicographically; records left without labels are dropped.
+    A code counts once per record, as ``load_dataset`` keeps it once.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    counts = Counter(label for rec in splits[0] for label in rec["labels"])
-    keep = set(sorted(counts, key=lambda c: (-counts[c], c))[:k])
-    return [restrict_labels(records, keep) for records in splits]
+    counts = Counter(label for rec in records for label in set(rec["labels"]))
+    return set(sorted(counts, key=lambda c: (-counts[c], c))[:k])
 
 
-def restrict_labels(records: list[dict], keep) -> list[dict]:
-    """Records with their labels cut to ``keep``; records left without labels are dropped."""
-    out = []
+def restrict_labels(records, keep):
+    """The records, one at a time, with their labels cut to ``keep``; records
+    left without labels are skipped."""
     for rec in records:
         labels = sorted(l for l in rec["labels"] if l in keep)
         if labels:
-            out.append({**rec, "labels": labels})
-    return out
+            yield {**rec, "labels": labels}
 
 
-def load_embeddings(path, vocab: Vocab, d_e: int, seed: int = 0) -> np.ndarray:
-    """Embedding matrix for the vocabulary from a word-vector text file.
+def read_vectors(path, d: int | None = None) -> dict[str, np.ndarray]:
+    """The float64 row of each key of a vector text file, in file order.
 
-    File format: header ``n d``, then one ``token v1 ... v_d`` line for each
-    of ``n`` distinct tokens.  Tokens absent from the file get seeded uniform
-    rows in [-0.1, 0.1]; the PAD row is zero.
+    Format: header ``n d``, then one ``key v1 ... v_d`` line for each of ``n``
+    distinct keys; blank lines are skipped.  A given ``d`` must be the file's.
     """
     table: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8") as fh:
@@ -216,19 +201,30 @@ def load_embeddings(path, vocab: Vocab, d_e: int, seed: int = 0) -> np.ndarray:
         if len(header) != 2:
             raise ValueError(f"{path}: malformed embedding header")
         n, file_d = int(header[0]), int(header[1])
-        if file_d != d_e:
-            raise ValueError(f"{path}: file dimension {file_d} != requested {d_e}")
+        if d is not None and file_d != d:
+            raise ValueError(f"{path}: file dimension {file_d} != requested {d}")
         for line in fh:
             parts = line.split()
             if not parts:
                 continue
-            if len(parts) != d_e + 1:
+            if len(parts) != file_d + 1:
                 raise ValueError(f"{path}: malformed row for token {parts[0]!r}")
             if parts[0] in table:
                 raise ValueError(f"{path}: token {parts[0]!r} listed twice")
             table[parts[0]] = np.array([float(x) for x in parts[1:]])
     if len(table) != n:
         raise ValueError(f"{path}: expected {n} rows, found {len(table)}")
+    return table
+
+
+def load_embeddings(path, vocab: Vocab, d_e: int, seed: int = 0) -> np.ndarray:
+    """Embedding matrix for the vocabulary from a ``read_vectors`` file of
+    dimension ``d_e``, keyed by token.
+
+    Tokens absent from the file get seeded uniform rows in [-0.1, 0.1]; the
+    PAD row is zero.
+    """
+    table = read_vectors(path, d_e)
     rng = np.random.default_rng(seed)
     out = np.empty((vocab.size, d_e), dtype=np.float64)
     out[PAD] = 0.0

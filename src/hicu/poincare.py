@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import read_vectors
 from .icd import CodeError, LabelTree, Node
 
 BALL_EPS = 1e-5  # trained points keep norm <= 1 - BALL_EPS
@@ -161,22 +162,10 @@ class PoincareEmbedding:
 
     @classmethod
     def load(cls, path) -> "PoincareEmbedding":
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().split()
-            if len(header) != 2:
-                raise ValueError(f"{path}: malformed embedding header")
-            n, d_h = int(header[0]), int(header[1])
-            nodes, rows = [], []
-            for line in fh:
-                parts = line.rstrip("\n").split(" ")
-                if len(parts) != d_h + 1:
-                    raise ValueError(f"{path}: malformed embedding row {parts[0]!r}")
-                level, _, label = parts[0].partition(":")
-                nodes.append(Node(int(level), label))
-                rows.append([float(x) for x in parts[1:]])
-        if len(nodes) != n:
-            raise ValueError(f"{path}: expected {n} rows, found {len(nodes)}")
-        return cls(nodes=nodes, vectors=np.array(rows, dtype=np.float64))
+        """A file written by ``save``, read by ``data.read_vectors``."""
+        table = read_vectors(path)
+        nodes = [Node(int(level), label) for level, _, label in (key.partition(":") for key in table)]
+        return cls(nodes=nodes, vectors=np.array(list(table.values()), dtype=np.float64))
 
 
 def _exclusion_offsets(n: int, edges) -> list[np.ndarray]:

@@ -42,6 +42,22 @@ def trained_dir(corpus_dir, tmp_path_factory):
     return out
 
 
+def _traced_peak(fn):
+    """The bytes ``fn()`` allocates at its peak, under tracemalloc."""
+    import tracemalloc
+
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
 class TestSynthAndBuildTree:
     def test_synth_writes_artifacts(self, corpus_dir):
         for name in ("train.jsonl", "valid.jsonl", "test.jsonl", "ranges.tsv", "tree.json"):
@@ -247,24 +263,14 @@ class TestEvalAndInspect:
     def test_baseline_holds_one_training_note_at_a_time(self, corpus_dir, trained_dir, tmp_path):
         # the same labels, with and without 20 KB of text per note: reading the
         # notes' labels may hold a few notes, never the split
-        import tracemalloc
-
         records = [json.loads(l) for l in (corpus_dir / "train.jsonl").read_text().splitlines()]
         filler = " ".join(["filler"] * 3000)
         peaks = []
         for name, text in (("short", ""), ("long", filler)):
             train = tmp_path / f"{name}.jsonl"
             train.write_text("".join(json.dumps({**r, "text": r["text"] + text}) + "\n" for r in records))
-            was_tracing = tracemalloc.is_tracing()
-            tracemalloc.start()
-            try:
-                tracemalloc.reset_peak()
-                base = tracemalloc.get_traced_memory()[0]
-                self._self_baseline_eval(corpus_dir, trained_dir, tmp_path / name, train)
-                peaks.append(tracemalloc.get_traced_memory()[1] - base)
-            finally:
-                if not was_tracing:
-                    tracemalloc.stop()
+            peaks.append(_traced_peak(
+                lambda: self._self_baseline_eval(corpus_dir, trained_dir, tmp_path / name, train)))
         note = len(filler) + max(len(json.dumps(r)) for r in records)
         assert peaks[1] - peaks[0] < 8 * note, (peaks, note)
         assert 8 * note < len(records) * len(filler) / 4
@@ -520,9 +526,9 @@ class TestTopKLabels:
     def _filtered_train(corpus_dir, k):
         from collections import Counter
 
-        from hicu.data import read_jsonl
+        from hicu.data import iter_jsonl
 
-        records = read_jsonl(corpus_dir / "train.jsonl")
+        records = list(iter_jsonl(corpus_dir / "train.jsonl"))
         counts = Counter(l for r in records for l in r["labels"])
         keep = sorted(counts, key=lambda c: (-counts[c], c))[:k]
         kept = [r for r in records if set(r["labels"]) & set(keep)]
@@ -550,9 +556,9 @@ class TestTopKLabels:
     def test_eval_drops_unkept_labels_only_for_top_k_checkpoints(
         self, corpus_dir, trained_dir, top3_dir, top3, tmp_path, capsys
     ):
-        from hicu.data import read_jsonl
+        from hicu.data import iter_jsonl
 
-        records = read_jsonl(corpus_dir / "test.jsonl")
+        records = list(iter_jsonl(corpus_dir / "test.jsonl"))
         records.append({"id": "stray", "text": records[0]["text"], "labels": ["999.99"]})
         raw = tmp_path / "raw.jsonl"
         raw.write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -758,8 +764,29 @@ def test_train_tokenizes_each_note_once(corpus_dir, tmp_path, monkeypatch):
     tokenize = data.tokenize
     monkeypatch.setattr(data, "tokenize", lambda text: calls.append(text) or tokenize(text))
     assert main(_train_argv(corpus_dir, tmp_path, "--epochs-per-level", "0,0,0,0,1")) == 0
-    n_notes = sum(len(data.read_jsonl(corpus_dir / f"{split}.jsonl")) for split in ("train", "valid"))
+    n_notes = sum(len(list(data.iter_jsonl(corpus_dir / f"{split}.jsonl"))) for split in ("train", "valid"))
     assert len(calls) == n_notes
+
+
+def test_train_holds_one_training_note_at_a_time(corpus_dir, tmp_path, epochs_started):
+    # every note padded, past --max-len, with 20 KB of a word it already holds:
+    # indexing the train split may hold a few padded notes, never the split
+    from hicu import data
+
+    records = [json.loads(l) for l in (corpus_dir / "train.jsonl").read_text().splitlines()]
+    peaks = []
+    for name, pad in (("short", 0), ("long", 20_000)):
+        train = tmp_path / f"{name}.jsonl"
+        lines = [json.dumps({**r, "text": r["text"] + (" " + r["text"].split()[0]) * (pad // 8)}) + "\n"
+                 for r in records]
+        train.write_text("".join(lines))
+        argv = _train_argv(corpus_dir, tmp_path / name, "--train", str(train), "--max-len", "64")
+        peaks.append(_traced_peak(lambda: main(argv)))  # its first epoch fails: the peak is set-up's
+    assert epochs_started == [1, 1]
+    longest = max(lines, key=len)
+    note = _traced_peak(lambda: (longest.encode(), data.tokenize(json.loads(longest)["text"])))
+    assert peaks[1] - peaks[0] < 3 * note, (peaks, note)
+    assert 3 * note < len(records) * 20_000 / 2
 
 
 _MISLABELLED_EMPTY = json.dumps({"id": "e", "text": "1234 !!", "labels": ["999.99"]}) + "\n"
@@ -816,10 +843,10 @@ class TestWordEmbeddings:
 
     @pytest.fixture(scope="class")
     def word_emb(self, corpus_dir, tmp_path_factory):
-        from hicu.data import read_jsonl, tokenize
+        from hicu.data import iter_jsonl, tokenize
 
         out = tmp_path_factory.mktemp("word-emb")
-        records = read_jsonl(corpus_dir / "train.jsonl")
+        records = list(iter_jsonl(corpus_dir / "train.jsonl"))
         tokens = sorted({t for r in records for t in tokenize(r["text"])})[:20]
         self._write_vectors(out / "vectors.txt", tokens, self.D_E)
         argv = _train_argv(corpus_dir, out / "model", "--word-emb", str(out / "vectors.txt"))
@@ -925,11 +952,11 @@ class TestCorrectedRoundTrip:
     def test_eval_scores_use_the_stored_rows(self, corpus_dir, corrected):
         from hicu.checkpoint import read_container
         from hicu.curriculum import score_dataset
-        from hicu.data import load_dataset, read_jsonl
+        from hicu.data import iter_jsonl, load_dataset
 
         meta, arrays = read_container(corrected / "model" / "checkpoint.bin")
         enc, dec = _best_model(meta, arrays)
-        test = load_dataset(read_jsonl(corpus_dir / "test.jsonl"), _vocab(meta), meta["max_len"])
+        test = load_dataset(list(iter_jsonl(corpus_dir / "test.jsonl")), _vocab(meta), meta["max_len"])
         expected = score_dataset(enc, dec, test.docs)
         assert np.array_equal(np.load(corrected / "eval" / "scores.npy"), expected)
 
@@ -950,14 +977,14 @@ class TestCliSharesTheLibraryPath:
     @pytest.fixture(scope="class")
     def flat(self, corpus_dir, tmp_path_factory):
         from hicu.curriculum import CurriculumConfig, Trainer
-        from hicu.data import build_vocab, load_dataset, read_jsonl, tokenize
+        from hicu.data import build_vocab, iter_jsonl, load_dataset, tokenize
         from hicu.icd import RangeTable, build_label_tree, parse_code_auto
 
         out = tmp_path_factory.mktemp("flat")
         assert main(_train_argv(corpus_dir, out, "--mode", "flat")) == 0
 
-        train = read_jsonl(corpus_dir / "train.jsonl")
-        valid = read_jsonl(corpus_dir / "valid.jsonl")
+        train = list(iter_jsonl(corpus_dir / "train.jsonl"))
+        valid = list(iter_jsonl(corpus_dir / "valid.jsonl"))
         codes = sorted({l for r in train + valid for l in r["labels"]})
         ranges = RangeTable.from_file(corpus_dir / "ranges.tsv")
         tree = build_label_tree([parse_code_auto(c) for c in codes], ranges)
@@ -981,14 +1008,14 @@ class TestCliSharesTheLibraryPath:
 
     def test_eval_scores_a_trainer_save_checkpoint(self, corpus_dir, flat, tmp_path):
         from hicu.curriculum import score_dataset
-        from hicu.data import load_dataset, read_jsonl
+        from hicu.data import iter_jsonl, load_dataset
 
         _, trainer, _ = flat
         trainer.save(tmp_path / "trainer.bin")
         assert main(["eval", "--checkpoint", str(tmp_path / "trainer.bin"),
                      "--test", str(corpus_dir / "test.jsonl"), "--out", str(tmp_path / "ev")]) == 0
         state = trainer.best_state()
-        test = load_dataset(read_jsonl(corpus_dir / "test.jsonl"), state.vocab, state.max_len)
+        test = load_dataset(list(iter_jsonl(corpus_dir / "test.jsonl")), state.vocab, state.max_len)
         with cli._one_blas_thread():  # the BLAS thread count hicu commands run at
             want = score_dataset(state.encoder, state.decoder, docs=test.docs)
         assert np.array_equal(np.load(tmp_path / "ev" / "scores.npy"), want)

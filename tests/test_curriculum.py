@@ -536,6 +536,52 @@ class TestResume:
         assert resumed.level == 5
         self._assert_same_state(resumed, straight)
 
+    @pytest.fixture(scope="class")
+    def concat(self, small_setup):
+        """Poincare embeddings of the tree and a concat-corrected schedule."""
+        from hicu.poincare import EmbedConfig, train_poincare
+
+        emb = train_poincare(small_setup[0].tree, EmbedConfig(d_h=8, epochs=15, burn_in_epochs=2, seed=0))
+        cfg = CurriculumConfig(epochs_per_level=(1, 1, 1, 1, 2), correction="concat",
+                               d_e=12, d_f=12, lr=2e-3, seed=0)
+        return emb, cfg
+
+    def test_concat_round_trip_and_resume_are_bitwise(self, small_setup, concat, tmp_path):
+        _, atree, vocab, splits = small_setup
+        emb, cfg = concat
+        trainer = Trainer(splits["train"], splits["valid"], atree, emb, cfg)
+        for _ in range(3):
+            trainer.step_epoch()
+        p1 = tmp_path / "a.bin"
+        trainer.save(p1)
+        loaded = Trainer.load(p1, splits["train"], splits["valid"], atree, emb)
+        p2 = tmp_path / "b.bin"
+        loaded.save(p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+        straight = Trainer(splits["train"], splits["valid"], atree, emb, cfg)
+        for _ in range(4):
+            straight.step_epoch()
+        resumed = Trainer.load(p1, splits["train"], splits["valid"], atree, emb)
+        resumed.step_epoch()  # finishes level 4 and builds the level-5 decoder from emb
+        assert resumed.level == 5
+        self._assert_same_state(resumed, straight)
+        assert np.array_equal(resumed.decoder.E_h, straight.decoder.E_h)
+
+    def test_resume_on_other_embeddings_rejected(self, small_setup, concat, tmp_path):
+        from hicu.poincare import PoincareEmbedding
+
+        _, atree, vocab, splits = small_setup
+        emb, cfg = concat
+        trainer = Trainer(splits["train"], splits["valid"], atree, emb, cfg)
+        trainer.step_epoch()
+        path = tmp_path / "concat.bin"
+        trainer.save(path)
+        other = PoincareEmbedding(nodes=emb.nodes, vectors=emb.vectors / 2)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the given embeddings' level-2 "
+                                             "rows differ from the checkpoint's aux/E_h$"):
+            Trainer.load(path, splits["train"], splits["valid"], atree, other)
+
     @staticmethod
     def _assert_same_state(got, want):
         assert got.records == want.records

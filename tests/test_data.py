@@ -16,9 +16,11 @@ from hicu.data import (
     Vocab,
     build_vocab,
     filter_top_k_labels,
+    iter_jsonl,
     load_dataset,
     load_embeddings,
-    read_jsonl,
+    read_vectors,
+    restrict_labels,
     synth_generate,
     tokenize,
 )
@@ -70,7 +72,7 @@ class TestLoadDataset:
             for rec in small_corpus.splits["train"][:10]:
                 fh.write(json.dumps(rec) + "\n")
         vocab = build_vocab(tokenize(r["text"]) for r in small_corpus.splits["train"])
-        ds = load_dataset(read_jsonl(path), vocab, max_len=7)
+        ds = load_dataset(list(iter_jsonl(path)), vocab, max_len=7)
         assert len(ds.docs) == 10
         assert all(len(d.tokens) == 7 for d in ds.docs)
 
@@ -79,7 +81,7 @@ class TestLoadDataset:
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"id": "d1", "text": "x", "labels": ["999.99"]}) + "\n")
         vocab = build_vocab([["x"]], min_count=1)
-        ds = load_dataset(read_jsonl(path), vocab, max_len=10)
+        ds = load_dataset(list(iter_jsonl(path)), vocab, max_len=10)
         with pytest.raises(ValueError, match="document 'd1': label '999.99' not a tree leaf"):
             ds.label_matrix(tree.level_labels(tree.k_max))
 
@@ -146,6 +148,23 @@ class TestLoadDataset:
             assert all(a.tokens.dtype == np.int32 and np.array_equal(a.tokens, b.tokens)
                        for a, b in zip(kept_got, kept_want))
 
+    @pytest.mark.parametrize("given_vocab", [False, True])
+    def test_a_one_shot_iterator_reads_like_a_list(self, small_corpus, tmp_path, given_vocab):
+        # the split file's own reader, with a note without tokens in the middle
+        records = small_corpus.splits["valid"][:30]
+        records.insert(7, {"id": "empty", "text": "1234 !!", "labels": ["x"]})
+        path = tmp_path / "valid.jsonl"
+        data.write_jsonl(path, records)
+        vocab = build_vocab(tokenize(r["text"]) for r in small_corpus.splits["train"]) if given_vocab else None
+        want = load_dataset(records, vocab, 16)
+        got = load_dataset(iter_jsonl(path), vocab, 16)
+        assert (got.vocab, got.max_len) == (want.vocab, want.max_len)
+        assert len(got.docs) == 30 and [d.id for d in got.dropped] == ["empty"]
+        for kept_got, kept_want in ((got.docs, want.docs), (got.dropped, want.dropped)):
+            assert [(d.id, d.labels) for d in kept_got] == [(d.id, d.labels) for d in kept_want]
+            assert all(a.tokens.dtype == np.int32 and np.array_equal(a.tokens, b.tokens)
+                       for a, b in zip(kept_got, kept_want))
+
     def test_without_a_vocabulary_tokenizes_each_note_once(self, small_corpus, monkeypatch):
         calls = []
         monkeypatch.setattr(data, "tokenize", lambda text: calls.append(text) or tokenize(text))
@@ -164,7 +183,7 @@ class TestLoadDataset:
             fh.write(json.dumps({"id": "a", "text": "1234 !!", "labels": [label]}) + "\n")
             fh.write(json.dumps({"id": "b", "text": "word", "labels": [label]}) + "\n")
         vocab = build_vocab([["word"]], min_count=1)
-        ds = load_dataset(read_jsonl(path), vocab, max_len=10)
+        ds = load_dataset(list(iter_jsonl(path)), vocab, max_len=10)
         assert [d.id for d in ds.docs] == ["b"]
         assert [(d.id, len(d.tokens), d.labels) for d in ds.dropped] == [("a", 0, (label,))]
 
@@ -176,9 +195,18 @@ class TestTopK:
             {"id": "2", "text": "x", "labels": ["a", "c"]},
             {"id": "3", "text": "x", "labels": ["a"]},
         ]
-        (out,) = filter_top_k_labels([records], 2)
+        keep = filter_top_k_labels(iter(records), 2)
         # a and c appear twice, b only once
-        assert [r["labels"] for r in out] == [["c"], ["a", "c"], ["a"]]
+        assert keep == {"a", "c"}
+        assert [r["labels"] for r in restrict_labels(records, keep)] == [["c"], ["a", "c"], ["a"]]
+
+    def test_counts_a_label_once_per_record(self):
+        records = [
+            {"id": "1", "text": "x", "labels": ["a", "a", "a"]},
+            {"id": "2", "text": "x", "labels": ["b"]},
+            {"id": "3", "text": "x", "labels": ["b"]},
+        ]
+        assert filter_top_k_labels(records, 1) == {"b"}
 
     def test_docs_without_surviving_labels_dropped(self):
         train = [
@@ -190,15 +218,15 @@ class TestTopK:
             {"id": "4", "text": "x", "labels": ["b"]},
             {"id": "5", "text": "x", "labels": ["b", "a"]},
         ]
-        out_train, out_valid = filter_top_k_labels([train, valid], 1)
-        assert [r["id"] for r in out_train] == ["1", "3"]
+        keep = filter_top_k_labels(train, 1)
+        assert [r["id"] for r in restrict_labels(train, keep)] == ["1", "3"]
         # the other splits keep the first split's codes
-        assert out_valid == [{"id": "5", "text": "x", "labels": ["a"]}]
+        assert list(restrict_labels(iter(valid), keep)) == [{"id": "5", "text": "x", "labels": ["a"]}]
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one_rejected(self, k):
         with pytest.raises(ValueError):
-            filter_top_k_labels([[{"id": "1", "text": "x", "labels": ["a"]}]], k)
+            filter_top_k_labels([{"id": "1", "text": "x", "labels": ["a"]}], k)
 
 
 class TestLoadEmbeddings:
@@ -221,6 +249,29 @@ class TestLoadEmbeddings:
         path.write_text("1 3\na 0.5 -0.5 0.25\n")
         with pytest.raises(ValueError):
             load_embeddings(path, vocab, 4)
+
+
+class TestReadVectors:
+    def test_rows_in_file_order(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("2 2\nb 0.5 -1e-3\n\na 2 3\n")
+        table = read_vectors(path)
+        assert list(table) == ["b", "a"]
+        assert all(row.dtype == np.float64 for row in table.values())
+        assert np.array_equal(table["b"], [0.5, -1e-3]) and np.array_equal(table["a"], [2.0, 3.0])
+
+    @pytest.mark.parametrize("text, d, named", [
+        ("2\na 1 2\n", None, "malformed embedding header"),
+        ("1 3\na 1 2 3\n", 2, "file dimension 3 != requested 2"),
+        ("1 2\na 1 2 3\n", None, "malformed row for token 'a'"),
+        ("2 1\na 1\na 2\n", None, "token 'a' listed twice"),
+        ("3 1\na 1\nb 2\n", None, "expected 3 rows, found 2"),
+    ])
+    def test_malformed_file_rejected(self, tmp_path, text, d, named):
+        path = tmp_path / "v.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {named}')}$"):
+            read_vectors(path, d)
 
 
 class TestSynth:

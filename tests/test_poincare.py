@@ -253,6 +253,12 @@ class TestEmbeddingIo:
         assert back.nodes == emb.nodes
         assert np.array_equal(back.vectors, emb.vectors)
 
+    def test_repeated_node_rejected(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("3 2\n0:<root> 0.0 0.0\n1:a 0.1 0.2\n1:a 0.3 0.4\n")
+        with pytest.raises(ValueError, match="token '1:a' listed twice"):
+            PoincareEmbedding.load(path)
+
     def test_level_rows_share_padded_vectors(self):
         tree = _toy_tree()
         emb = train_poincare(tree, EmbedConfig(d_h=4, epochs=3, burn_in_epochs=0, seed=1))

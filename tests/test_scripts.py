@@ -4,7 +4,8 @@
 and ``environment`` from ``perfbench/worker.py``, so a change to either can
 break the sweep while every library test passes.  The sweep runs in a
 subprocess with ``scripts`` on its path, as it is run by hand; it puts
-``perfbench`` on its own path.  ``slab_sweep.py`` runs at two tiny shapes.
+``perfbench`` on its own path.  ``slab_sweep.py`` runs at two tiny shapes,
+and ``workload_digests.py`` on one workload at toy scale.
 """
 import json
 import os
@@ -58,3 +59,18 @@ def test_slab_sweep_prints_a_row_per_shape():
     assert [row[2:6] for row in rows] == [["4", "9", "3", "4"], ["1", "5", "2", "4"]]
     assert [row[7::2] for row in rows] == [["(1)", "(4)"], ["(1)", "(1)"]]
     assert all(float(ms) > 0 for row in rows for ms in row[6::2])
+
+
+def test_workload_digests_prints_a_line_per_digest():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "workload_digests.py"), "--scale", "toy",
+         "--workload", "reference"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-2000:]
+    rows = [line.split() for line in done.stdout.splitlines()]
+    # the worker's digests: each run's checkpoint and report, and each eval's scores
+    assert [row[:2] for row in rows] == [["reference", path] for path in (
+        "flat-eval/scores.npy", "flat/checkpoint.bin", "flat/report.jsonl",
+        "hicu-eval/scores.npy", "hicu/checkpoint.bin", "hicu/report.jsonl")]
+    assert all(re.fullmatch(r"[0-9a-f]{16}", row[2]) for row in rows)
